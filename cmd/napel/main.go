@@ -534,12 +534,7 @@ func runCompare(args []string) error {
 	fmt.Printf("\nEDP reduction %.2fx -> %s\n", reduction, verdict)
 
 	if *modelPath != "" {
-		f, err := os.Open(*modelPath)
-		if err != nil {
-			return err
-		}
-		pred, err := napel.LoadPredictor(f)
-		f.Close()
+		pred, err := napel.LoadPredictorFile(*modelPath)
 		if err != nil {
 			return err
 		}
@@ -742,12 +737,8 @@ func runPredict(args []string) error {
 
 	var pred *napel.Predictor
 	if *modelPath != "" {
-		f, err := os.Open(*modelPath)
-		if err != nil {
-			return err
-		}
-		pred, err = napel.LoadPredictor(f)
-		f.Close()
+		var err error
+		pred, err = napel.LoadPredictorFile(*modelPath)
 		if err != nil {
 			return err
 		}

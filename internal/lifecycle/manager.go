@@ -789,7 +789,7 @@ func (m *Manager) gate(td *napel.TrainingData, cand napel.HoldoutMetrics, frac f
 		if err != nil {
 			return false, 0, inc.ID, err
 		}
-		pred, err := napel.LoadPredictor(bytes.NewReader(data))
+		pred, err := napel.LoadPredictor(data)
 		if err != nil {
 			return false, 0, inc.ID, err
 		}

@@ -10,7 +10,6 @@
 package lifecycle
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -384,7 +383,7 @@ func (s *Store) LoadCurrentPredictor() (*napel.Predictor, *Manifest, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	p, err := napel.LoadPredictor(bytes.NewReader(data))
+	p, err := napel.LoadPredictor(data)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -34,13 +34,15 @@ type ModelProber struct {
 
 // NewModelProber loads the model file and records its content version
 // (the same FNV-64a hash the serve registry stamps into responses), so
-// probes only judge responses computed under this exact generation.
+// probes only judge responses computed under this exact generation. The
+// file is read once and both the version and the model come from that
+// one buffer: a second read could see a file promoted in between.
 func NewModelProber(path string) (*ModelProber, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	pred, err := napel.LoadPredictorFile(path)
+	pred, err := napel.LoadPredictor(data)
 	if err != nil {
 		return nil, err
 	}

@@ -4,8 +4,18 @@ import (
 	"encoding/json"
 	"testing"
 
+	"napel/internal/jsonread"
 	"napel/internal/xrand"
 )
+
+func readForest(data []byte, numFeatures int) (*Forest, error) {
+	r := jsonread.New(data)
+	f, err := ReadForest(r, numFeatures)
+	if err == nil {
+		err = r.End()
+	}
+	return f, err
+}
 
 func TestForestJSONRoundTrip(t *testing.T) {
 	d := synth(150, func(x []float64) float64 { return x[0]*x[1] + x[2] }, 21)
@@ -17,8 +27,8 @@ func TestForestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var g Forest
-	if err := json.Unmarshal(data, &g); err != nil {
+	g, err := readForest(data, 3)
+	if err != nil {
 		t.Fatal(err)
 	}
 	rng := xrand.New(23)
@@ -34,19 +44,46 @@ func TestForestJSONRoundTrip(t *testing.T) {
 			t.Fatal("importance lost in round trip")
 		}
 	}
+	if g.params != f.params {
+		t.Fatalf("params %+v, want %+v", g.params, f.params)
+	}
+	again, err := json.Marshal(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != string(data) {
+		t.Fatal("marshal -> read -> marshal changed the bytes")
+	}
 }
 
 func TestForestUnmarshalRejectsMalformed(t *testing.T) {
 	cases := []string{
 		`{}`, // no trees
-		`{"trees":[{"feature":[0],"thresh":[1],"left":[5],"right":[0],"value":[0]}]}`,          // child out of range
-		`{"trees":[{"feature":[0,-1],"thresh":[1],"left":[1,0],"right":[1,0],"value":[0,1]}]}`, // ragged arrays
-		`{"trees":[{"feature":[],"thresh":[],"left":[],"right":[],"value":[]}]}`,               // empty tree
+		`{"trees":[{"feature":[0],"thresh":[1],"left":[5],"right":[0],"value":[0]}]}`,                       // child out of range
+		`{"trees":[{"feature":[0,-1],"thresh":[1,0],"left":[0,0],"right":[1,0],"value":[0,1]}]}`,            // child loops to its parent
+		`{"trees":[{"feature":[1,-1,-1],"thresh":[1,0,0],"left":[1,0,0],"right":[2,0,0],"value":[0,1,2]}]}`, // feature out of range
+		`{"trees":[{"feature":[0,-1],"thresh":[1],"left":[1,0],"right":[1,0],"value":[0,1]}]}`,              // ragged arrays
+		`{"trees":[{"feature":[],"thresh":[],"left":[],"right":[],"value":[]}]}`,                            // empty tree
+		`{"trees":[{"feature":[-1],"thresh":[1],"left":[0],"right":[0]}]}`,                                  // missing array
+		`{"trees":[{"feature":[-1],"thresh":[1],"left":[0],"right":[0],"value":[null]}]}`,                   // null number
+		`{"trees":[{"feature":[0],"thresh":[1],"left":[2147483648],"right":[0],"value":[0]}]}`,              // child overflows int32
+		`{"trees":[{"feature":[-1],"feature":[-1],"thresh":[1],"left":[0],"right":[0],"value":[0]}]}`,       // duplicate key
+		`{"trees":[{"feature":[-1],"Feature":[-1],"thresh":[1],"left":[0],"right":[0],"value":[0]}]}`,       // duplicate under case folding
+		`{"trees":null}`,
 	}
 	for i, c := range cases {
-		var f Forest
-		if err := json.Unmarshal([]byte(c), &f); err == nil {
-			t.Errorf("malformed case %d accepted", i)
+		if _, err := readForest([]byte(c), 1); err == nil {
+			t.Errorf("malformed case %d accepted: %s", i, c)
 		}
+	}
+	// Keys match case-insensitively and unknown keys are skipped, as
+	// encoding/json does for struct fields.
+	ok := `{"PARAMS":{"trees":1},"extra":[{"a":null}],"trees":[{"Feature":[-1],"thresh":[0],"left":[0],"right":[0],"value":[2.5]}]}`
+	f, err := readForest([]byte(ok), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.params.Trees != 1 || f.Predict([]float64{0}) != 2.5 {
+		t.Fatalf("decoded %+v", f)
 	}
 }

@@ -1,7 +1,6 @@
 package rf
 
 import (
-	"encoding/json"
 	"math"
 	"testing"
 
@@ -25,11 +24,11 @@ func fixtureForest(t *testing.T) *Forest {
 			{"feature": [0, -1, -1], "thresh": [0.5, 0, 0], "left": [1, 0, 0], "right": [2, 0, 0], "value": [0, 4, 10]}
 		]
 	}`
-	var f Forest
-	if err := json.Unmarshal([]byte(raw), &f); err != nil {
-		t.Fatalf("unmarshal fixture forest: %v", err)
+	f, err := readForest([]byte(raw), 1)
+	if err != nil {
+		t.Fatalf("read fixture forest: %v", err)
 	}
-	return &f
+	return f
 }
 
 func TestPredictWithVarianceFixture(t *testing.T) {

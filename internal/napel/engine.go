@@ -320,7 +320,7 @@ func unitSamples(u collectUnit, prof *pisa.Profile, sims []*nmcsim.Result, simTi
 // mid-run checkpoint snapshots.
 func assembleTrainingData(plans []kernelPlan, units []collectUnit, results []unitResult, opts Options) *TrainingData {
 	td := &TrainingData{
-		Names:       append(append([]string(nil), pisa.FeatureNames()...), ArchFeatureNames()...),
+		Names:       append([]string(nil), featureLayout()...),
 		Profiles:    map[string]*pisa.Profile{},
 		DoEConfigs:  map[string]int{},
 		SimTime:     map[string]time.Duration{},
@@ -378,14 +378,8 @@ func assembleTrainingData(plans []kernelPlan, units []collectUnit, results []uni
 // training architecture of this run. Returns unit index → samples in
 // architecture order.
 func restoreUnits(prior *TrainingData, units []collectUnit, opts Options) (map[int][]Sample, error) {
-	wantNames := append(append([]string(nil), pisa.FeatureNames()...), ArchFeatureNames()...)
-	if len(prior.Names) != len(wantNames) {
-		return nil, fmt.Errorf("napel: resume checkpoint has %d features, want %d", len(prior.Names), len(wantNames))
-	}
-	for i := range wantNames {
-		if prior.Names[i] != wantNames[i] {
-			return nil, fmt.Errorf("napel: resume checkpoint feature %d is %q, want %q", i, prior.Names[i], wantNames[i])
-		}
+	if err := checkFeatureLayout(prior.Names); err != nil {
+		return nil, fmt.Errorf("napel: resume checkpoint: %w", err)
 	}
 	narchs := len(opts.TrainArchs)
 	// First sample per (unit key, arch index) wins; centre replicates of

@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
+	"sync"
 	"time"
 
 	"napel/internal/atomicfile"
+	"napel/internal/jsonread"
 	"napel/internal/ml"
 	"napel/internal/ml/rf"
 	"napel/internal/pisa"
@@ -82,35 +85,149 @@ func saveModel(m ml.Model) (savedModel, error) {
 	return savedModel{Lo: lo, Hi: hi, Forest: forest}, nil
 }
 
-// LoadPredictor reads a predictor previously written by Save.
-func LoadPredictor(r io.Reader) (*Predictor, error) {
-	var in savedPredictor
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("napel: decoding predictor: %w", err)
-	}
-	if in.Version != savedVersion {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrBadModelVersion, in.Version, savedVersion)
-	}
-	if in.IPC.Forest == nil || in.EPI.Forest == nil {
-		return nil, fmt.Errorf("napel: predictor file is missing a model")
-	}
-	wantFeatures := 395 + NumArchFeatures
-	if len(in.Names) != wantFeatures {
-		return nil, fmt.Errorf("napel: predictor has %d feature names, want %d", len(in.Names), wantFeatures)
-	}
-	p := &Predictor{
-		IPC:       ml.WrapLogModel(in.IPC.Forest, in.IPC.Lo, in.IPC.Hi),
-		EPI:       ml.WrapLogModel(in.EPI.Forest, in.EPI.Lo, in.EPI.Hi),
-		Names:     in.Names,
-		TrainTime: in.TrainTime,
-		Chosen:    map[Target]string{},
-	}
-	for _, t := range []Target{TargetIPC, TargetEPI} {
-		if name, ok := in.Chosen[t.String()]; ok {
-			p.Chosen[t] = name
+// ErrFeatureLayout reports a predictor whose feature names are not this
+// build's layout, pisa.FeatureNames followed by ArchFeatureNames: its
+// forests would index the wrong features and mispredict silently. It is
+// a sentinel (match with errors.Is); napel-serve maps it to HTTP 422.
+var ErrFeatureLayout = errors.New("napel: feature layout differs from this build's")
+
+// featureLayout returns this build's feature names, index-aligned with
+// the vectors Predict assembles. The slice is shared: callers must not
+// modify it.
+var featureLayout = sync.OnceValue(func() []string {
+	return append(append([]string(nil), pisa.FeatureNames()...), ArchFeatureNames()...)
+})
+
+// checkFeatureLayout compares names with featureLayout, naming the first
+// index that differs.
+func checkFeatureLayout(names []string) error {
+	want := featureLayout()
+	for i := range max(len(names), len(want)) {
+		switch {
+		case i == len(names) || i == len(want):
+			return fmt.Errorf("%w: feature %d: model has %d features, want %d", ErrFeatureLayout, i, len(names), len(want))
+		case names[i] != want[i]:
+			return fmt.Errorf("%w: feature %d is %q, want %q", ErrFeatureLayout, i, names[i], want[i])
 		}
 	}
+	return nil
+}
+
+// Field names of the Save form: the JSON names of savedPredictor and
+// savedModel.
+var (
+	predictorFields = []string{"version", "feature_names", "chosen", "train_time_ns", "ipc", "epi"}
+	modelFields     = []string{"log_lo", "log_hi", "forest"}
+)
+
+// LoadPredictor parses a predictor written by Save. It reads data in one
+// pass and accepts a subset of what encoding/json would (see
+// internal/jsonread): in particular only whitespace may follow the
+// predictor object.
+func LoadPredictor(data []byte) (*Predictor, error) {
+	p := &Predictor{Chosen: map[Target]string{}}
+	version := 0
+	var ipc, epi savedModel
+	r := jsonread.New(data)
+	err := r.Fields(predictorFields, func(field string) error {
+		var err error
+		switch field {
+		case "version":
+			var v int64
+			v, err = r.Int(strconv.IntSize)
+			version = int(v)
+		case "feature_names":
+			p.Names, err = readNames(r)
+		case "chosen":
+			err = readChosen(r, p.Chosen)
+		case "train_time_ns":
+			var v int64
+			v, err = r.Int(64)
+			p.TrainTime = time.Duration(v)
+		case "ipc":
+			err = readModel(r, &ipc)
+		default: // "epi"
+			err = readModel(r, &epi)
+		}
+		return err
+	})
+	if err == nil {
+		err = r.End()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("napel: decoding predictor: %w", err)
+	}
+	if version != savedVersion {
+		return nil, fmt.Errorf("%w: got %d, want %d", ErrBadModelVersion, version, savedVersion)
+	}
+	if ipc.Forest == nil || epi.Forest == nil {
+		return nil, fmt.Errorf("napel: predictor file is missing a model")
+	}
+	if err := checkFeatureLayout(p.Names); err != nil {
+		return nil, err
+	}
+	p.IPC = ml.WrapLogModel(ipc.Forest, ipc.Lo, ipc.Hi)
+	p.EPI = ml.WrapLogModel(epi.Forest, epi.Lo, epi.Hi)
 	return p, nil
+}
+
+// readNames reads the feature names. A name equal to the layout's name
+// at its index shares the layout's string, so a well-formed file
+// allocates only the slice.
+func readNames(r *jsonread.Reader) ([]string, error) {
+	if r.Null() {
+		return nil, nil
+	}
+	want := featureLayout()
+	names := make([]string, 0, len(want))
+	err := r.Array(func() error {
+		b, err := r.StringBytes()
+		if i := len(names); i < len(want) && string(b) == want[i] {
+			names = append(names, want[i])
+		} else {
+			names = append(names, string(b))
+		}
+		return err
+	})
+	return names, err
+}
+
+// readChosen reads the chosen hyper-parameter names, keyed by
+// Target.String(); other keys are ignored.
+func readChosen(r *jsonread.Reader, chosen map[Target]string) error {
+	if r.Null() {
+		return nil
+	}
+	seen := map[string]bool{}
+	return r.Object(func(key []byte) error {
+		k := string(key)
+		if seen[k] {
+			return fmt.Errorf("duplicate chosen key %q", k)
+		}
+		seen[k] = true
+		name, err := r.String()
+		for _, t := range []Target{TargetIPC, TargetEPI} {
+			if k == t.String() {
+				chosen[t] = name
+			}
+		}
+		return err
+	})
+}
+
+func readModel(r *jsonread.Reader, m *savedModel) error {
+	return r.Fields(modelFields, func(field string) error {
+		var err error
+		switch field {
+		case "log_lo":
+			m.Lo, err = r.Float()
+		case "log_hi":
+			m.Hi, err = r.Float()
+		default: // "forest"
+			m.Forest, err = rf.ReadForest(r, len(featureLayout()))
+		}
+		return err
+	})
 }
 
 // savedTrainingData is the on-disk form of a collected dataset: the
@@ -171,12 +288,11 @@ func WritePredictorFile(path string, p *Predictor) error {
 // LoadPredictorFile reads a predictor file written by Save or
 // WritePredictorFile.
 func LoadPredictorFile(path string) (*Predictor, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return LoadPredictor(f)
+	return LoadPredictor(data)
 }
 
 // WriteTrainingDataFile atomically publishes the dataset at path — the

@@ -26,7 +26,7 @@ func TestPredictorSaveLoadRoundTrip(t *testing.T) {
 	if err := pred.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadPredictor(&buf)
+	loaded, err := LoadPredictor(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,17 +49,78 @@ func TestPredictorSaveLoadRoundTrip(t *testing.T) {
 	if len(loaded.Names) != len(pred.Names) {
 		t.Fatal("feature names lost")
 	}
+	// Save -> LoadPredictor -> Save is byte-identical, so a model's
+	// content version survives a load.
+	var again bytes.Buffer
+	if err := loaded.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+		t.Fatal("Save after LoadPredictor changed the bytes")
+	}
 }
 
 func TestLoadPredictorRejectsGarbage(t *testing.T) {
-	if _, err := LoadPredictor(strings.NewReader("not json")); err == nil {
+	if _, err := LoadPredictor([]byte("not json")); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := LoadPredictor(strings.NewReader(`{"version":99}`)); err == nil {
+	if _, err := LoadPredictor([]byte(`{"version":99}`)); err == nil {
 		t.Fatal("wrong version accepted")
 	}
-	if _, err := LoadPredictor(strings.NewReader(`{"version":1,"feature_names":[]}`)); err == nil {
+	if _, err := LoadPredictor([]byte(`{"version":1,"feature_names":[]}`)); err == nil {
 		t.Fatal("missing models accepted")
+	}
+	// Only whitespace may follow the predictor object: a model file
+	// with bytes appended, or two concatenated, must not load as the
+	// first model.
+	model := savedBytes(t, synthPredictor(t, 2, 8))
+	if _, err := LoadPredictor(append(append([]byte(nil), model...), " \n\t"...)); err != nil {
+		t.Fatalf("trailing whitespace rejected: %v", err)
+	}
+	for _, tail := range []string{"garbage", "{}", string(model)} {
+		if _, err := LoadPredictor(append(append([]byte(nil), model...), tail...)); err == nil {
+			t.Fatalf("model followed by %.20q accepted", tail)
+		}
+	}
+}
+
+// TestLoadPredictorTruncated: every strict prefix class of a saved
+// model — empty, cut mid-token, cut mid-tree, missing its last two
+// bytes — must fail without matching the version sentinel, because a
+// truncated model is corruption, not a format upgrade.
+func TestLoadPredictorTruncated(t *testing.T) {
+	full := savedBytes(t, synthPredictor(t, 2, 8))
+	midTree := bytes.Index(full, []byte(`"thresh":[`)) + 12
+	for _, cut := range []int{0, 1, 5, midTree, len(full) / 2, len(full) - 2} {
+		_, err := LoadPredictor(full[:cut])
+		if err == nil {
+			t.Fatalf("truncation at %d/%d bytes accepted", cut, len(full))
+		}
+		if errors.Is(err, ErrBadModelVersion) {
+			t.Fatalf("truncation at %d reported as version mismatch: %v", cut, err)
+		}
+	}
+	if _, err := LoadPredictor(full); err != nil {
+		t.Fatalf("untruncated bytes rejected: %v", err)
+	}
+}
+
+// TestLoadPredictorFeatureLayout: a model saved under a different
+// layout of the same size must not load, and the error must name the
+// first index that differs.
+func TestLoadPredictorFeatureLayout(t *testing.T) {
+	p := synthPredictor(t, 2, 8)
+	p.Names[3], p.Names[7] = p.Names[7], p.Names[3]
+	_, err := LoadPredictor(savedBytes(t, p))
+	if !errors.Is(err, ErrFeatureLayout) {
+		t.Fatalf("swapped names: error %v does not match ErrFeatureLayout", err)
+	}
+	if !strings.Contains(err.Error(), "feature 3 ") || errors.Is(err, ErrBadModelVersion) {
+		t.Fatalf("swapped names: error %q does not name index 3 alone", err)
+	}
+	p.Names = p.Names[:len(p.Names)-1]
+	if _, err := LoadPredictor(savedBytes(t, p)); !errors.Is(err, ErrFeatureLayout) {
+		t.Fatalf("short layout: error %v does not match ErrFeatureLayout", err)
 	}
 }
 
@@ -67,18 +128,18 @@ func TestLoadPredictorRejectsGarbage(t *testing.T) {
 // relies on: a wrong format version matches ErrBadModelVersion, while
 // other load failures (corruption, truncation) do not.
 func TestLoadPredictorVersionSentinel(t *testing.T) {
-	_, err := LoadPredictor(strings.NewReader(`{"version":99}`))
+	_, err := LoadPredictor([]byte(`{"version":99}`))
 	if !errors.Is(err, ErrBadModelVersion) {
 		t.Fatalf("version mismatch error %v does not match ErrBadModelVersion", err)
 	}
 	if !strings.Contains(err.Error(), "99") {
 		t.Fatalf("error %q does not name the offending version", err)
 	}
-	_, err = LoadPredictor(strings.NewReader("not json"))
+	_, err = LoadPredictor([]byte("not json"))
 	if err == nil || errors.Is(err, ErrBadModelVersion) {
 		t.Fatalf("garbage error %v must not match ErrBadModelVersion", err)
 	}
-	_, err = LoadPredictor(strings.NewReader(`{"version":1,"feature_names":[]}`))
+	_, err = LoadPredictor([]byte(`{"version":1,"feature_names":[]}`))
 	if err == nil || errors.Is(err, ErrBadModelVersion) {
 		t.Fatalf("missing-model error %v must not match ErrBadModelVersion", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"napel/internal/stats"
 	"napel/internal/trace"
@@ -48,11 +49,14 @@ func (p *Profile) Vector() []float64 {
 }
 
 // FeatureNames returns the names of the 395 features, index-aligned with
-// Vector.
-func FeatureNames() []string {
+// Vector. They are computed once: every call returns the same slice,
+// which callers must not modify.
+func FeatureNames() []string { return featureNames() }
+
+var featureNames = sync.OnceValue(func() []string {
 	n, _ := NewProfiler().Profile().build()
 	return n
-}
+})
 
 // build assembles names and values together so they can never drift.
 func (p *Profile) build() ([]string, []float64) {

@@ -160,6 +160,20 @@ func TestILPStoreLoadForwarding(t *testing.T) {
 	}
 }
 
+// TestFeatureNamesAllocationFree pins the memoization: napel-serve
+// orders every request's features by these names, so after the first
+// call FeatureNames must hand back the shared slice without building a
+// profiler.
+func TestFeatureNamesAllocationFree(t *testing.T) {
+	first := FeatureNames()
+	if n := testing.AllocsPerRun(100, func() { _ = FeatureNames() }); n != 0 {
+		t.Fatalf("FeatureNames allocates %.1f/op after the first call", n)
+	}
+	if again := FeatureNames(); &again[0] != &first[0] {
+		t.Fatal("FeatureNames returned a different slice")
+	}
+}
+
 func TestFeatureVectorSize(t *testing.T) {
 	p := NewProfiler()
 	// Even an empty profile must produce the full, finite vector.

@@ -118,7 +118,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		s.reloadBreaker.RecordFailure()
 		status := http.StatusInternalServerError
 		switch {
-		case errors.Is(err, napel.ErrBadModelVersion):
+		case errors.Is(err, napel.ErrBadModelVersion), errors.Is(err, napel.ErrFeatureLayout):
 			status = http.StatusUnprocessableEntity
 		case errors.Is(err, fs.ErrNotExist):
 			status = http.StatusNotFound

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sort"
@@ -21,10 +20,10 @@ const DefaultModelName = "default"
 // responses and cache keys changes exactly when the weights do — no
 // matter whether the bytes came from a local file or a store pull.
 type Model struct {
-	Name      string    `json:"name"`
-	Path      string    `json:"path"`
-	Version   string    `json:"version"`
-	LoadedAt  time.Time `json:"loaded_at"`
+	Name      string           `json:"name"`
+	Path      string           `json:"path"`
+	Version   string           `json:"version"`
+	LoadedAt  time.Time        `json:"loaded_at"`
 	Predictor *napel.Predictor `json:"-"`
 }
 
@@ -93,7 +92,8 @@ func (r *Registry) Ready() bool { return len(*r.models.Load()) > 0 }
 // replaces the serving set with the new generation. On any failure the
 // previous generation stays in place and the error is returned
 // (wrapping napel.ErrBadModelVersion when the file's format version is
-// unsupported, so HTTP handlers can answer 422).
+// unsupported, or napel.ErrFeatureLayout when its features are not this
+// build's, so HTTP handlers can answer 422).
 func (r *Registry) Reload() ([]*Model, error) {
 	r.reloadMu.Lock()
 	defer r.reloadMu.Unlock()
@@ -197,7 +197,7 @@ func loadModel(name, path string) (*Model, error) {
 // modelFromBytes parses one model generation out of its serialized
 // bytes. path is the source's Describe() string — purely descriptive.
 func modelFromBytes(name, path string, data []byte, version string) (*Model, error) {
-	pred, err := napel.LoadPredictor(bytes.NewReader(data))
+	pred, err := napel.LoadPredictor(data)
 	if err != nil {
 		return nil, err
 	}

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"napel/internal/napel"
 	"napel/internal/nmcsim"
 )
 
@@ -343,18 +344,37 @@ func TestServerReloadEndpoint(t *testing.T) {
 		t.Fatal("reload kept the old version")
 	}
 
-	// Corrupt the file with an unsupported version: 422, old weights
-	// keep serving.
-	if err := os.WriteFile(modelPath, []byte(`{"version":99}`), 0o644); err != nil {
+	// Corrupt the file with an unsupported version, or save the model
+	// under a reordered feature layout of the same size: 422, old
+	// weights keep serving.
+	swapped, err := napel.LoadPredictor(data)
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp, body = postJSON(t, ts.URL+"/v1/models/reload", nil)
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("bad-version reload status %d: %s", resp.StatusCode, body)
+	swapped.Names = append([]string(nil), swapped.Names...)
+	swapped.Names[0], swapped.Names[1] = swapped.Names[1], swapped.Names[0]
+	var swappedBytes bytes.Buffer
+	if err := swapped.Save(&swappedBytes); err != nil {
+		t.Fatal(err)
 	}
-	resp, _ = postJSON(t, ts.URL+"/v1/predict", makeRequest(f, WireArch{}, f.threads))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("predict after failed reload: %d", resp.StatusCode)
+	for name, bad := range map[string][]byte{
+		"bad-version":    []byte(`{"version":99}`),
+		"swapped-layout": swappedBytes.Bytes(),
+	} {
+		if err := os.WriteFile(modelPath, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		resp, body = postJSON(t, ts.URL+"/v1/models/reload", nil)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%s reload status %d: %s", name, resp.StatusCode, body)
+		}
+		resp, _ = postJSON(t, ts.URL+"/v1/predict", makeRequest(f, WireArch{}, f.threads))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("predict after failed %s reload: %d", name, resp.StatusCode)
+		}
+		if v, _ := s.registry.Get(""); v.Version != v2.Version {
+			t.Fatalf("failed %s reload replaced the served version", name)
+		}
 	}
 
 	// Remove the file entirely: 404 from the reload endpoint.

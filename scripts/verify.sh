@@ -46,6 +46,12 @@ echo "== go test -race (concurrent packages) =="
 go test -race -count=1 ./internal/serve/... ./internal/fleet/... ./internal/member/... ./internal/cache/... ./internal/napel/... ./internal/trace/... ./internal/lifecycle/... ./internal/collectd/... ./internal/obs/... ./internal/obsd/... ./internal/resilience/...
 go test -race -count=1 -run 'Parallel' ./internal/exp/...
 
+echo "== fuzz the model file decoder (10 s) =="
+# A model can arrive as untrusted bytes over -model-store. The seed
+# corpus runs in every go test; this stage searches past it, checking
+# LoadPredictor against the encoding/json reference decode.
+go test -run '^$' -fuzz FuzzLoadPredictor -fuzztime 10s ./internal/napel
+
 echo "== napel-serve smoke test =="
 tmp=$(mktemp -d)
 server_pid=""
