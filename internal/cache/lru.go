@@ -42,14 +42,15 @@ type lruEntry[K comparable, V any] struct {
 }
 
 // NewLRU returns an empty LRU holding at most capacity entries;
-// capacity must be positive.
+// capacity must be positive. The map is not pre-sized: it grows with the
+// entries put, so a large capacity costs memory only once it is used.
 func NewLRU[K comparable, V any](capacity int) *LRU[K, V] {
 	if capacity <= 0 {
 		panic("cache: LRU capacity must be positive")
 	}
 	return &LRU[K, V]{
 		capacity: capacity,
-		entries:  make(map[K]*lruEntry[K, V], capacity),
+		entries:  make(map[K]*lruEntry[K, V]),
 	}
 }
 

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -143,5 +144,18 @@ func TestLRUConcurrentEviction(t *testing.T) {
 	wg.Wait()
 	if l.Len() > 8 {
 		t.Fatalf("len %d exceeds capacity 8", l.Len())
+	}
+}
+
+// TestLRUGrowsWithUse: a new LRU costs memory for what it holds, not for
+// its capacity, so a large response cache that sees few keys stays small.
+func TestLRUGrowsWithUse(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	l := NewLRU[uint64, int](1 << 20)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(l)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Fatalf("NewLRU(1<<20) allocated %d bytes, want it sized by use, not capacity", grew)
 	}
 }

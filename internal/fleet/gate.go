@@ -675,16 +675,26 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
 }
 
-func (g *Gate) handlePredict(w http.ResponseWriter, r *http.Request) {
+// readBody reads the whole request body, answering 413 past the body
+// limit and 400 on other read errors; ok is false when it answered.
+func readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("body exceeds %d bytes", tooBig.Limit))
-			return
+			return nil, false
 		}
 		writeError(w, http.StatusBadRequest, err.Error())
+		return nil, false
+	}
+	return body, true
+}
+
+func (g *Gate) handlePredict(w http.ResponseWriter, r *http.Request) {
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	if first := firstByte(body); first == '[' {
@@ -809,15 +819,8 @@ func fillGroup(results []serve.PredictResponse, idxs []int, u upstream) {
 }
 
 func (g *Gate) handleSuitability(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, err.Error())
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	var req serve.SuitabilityRequest
@@ -882,10 +885,14 @@ func (g *Gate) handleFleet(w http.ResponseWriter, r *http.Request) {
 // the ring before the call returns. Joining is idempotent; a known URL
 // just refreshes its membership record.
 func (g *Gate) handleJoin(w http.ResponseWriter, r *http.Request) {
+	body, ok := readBody(w, r)
+	if !ok {
+		return
+	}
 	var req struct {
 		URL string `json:"url"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.URL == "" {
+	if err := json.Unmarshal(body, &req); err != nil || req.URL == "" {
 		writeError(w, http.StatusBadRequest, `fleet: join body must be {"url": "http://host:port"}`)
 		return
 	}

@@ -230,7 +230,8 @@ func TestGateJoinValidationAndIdempotence(t *testing.T) {
 	ts := httptest.NewServer(g.Handler())
 	t.Cleanup(ts.Close)
 
-	for _, bad := range []string{`{}`, `{"url":""}`, `{"url":"not-a-url"}`, `{"url":"ftp://x"}`, `garbage`} {
+	for _, bad := range []string{`{}`, `{"url":""}`, `{"url":"not-a-url"}`, `{"url":"ftp://x"}`, `garbage`,
+		`{"url":"http://127.0.0.1:9"} garbage`} {
 		resp, _ := postRaw(t, ts.URL+"/v1/fleet/join", []byte(bad))
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("join %q: HTTP %d, want 400", bad, resp.StatusCode)

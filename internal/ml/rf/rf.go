@@ -56,13 +56,13 @@ func (p Params) String() string {
 	return fmt.Sprintf("rf(trees=%d,depth=%d,minleaf=%d,mtry=%d)", p.Trees, p.MaxDepth, p.MinLeaf, p.MTry)
 }
 
-// node is one tree node in a flat arena.
+// node is one tree node in a flat arena, 16 bytes. A tree is laid out
+// in preorder, so a split's left child is always the next node and only
+// the right child needs a link.
 type node struct {
-	feature int     // split feature, -1 for leaves
-	thresh  float64 // split threshold (go left if x <= thresh)
-	left    int32
-	right   int32
-	value   float64 // leaf prediction
+	v       float64 // split threshold (go left if x <= v), or leaf prediction
+	feature int32   // split feature, -1 for leaves
+	right   int32   // right child of a split
 }
 
 type tree struct {
@@ -74,10 +74,10 @@ func (t *tree) predict(x []float64) float64 {
 	for {
 		n := &t.nodes[i]
 		if n.feature < 0 {
-			return n.value
+			return n.v
 		}
-		if x[n.feature] <= n.thresh {
-			i = n.left
+		if x[n.feature] <= n.v {
+			i++
 		} else {
 			i = n.right
 		}
@@ -259,7 +259,7 @@ func (b *builder) build(idx []int, depth int) int32 {
 	b.nodes = append(b.nodes, node{feature: -1})
 
 	mean, sse := meanSSE(b.d, idx)
-	b.nodes[me].value = mean
+	b.nodes[me].v = mean
 	if len(idx) < 2*b.p.MinLeaf || sse <= 1e-12 ||
 		(b.p.MaxDepth > 0 && depth >= b.p.MaxDepth) {
 		return me
@@ -291,11 +291,10 @@ func (b *builder) build(idx []int, depth int) int32 {
 		return me
 	}
 	b.imp[bestFeat] += bestGain
-	b.nodes[me].feature = bestFeat
-	b.nodes[me].thresh = bestThresh
-	l := b.build(left, depth+1)
+	b.nodes[me].feature = int32(bestFeat)
+	b.nodes[me].v = bestThresh
+	b.build(left, depth+1) // appended next: the left child is me+1
 	r := b.build(right, depth+1)
-	b.nodes[me].left = l
 	b.nodes[me].right = r
 	return me
 }

@@ -4,14 +4,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"napel/internal/jsonread"
 )
 
-// forestJSON is the stable on-disk representation of a Forest. Node
-// arrays are stored flat per tree, exactly mirroring the in-memory
-// layout, so round-trips are lossless and predictions bit-identical.
+// forestJSON is the stable on-disk representation of a Forest: five
+// node arrays per tree, one entry per node in arena order.
 type forestJSON struct {
 	Params     Params     `json:"params"`
 	Importance []float64  `json:"importance"`
@@ -26,7 +26,8 @@ type treeJSON struct {
 	Value   []float64 `json:"value"`
 }
 
-// MarshalJSON implements json.Marshaler.
+// MarshalJSON implements json.Marshaler. Fields no walk reads are
+// written as 0: a split's value and a leaf's thresh, left and right.
 func (f *Forest) MarshalJSON() ([]byte, error) {
 	out := forestJSON{
 		Params:     f.params,
@@ -43,11 +44,14 @@ func (f *Forest) MarshalJSON() ([]byte, error) {
 			Value:   make([]float64, len(nodes)),
 		}
 		for ni, n := range nodes {
-			tj.Feature[ni] = n.feature
-			tj.Thresh[ni] = n.thresh
-			tj.Left[ni] = n.left
+			tj.Feature[ni] = int(n.feature)
+			if n.feature < 0 {
+				tj.Value[ni] = n.v
+				continue
+			}
+			tj.Thresh[ni] = n.v
+			tj.Left[ni] = int32(ni + 1)
 			tj.Right[ni] = n.right
-			tj.Value[ni] = n.value
 		}
 		out.Trees[ti] = tj
 	}
@@ -66,11 +70,13 @@ var (
 // form from r, writing each tree's node arrays straight into the tree's
 // node arena. It accepts what jsonread accepts and checks what walking
 // the trees relies on: at least one tree, no empty tree, equal-length
-// node arrays, and every split on a feature below numFeatures with both
-// children after it in its tree, as Train lays trees out, so a walk can
-// neither index out of range nor loop.
+// node arrays, and every split on a feature below numFeatures with its
+// left child the next node and its right child after it in its tree, as
+// Train lays trees out, so a walk can neither index out of range nor
+// loop. Fields no walk reads are dropped (see MarshalJSON).
 func ReadForest(r *jsonread.Reader, numFeatures int) (*Forest, error) {
 	f := &Forest{}
+	var s treeScratch
 	err := r.Fields(forestFields, func(field string) error {
 		switch field {
 		case "params":
@@ -87,7 +93,7 @@ func ReadForest(r *jsonread.Reader, numFeatures int) (*Forest, error) {
 			})
 		default: // "trees"
 			return r.Array(func() error {
-				nodes, err := readTree(r, len(f.trees), numFeatures)
+				nodes, err := readTree(r, len(f.trees), numFeatures, &s)
 				f.trees = append(f.trees, tree{nodes: nodes})
 				return err
 			})
@@ -124,45 +130,97 @@ func readParams(r *jsonread.Reader, p *Params) error {
 	})
 }
 
+// treeScratch holds the node arrays a tree lists before "feature": until
+// the features say which nodes split, a threshold, a leaf value or a
+// left link can be neither placed nor checked. Save lists "feature"
+// first, so its files never need it; otherwise one scratch serves every
+// tree of a forest.
+type treeScratch struct {
+	thresh, value []float64
+	left          []int32
+}
+
+func (s *treeScratch) size(n int) {
+	s.thresh = slices.Grow(s.thresh[:0], n)[:n]
+	s.value = slices.Grow(s.value[:0], n)[:n]
+	s.left = slices.Grow(s.left[:0], n)[:n]
+}
+
+// Bits of readTree's field sets, in treeFields order.
+const (
+	bitFeature = 1 << iota
+	bitThresh
+	bitLeft
+	bitRight
+	bitValue
+	allTreeFields = bitValue<<1 - 1
+)
+
 // readTree reads tree ti. The first node array read sizes the arena;
 // every other array must fill it exactly.
-func readTree(r *jsonread.Reader, ti, numFeatures int) ([]node, error) {
+func readTree(r *jsonread.Reader, ti, numFeatures int, s *treeScratch) ([]node, error) {
 	var nodes []node
-	arrays := 0
+	var read, early uint8 // fields read; fields read before "feature"
 	err := r.Fields(treeFields, func(field string) error {
 		if nodes == nil {
 			nodes = make([]node, r.ArrayLen())
 		}
+		bit := uint8(bitFeature << slices.Index(treeFields, field))
+		inScratch := read&bitFeature == 0 && bit&(bitThresh|bitLeft|bitValue) != 0
+		if inScratch && early&(bitThresh|bitLeft|bitValue) == 0 {
+			s.size(len(nodes))
+		}
+		read |= bit
+		if inScratch {
+			early |= bit
+		}
 		i := 0
 		err := r.Array(func() error {
 			if i == len(nodes) {
-				return fmt.Errorf("rf: tree %d has inconsistent node arrays", ti)
+				return inconsistentTree(ti)
 			}
 			n := &nodes[i]
-			i++
 			var err error
 			var v int64
-			switch field {
-			case "feature":
+			var x float64
+			switch bit {
+			case bitFeature:
 				v, err = r.Int(strconv.IntSize)
-				n.feature = int(v)
-			case "thresh":
-				n.thresh, err = r.Float()
-			case "left":
+				if err == nil && v >= int64(numFeatures) {
+					err = fmt.Errorf("rf: tree %d node %d splits on feature %d of %d", ti, i, v, numFeatures)
+				}
+				n.feature = int32(max(v, -1))
+			case bitThresh:
+				x, err = r.Float()
+				if inScratch {
+					s.thresh[i] = x
+				} else if n.feature >= 0 {
+					n.v = x
+				}
+			case bitLeft:
 				v, err = r.Int(32)
-				n.left = int32(v)
-			case "right":
+				if inScratch {
+					s.left[i] = int32(v)
+				} else if err == nil && n.feature >= 0 && v != int64(i+1) {
+					err = leftNotNext(ti, i)
+				}
+			case bitRight:
 				v, err = r.Int(32)
 				n.right = int32(v)
-			default: // "value"
-				n.value, err = r.Float()
+			default: // bitValue
+				x, err = r.Float()
+				if inScratch {
+					s.value[i] = x
+				} else if n.feature < 0 {
+					n.v = x
+				}
 			}
+			i++
 			return err
 		})
 		if err == nil && i != len(nodes) {
-			err = fmt.Errorf("rf: tree %d has inconsistent node arrays", ti)
+			err = inconsistentTree(ti)
 		}
-		arrays++
 		return err
 	})
 	if err != nil {
@@ -171,20 +229,36 @@ func readTree(r *jsonread.Reader, ti, numFeatures int) ([]node, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("rf: tree %d is empty", ti)
 	}
-	if arrays != len(treeFields) {
-		return nil, fmt.Errorf("rf: tree %d has inconsistent node arrays", ti)
+	if read != allTreeFields {
+		return nil, inconsistentTree(ti)
 	}
 	n := int32(len(nodes))
-	for ni, nd := range nodes {
+	for ni := range nodes {
+		nd := &nodes[ni]
 		if nd.feature < 0 {
+			nd.right = 0
+			if early&bitValue != 0 {
+				nd.v = s.value[ni]
+			}
 			continue
 		}
-		if nd.feature >= numFeatures {
-			return nil, fmt.Errorf("rf: tree %d node %d splits on feature %d of %d", ti, ni, nd.feature, numFeatures)
+		if early&bitThresh != 0 {
+			nd.v = s.thresh[ni]
 		}
-		if at := int32(ni); nd.left <= at || nd.left >= n || nd.right <= at || nd.right >= n {
-			return nil, fmt.Errorf("rf: tree %d node %d has out-of-range children", ti, ni)
+		if early&bitLeft != 0 && s.left[ni] != int32(ni+1) {
+			return nil, leftNotNext(ti, ni)
+		}
+		if nd.right <= int32(ni) || nd.right >= n {
+			return nil, fmt.Errorf("rf: tree %d node %d has an out-of-range right child", ti, ni)
 		}
 	}
 	return nodes, nil
+}
+
+func inconsistentTree(ti int) error {
+	return fmt.Errorf("rf: tree %d has inconsistent node arrays", ti)
+}
+
+func leftNotNext(ti, ni int) error {
+	return fmt.Errorf("rf: tree %d node %d: left child is not the next node", ti, ni)
 }

@@ -3,6 +3,7 @@ package rf
 import (
 	"encoding/json"
 	"testing"
+	"unsafe"
 
 	"napel/internal/jsonread"
 	"napel/internal/xrand"
@@ -70,6 +71,9 @@ func TestForestUnmarshalRejectsMalformed(t *testing.T) {
 		`{"trees":[{"feature":[-1],"feature":[-1],"thresh":[1],"left":[0],"right":[0],"value":[0]}]}`,       // duplicate key
 		`{"trees":[{"feature":[-1],"Feature":[-1],"thresh":[1],"left":[0],"right":[0],"value":[0]}]}`,       // duplicate under case folding
 		`{"trees":null}`,
+		`{"trees":[{"feature":[0,-1,-1],"thresh":[1,0,0],"left":[2,0,0],"right":[2,0,0],"value":[0,1,2]}]}`, // left child not the next node
+		`{"trees":[{"left":[2,0,0],"feature":[0,-1,-1],"thresh":[1,0,0],"right":[2,0,0],"value":[0,1,2]}]}`, // the same, left read first
+		`{"trees":[{"feature":[0,-1,-1],"thresh":[1,0,0],"left":[1,0,0],"right":[0,0,0],"value":[0,1,2]}]}`, // right child before its parent
 	}
 	for i, c := range cases {
 		if _, err := readForest([]byte(c), 1); err == nil {
@@ -85,5 +89,40 @@ func TestForestUnmarshalRejectsMalformed(t *testing.T) {
 	}
 	if f.params.Trees != 1 || f.Predict([]float64{0}) != 2.5 {
 		t.Fatalf("decoded %+v", f)
+	}
+}
+
+// TestForestReadArraysInAnyOrder: the node arrays may come in any key
+// order; ones read before "feature" are placed once it is known, and
+// fields no walk reads come back in MarshalJSON's canonical form.
+func TestForestReadArraysInAnyOrder(t *testing.T) {
+	const saveOrder = `{"params":{"Trees":0,"MaxDepth":0,"MinLeaf":0,"MTry":0,"SampleFrac":0},"importance":[1],` +
+		`"trees":[{"feature":[0,-1,-1],"thresh":[0.5,0,0],"left":[1,0,0],"right":[2,0,0],"value":[0,1,2]}]}`
+	for _, in := range []string{
+		`{"trees":[{"value":[9,1,2],"right":[2,0,0],"left":[1,0,0],"thresh":[0.5,0,0],"feature":[0,-1,-1]}],"importance":[1]}`,
+		`{"trees":[{"thresh":[0.5,7,7],"feature":[0,-3,-1],"value":[9,1,2],"left":[1,5,5],"right":[2,5,5]}],"importance":[1]}`,
+	} {
+		f, err := readForest([]byte(in), 1)
+		if err != nil {
+			t.Fatalf("%s: %v", in, err)
+		}
+		if f.Predict([]float64{0.5}) != 1 || f.Predict([]float64{0.75}) != 2 {
+			t.Fatalf("%s: predicts %g, %g, want 1, 2", in, f.Predict([]float64{0.5}), f.Predict([]float64{0.75}))
+		}
+		out, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(out) != saveOrder {
+			t.Fatalf("%s: marshals to\n%s, want\n%s", in, out, saveOrder)
+		}
+	}
+}
+
+// TestNodeIs16Bytes pins the node layout the resident forest's size
+// rests on: a threshold or leaf value, a feature and a right link.
+func TestNodeIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(node{}); got != 16 {
+		t.Fatalf("node is %d bytes, want 16", got)
 	}
 }

@@ -5,7 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -81,13 +86,94 @@ type refModel struct {
 type refForest struct {
 	Params     rf.Params `json:"params"`
 	Importance []float64 `json:"importance"`
-	Trees      []struct {
-		Feature []int     `json:"feature"`
-		Thresh  []float64 `json:"thresh"`
-		Left    []int32   `json:"left"`
-		Right   []int32   `json:"right"`
-		Value   []float64 `json:"value"`
-	} `json:"trees"`
+	Trees      []refTree `json:"trees"`
+}
+
+type refTree struct {
+	Feature []int     `json:"feature"`
+	Thresh  []float64 `json:"thresh"`
+	Left    []int32   `json:"left"`
+	Right   []int32   `json:"right"`
+	Value   []float64 `json:"value"`
+}
+
+// predict walks the five arrays as the forest walked them when each
+// node kept all five fields: the mean of the tree predictions, summed
+// in tree order.
+func (f *refForest) predict(x []float64) float64 {
+	s := 0.0
+	for _, t := range f.Trees {
+		i := int32(0)
+		for t.Feature[i] >= 0 {
+			if x[t.Feature[i]] <= t.Thresh[i] {
+				i = t.Left[i]
+			} else {
+				i = t.Right[i]
+			}
+		}
+		s += t.Value[i]
+	}
+	return s / float64(len(f.Trees))
+}
+
+// canonical returns a copy of f with the fields no walk reads in the
+// form rf's MarshalJSON writes them: a leaf's feature -1 and its thresh,
+// left and right 0, a split's value 0.
+func (f *refForest) canonical() *refForest {
+	c := *f
+	c.Trees = make([]refTree, len(f.Trees))
+	for ti, t := range f.Trees {
+		ct := refTree{
+			Feature: slices.Clone(t.Feature),
+			Thresh:  slices.Clone(t.Thresh),
+			Left:    slices.Clone(t.Left),
+			Right:   slices.Clone(t.Right),
+			Value:   slices.Clone(t.Value),
+		}
+		for ni, feat := range t.Feature {
+			if feat < 0 {
+				ct.Feature[ni], ct.Thresh[ni], ct.Left[ni], ct.Right[ni] = -1, 0, 0, 0
+			} else {
+				ct.Value[ni] = 0
+			}
+		}
+		c.Trees[ti] = ct
+	}
+	return &c
+}
+
+// probeRows returns n rows over the feature layout for comparing walks.
+// Each draws uniform values, then sets a few features to thresholds
+// the reference splits them at, so the walks also meet x == threshold.
+func probeRows(f *refForest, n int, seed uint64) [][]float64 {
+	rng := xrand.New(seed)
+	rows := make([][]float64, n)
+	for r := range rows {
+		x := make([]float64, len(featureLayout()))
+		for j := range x {
+			x[j] = rng.Float64()
+		}
+		for k := 0; k < 8; k++ {
+			t := f.Trees[rng.Intn(len(f.Trees))]
+			if ni := rng.Intn(len(t.Feature)); t.Feature[ni] >= 0 {
+				x[t.Feature[ni]] = t.Thresh[ni]
+			}
+		}
+		rows[r] = x
+	}
+	return rows
+}
+
+// samePredictions reports the first row on which forest and the
+// reference walk over ref's arrays disagree in any bit.
+func samePredictions(forest ml.Model, ref *refForest, rows [][]float64) error {
+	for r, x := range rows {
+		got, want := forest.Predict(x), ref.predict(x)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			return fmt.Errorf("row %d: forest predicts %v, reference walk %v", r, got, want)
+		}
+	}
+	return nil
 }
 
 func refLoad(data []byte) (*refPredictor, error) {
@@ -128,9 +214,11 @@ func refLoad(data []byte) (*refPredictor, error) {
 }
 
 // sameAsRef reports how p differs from the reference decode of the same
-// bytes. Forests are compared through their JSON form: float64s encode
-// in shortest round-trip form (keeping -0) and nil slices as null, so
-// equal bytes mean bit-identical forests.
+// bytes. Forests are compared through their JSON form after the
+// reference's unread fields are made canonical: float64s encode in
+// shortest round-trip form (keeping -0) and nil slices as null, so equal
+// bytes mean bit-identical forests. Each forest must also predict what
+// a walk over the reference's arrays predicts, bit for bit.
 func sameAsRef(p *Predictor, ref *refPredictor) error {
 	if !reflect.DeepEqual(p.Names, ref.Names) {
 		return fmt.Errorf("names differ")
@@ -162,12 +250,15 @@ func sameAsRef(p *Predictor, ref *refPredictor) error {
 		if err != nil {
 			return err
 		}
-		want, err := json.Marshal(m.ref.Forest)
+		want, err := json.Marshal(m.ref.Forest.canonical())
 		if err != nil {
 			return err
 		}
 		if !bytes.Equal(got, want) {
 			return fmt.Errorf("forests differ")
+		}
+		if err := samePredictions(inner, m.ref.Forest, probeRows(m.ref.Forest, 4, 1)); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -203,6 +294,85 @@ func FuzzLoadPredictor(f *testing.F) {
 			t.Fatal("Save -> LoadPredictor -> Save changed the bytes")
 		}
 	})
+}
+
+// corpusSeed returns the bytes of one FuzzLoadPredictor corpus file.
+func corpusSeed(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzLoadPredictor", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(string(raw), "[]byte(")
+	data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimSpace(lit), ")"))
+	if err != nil {
+		t.Fatalf("corpus file %s: %v", name, err)
+	}
+	return []byte(data)
+}
+
+// TestLoadPredictorLayoutSeeds pins the verdicts of two corpus seeds: a
+// split whose left child is not the next node is rejected, though the
+// reference accepts it, and node arrays listed value first load to the
+// predictor the reference decodes and Save's key order loads to.
+func TestLoadPredictorLayoutSeeds(t *testing.T) {
+	bad := corpusSeed(t, "left-not-next")
+	if _, err := refLoad(bad); err != nil {
+		t.Fatalf("reference rejects left-not-next: %v", err)
+	}
+	if _, err := LoadPredictor(bad); err == nil || !strings.Contains(err.Error(), "not the next node") {
+		t.Fatalf("left-not-next: error %v, want a left-child error", err)
+	}
+
+	reordered := corpusSeed(t, "arrays-reordered")
+	p, err := LoadPredictor(reordered)
+	if err != nil {
+		t.Fatalf("arrays-reordered: %v", err)
+	}
+	ref, err := refLoad(reordered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameAsRef(p, ref); err != nil {
+		t.Fatalf("arrays-reordered: %v", err)
+	}
+	want, err := LoadPredictor(corpusSeed(t, "model"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(savedBytes(t, p), savedBytes(t, want)) {
+		t.Fatal("arrays-reordered saves differently from the same model in Save's key order")
+	}
+}
+
+// TestLoadedForestMatchesReferenceWalk is the differential test of the
+// 16-byte node layout on a model shaped like a trained NAPEL predictor:
+// the trained forests and their Save→LoadPredictor copies predict, bit
+// for bit, what a walk over the saved five arrays predicts.
+func TestLoadedForestMatchesReferenceWalk(t *testing.T) {
+	p := synthPredictor(t, 80, 370)
+	data := savedBytes(t, p)
+	loaded, err := LoadPredictor(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := refLoad(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []struct {
+		name          string
+		trained, load ml.Model
+		ref           *refForest
+	}{{"ipc", p.IPC, loaded.IPC, ref.IPC.Forest}, {"epi", p.EPI, loaded.EPI, ref.EPI.Forest}} {
+		rows := probeRows(m.ref, 1000, 2)
+		for _, model := range []ml.Model{m.trained, m.load} {
+			inner, _, _, _ := ml.UnwrapLogModel(model)
+			if err := samePredictions(inner, m.ref, rows); err != nil {
+				t.Fatalf("%s: %v", m.name, err)
+			}
+		}
+	}
 }
 
 // TestLoadPredictorAllocs pins the cost of a load to one allocation per

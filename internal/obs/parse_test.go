@@ -2,9 +2,7 @@ package obs
 
 import (
 	"bytes"
-	"fmt"
 	"math"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -172,17 +170,14 @@ func TestExpositionParseRenderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse pass 1: %v\n%s", err, first.String())
 	}
-	var second bytes.Buffer
-	for _, s := range exp.Samples {
-		fmt.Fprintf(&second, "%s %s\n", s.Key(), strconv.FormatFloat(s.Value, 'g', -1, 64))
-	}
+	second := renderSamples(exp)
 	snapA, err := ParseText(bytes.NewReader(first.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapB, err := ParseText(bytes.NewReader(second.Bytes()))
+	snapB, err := ParseText(bytes.NewReader(second))
 	if err != nil {
-		t.Fatalf("parse pass 2: %v\n%s", err, second.String())
+		t.Fatalf("parse pass 2: %v\n%s", err, second)
 	}
 	if len(snapA) != len(snapB) {
 		t.Fatalf("round trip changed series count: %d -> %d", len(snapA), len(snapB))

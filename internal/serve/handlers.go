@@ -132,16 +132,26 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"reloaded": true, "models": models})
 }
 
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
+// readBody reads the whole request body, answering 413 past the body
+// limit and 400 on other read errors; ok is false when it answered.
+func readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("body exceeds %d bytes", tooBig.Limit))
-			return
+			return nil, false
 		}
 		writeError(w, http.StatusBadRequest, err.Error())
+		return nil, false
+	}
+	return body, true
+}
+
+func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	if first := firstByte(body); first == '[' {
@@ -214,14 +224,12 @@ func (s *Server) predictBatch(w http.ResponseWriter, ctx context.Context, body [
 }
 
 func (s *Server) handleSuitability(w http.ResponseWriter, r *http.Request) {
+	body, ok := readBody(w, r)
+	if !ok {
+		return
+	}
 	var req SuitabilityRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("body exceeds %d bytes", tooBig.Limit))
-			return
-		}
+	if err := json.Unmarshal(body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
 		return
 	}
@@ -267,16 +275,12 @@ func (s *Server) predictOne(ctx context.Context, req *PredictRequest) (PredictRe
 		s.o.deadlineExhausted.Inc()
 		return PredictResponse{}, &apiError{http.StatusGatewayTimeout, "request budget exhausted"}
 	}
+	// No such model — including "no generation installed yet" on a lazy
+	// start. No last-good answer can stand in: those are kept per
+	// resolved model, and a generation, once installed, holds every
+	// configured model.
 	model, ok := s.registry.Get(req.Model)
 	if !ok {
-		// No such model — including "no generation installed yet" on a
-		// lazy start. A last-good answer for the same inputs keeps the
-		// service responding, marked Degraded.
-		if feat, totalInstrs, _, _, err := req.assemble(); err == nil {
-			if resp, served := s.degradedAnswer(req, hashPrediction(feat, totalInstrs)); served {
-				return resp, nil
-			}
-		}
 		return PredictResponse{}, &apiError{http.StatusNotFound, fmt.Sprintf("unknown model %q", req.Model)}
 	}
 
@@ -306,10 +310,10 @@ func (s *Server) predictOne(ctx context.Context, req *PredictRequest) (PredictRe
 	}
 
 	// The predict fault point stands in for any model-evaluation
-	// failure; a last-good answer (from any model generation) downgrades
-	// the failure to a Degraded response.
+	// failure; a last-good answer (from any generation of this model)
+	// downgrades the failure to a Degraded response.
 	if err := faultpoint.Inject(ctx, fpPredict); err != nil {
-		if resp, served := s.degradedAnswer(req, featHash); served {
+		if resp, served := s.degradedAnswer(model.Name, featHash); served {
 			return resp, nil
 		}
 		return PredictResponse{}, &apiError{http.StatusServiceUnavailable, "prediction unavailable: " + err.Error()}
@@ -323,29 +327,25 @@ func (s *Server) predictOne(ctx context.Context, req *PredictRequest) (PredictRe
 	s.o.stagePredict.ObserveSince(t0)
 	s.cache.Put(key, pred)
 	if s.degraded != nil {
-		s.degraded.Put(featHash, pred)
+		s.degraded.Put(degradedKey{model: model.Name, hash: featHash}, pred)
 	}
 	return makeResponse(model, pred, false), nil
 }
 
-// degradedAnswer serves a last-good prediction for the same inputs when
-// the normal path cannot answer. The entry may have been computed under
-// any model generation — that staleness is exactly what the Degraded
-// flag discloses to the client.
-func (s *Server) degradedAnswer(req *PredictRequest, featHash uint64) (PredictResponse, bool) {
+// degradedAnswer serves the named model's last-good prediction for the
+// same inputs when the normal path cannot answer. The entry may have
+// been computed under any generation of that model — that staleness is
+// exactly what the Degraded flag discloses to the client.
+func (s *Server) degradedAnswer(model string, featHash uint64) (PredictResponse, bool) {
 	if s.degraded == nil {
 		return PredictResponse{}, false
 	}
-	pred, ok := s.degraded.Get(featHash)
+	pred, ok := s.degraded.Get(degradedKey{model: model, hash: featHash})
 	if !ok {
 		return PredictResponse{}, false
 	}
 	s.o.degradedServed.Inc()
-	name := req.Model
-	if name == "" {
-		name = DefaultModelName
-	}
-	resp := makeResponse(&Model{Name: name}, pred, true)
+	resp := makeResponse(&Model{Name: model}, pred, true)
 	resp.Degraded = true
 	return resp, true
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -200,6 +201,62 @@ func TestDegradedAnswerSurvivesPredictFailure(t *testing.T) {
 	}
 	if v := metricValue(t, metrics, "napel_chaos_injected_total"); v < 2 {
 		t.Fatalf("napel_chaos_injected_total = %v, want >= 2", v)
+	}
+}
+
+// TestDegradedAnswerStaysWithItsModel: with two models loaded, a
+// last-good answer stands in only for the model that computed it. A
+// failed predict on b must not serve a's answer under b's name.
+func TestDegradedAnswerStaysWithItsModel(t *testing.T) {
+	t.Cleanup(faultpoint.Disable)
+	f := fixture(t)
+	// One response cache entry: warming a second input evicts the
+	// first, so asking for it again reaches the predict path.
+	s, _ := newTestServer(t, Config{
+		ModelPaths:   map[string]string{"a": f.modelA, "b": f.modelB},
+		CacheEntries: 1,
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	reqA := makeRequest(f, WireArch{}, f.threads)
+	reqA.Model = "a"
+	other := makeRequest(f, WireArch{PEs: 12}, f.threads)
+	other.Model = "a"
+	var warm PredictResponse
+	for i, req := range []PredictRequest{reqA, other} {
+		resp, body := postJSON(t, ts.URL+"/v1/predict", req)
+		if resp.StatusCode != 200 {
+			t.Fatalf("warm-up predict %d on a = %d: %s", i, resp.StatusCode, body)
+		}
+		if i == 0 {
+			if err := json.Unmarshal(body, &warm); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	if err := faultpoint.Enable(9, "serve.predict:1"); err != nil {
+		t.Fatal(err)
+	}
+	reqB := reqA
+	reqB.Model = "b"
+	if resp, body := postJSON(t, ts.URL+"/v1/predict", reqB); resp.StatusCode != 503 {
+		t.Fatalf("predict on b with only a's last-good answer = %d, want 503: %s", resp.StatusCode, body)
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/predict", reqA)
+	if resp.StatusCode != 200 {
+		t.Fatalf("predict on a under injected failure = %d: %s", resp.StatusCode, body)
+	}
+	var degraded PredictResponse
+	if err := json.Unmarshal(body, &degraded); err != nil {
+		t.Fatal(err)
+	}
+	if !degraded.Degraded || degraded.Model != "a" {
+		t.Fatalf("a's answer under failure: %+v, want degraded and model a", degraded)
+	}
+	if math.Float64bits(degraded.IPC) != math.Float64bits(warm.IPC) || math.Float64bits(degraded.EDP) != math.Float64bits(warm.EDP) {
+		t.Fatalf("degraded answer %+v does not match a's warm answer %+v", degraded, warm)
 	}
 }
 

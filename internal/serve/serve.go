@@ -66,10 +66,10 @@ type Config struct {
 	// before napel-traind's first promotion.
 	LazyLoad bool
 	// DegradedEntries bounds the last-good answer cache used for
-	// degraded-mode serving (default 1024). Keyed by feature hash only —
-	// not model version — so an answer computed under any generation can
-	// stand in when prediction fails. 0 takes the default; negative
-	// disables degraded serving.
+	// degraded-mode serving (default 1024). Keyed by model name and
+	// feature hash — not model version — so an answer computed under any
+	// generation of the same model can stand in when prediction fails.
+	// 0 takes the default; negative disables degraded serving.
 	DegradedEntries int
 	// ReloadFailureThreshold is how many consecutive reload failures trip
 	// the reload circuit breaker (default 3).
@@ -143,6 +143,15 @@ type cacheKey struct {
 	hash    uint64
 }
 
+// degradedKey identifies a last-good answer: the model's name as the
+// registry resolved the request's, and the feature hash. It leaves the
+// version out, so an answer from any generation of the same model can
+// stand in, but never one from another model.
+type degradedKey struct {
+	model string
+	hash  uint64
+}
+
 // Server is the napel-serve HTTP service. Create with New, mount via
 // Handler, or run with graceful shutdown via Run.
 type Server struct {
@@ -163,11 +172,11 @@ type Server struct {
 	// file) backs off instead of re-parsing a broken model every tick.
 	reloadBreaker *resilience.Breaker
 
-	// degraded holds last-good predictions keyed by feature hash alone;
-	// consulted when the predict path fails so the service keeps
-	// answering (marked Degraded) through a reload failure storm. Nil
-	// when disabled.
-	degraded *cache.LRU[uint64, napel.Prediction]
+	// degraded holds last-good predictions keyed by model name and
+	// feature hash; consulted when the predict path fails so the service
+	// keeps answering (marked Degraded) through a reload failure storm.
+	// Nil when disabled.
+	degraded *cache.LRU[degradedKey, napel.Prediction]
 
 	// testHookPredict, when non-nil, runs at the start of every
 	// prediction — tests use it to hold requests in flight.
@@ -205,7 +214,7 @@ func New(cfg Config) (*Server, error) {
 		}),
 	}
 	if cfg.DegradedEntries > 0 {
-		s.degraded = cache.NewLRU[uint64, napel.Prediction](cfg.DegradedEntries)
+		s.degraded = cache.NewLRU[degradedKey, napel.Prediction](cfg.DegradedEntries)
 	}
 	// Store-backed sources trace their pulls on the server's tracer, so
 	// a model distribution shows up as one trace spanning serve and

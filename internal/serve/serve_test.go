@@ -245,6 +245,20 @@ func TestServerErrorPaths(t *testing.T) {
 		t.Fatalf("mixed batch errors wrong: %+v", mixedResp)
 	}
 
+	// A suitability body followed by more bytes is rejected whole, as a
+	// predict body is.
+	suit, err := json.Marshal(SuitabilityRequest{PredictRequest: makeRequest(f, WireArch{}, 1), Host: WireHost{EDP: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr, err = http.Post(ts.URL+"/v1/suitability", "application/json", bytes.NewReader(append(suit, " garbage"...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ = io.ReadAll(hr.Body)
+	hr.Body.Close()
+	check(http.StatusBadRequest, hr, data)
+
 	// Method and route errors.
 	if status, _ := getBody(t, ts.URL+"/v1/predict"); status != http.StatusMethodNotAllowed {
 		t.Fatalf("GET predict status %d", status)

@@ -52,6 +52,12 @@ echo "== fuzz the model file decoder (10 s) =="
 # LoadPredictor against the encoding/json reference decode.
 go test -run '^$' -fuzz FuzzLoadPredictor -fuzztime 10s ./internal/napel
 
+echo "== fuzz the scrape and traceparent parsers (10 s each) =="
+# napel-obsd and napel-loadgen parse other processes' /metrics, and every
+# service parses the traceparent header of any client.
+go test -run '^$' -fuzz FuzzParseExposition -fuzztime 10s ./internal/obs
+go test -run '^$' -fuzz FuzzParseTraceParent -fuzztime 10s ./internal/obs
+
 echo "== napel-serve smoke test =="
 tmp=$(mktemp -d)
 server_pid=""
