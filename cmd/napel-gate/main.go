@@ -1,11 +1,11 @@
 // Command napel-gate fronts a fleet of napel-serve replicas: it
-// consistent-hashes every request on (model version, feature-vector
-// hash) so each replica's response cache sees a disjoint slice of the
-// keyspace, turning N small LRUs into one large one. Batched predicts
-// are split per shard, fanned out, and reassembled in request order;
-// single predicts are hedged against a slow primary and failed over
-// along the ring when a replica misbehaves, with a circuit breaker per
-// replica.
+// consistent-hashes every request on its own bytes so each replica's
+// response cache sees a disjoint slice of the keyspace, turning N small
+// LRUs into one large one. Batched predicts are split per item, fanned
+// out per shard, and their answers spliced back in request order, all
+// without decoding a request or an answer; single predicts are hedged
+// against a slow primary and failed over along the ring when a replica
+// misbehaves, with a circuit breaker per replica.
 //
 //	napel-serve -model model.json -addr :9191 &
 //	napel-serve -model model.json -addr :9192 &

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net"
 	"net/http"
@@ -17,11 +16,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"napel/internal/jsonread"
 	"napel/internal/member"
 	"napel/internal/obs"
 	"napel/internal/resilience"
 	"napel/internal/resilience/faultpoint"
-	"napel/internal/serve"
 )
 
 // fpForward fails a forwarded upstream attempt, exercising failover and
@@ -325,24 +324,9 @@ func (g *Gate) CheckReplicas(ctx context.Context) {
 func (g *Gate) probe(ctx context.Context, rep *replica) {
 	pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, rep.url+"/readyz", nil)
+	st, err := g.readyzOnce(pctx, rep)
 	if err != nil {
 		rep.setStatus(replicaStatus{Error: err.Error()})
-		g.members.ReportFailure(rep.url)
-		return
-	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		rep.setStatus(replicaStatus{Error: err.Error()})
-		g.members.ReportFailure(rep.url)
-		return
-	}
-	defer resp.Body.Close()
-	var st replicaStatus
-	// /readyz answers 503 with the same body shape while unready, so
-	// decode regardless of status and trust the body's ready flag.
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st); err != nil {
-		rep.setStatus(replicaStatus{Error: fmt.Sprintf("decoding readyz: %v", err)})
 		g.members.ReportFailure(rep.url)
 		return
 	}
@@ -388,21 +372,16 @@ func (g *Gate) rebuild() {
 // Epoch returns the current membership epoch.
 func (g *Gate) Epoch() uint64 { return g.members.Epoch() }
 
-// fleetVersion returns the consensus serving version for a model name:
-// the version most replicas report, ties broken lexicographically so
-// routing is deterministic mid-rollout. Empty when nothing is known.
-func (g *Gate) fleetVersion(model string) string {
+// fleetVersion returns the consensus default-model version /v1/fleet
+// reports: the version most ready replicas serve, ties broken
+// lexicographically. Empty when nothing is known.
+func (g *Gate) fleetVersion() string {
 	counts := map[string]int{}
 	for _, rep := range g.replicaList() {
 		if !rep.ready.Load() {
 			continue
 		}
-		st := rep.getStatus()
-		v := st.ModelVersion
-		if model != "" {
-			v = st.ModelVersions[model]
-		}
-		if v != "" {
+		if v := rep.getStatus().ModelVersion; v != "" {
 			counts[v]++
 		}
 	}
@@ -622,25 +601,6 @@ func (g *Gate) minRetryIn(candidates []*replica) int {
 	return min
 }
 
-func hashBytes(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
-}
-
-// routeKey computes the ring key for one predict request: the fleet's
-// consensus model version plus the same feature-vector hash replicas
-// key their response caches on. Unassemblable requests route on the raw
-// body, so the owning replica produces the error verbatim.
-func (g *Gate) routeKey(req *serve.PredictRequest, raw []byte) uint64 {
-	version := g.fleetVersion(req.Model)
-	featHash, err := req.RouteHash()
-	if err != nil {
-		return Key(version, hashBytes(raw))
-	}
-	return Key(version, featHash)
-}
-
 func (g *Gate) writeUpstream(w http.ResponseWriter, u upstream) {
 	if u.synth != "" {
 		if u.retryAfter > 0 && u.status != http.StatusGatewayTimeout {
@@ -692,129 +652,134 @@ func readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
 	return body, true
 }
 
+// handlePredict splits a non-empty JSON array per shard. Any other body
+// — a single predict, malformed JSON, an empty array — goes whole to the
+// replica its bytes route to, which answers it as a direct hit would.
 func (g *Gate) handlePredict(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r)
 	if !ok {
 		return
 	}
-	if first := firstByte(body); first == '[' {
-		g.predictBatch(w, r.Context(), body)
+	if items, err := jsonread.Elements(body); err == nil && len(items) > 0 {
+		g.predictBatch(w, r.Context(), items)
 		return
 	}
-	var req serve.PredictRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		// Forward anyway: the owning-by-raw-hash replica produces the
-		// same 400 a direct hit would.
-		u := g.forward(r.Context(), Key(g.fleetVersion(""), hashBytes(body)), "/v1/predict", body, false)
-		g.writeUpstream(w, u)
-		return
-	}
-	u := g.forward(r.Context(), g.routeKey(&req, body), "/v1/predict", body, true)
-	g.writeUpstream(w, u)
+	g.writeUpstream(w, g.forward(r.Context(), routeKey(body), "/v1/predict", body, true))
 }
 
-// predictBatch splits a batched body per shard, fans the sub-batches
-// out concurrently, and reassembles the responses in request order.
-// Item bodies are forwarded as the raw JSON the client sent (no
-// re-marshalling), so replicas see byte-identical items.
-func (g *Gate) predictBatch(w http.ResponseWriter, ctx context.Context, body []byte) {
-	var raws []json.RawMessage
-	var reqs []serve.PredictRequest
-	if err := json.Unmarshal(body, &raws); err != nil || len(raws) == 0 {
-		// Malformed or empty array: one replica answers exactly as a
-		// direct hit would (400).
-		u := g.forward(ctx, Key(g.fleetVersion(""), hashBytes(body)), "/v1/predict", body, false)
-		g.writeUpstream(w, u)
-		return
-	}
-	if err := json.Unmarshal(body, &reqs); err != nil {
-		u := g.forward(ctx, Key(g.fleetVersion(""), hashBytes(body)), "/v1/predict", body, false)
-		g.writeUpstream(w, u)
-		return
-	}
-	if len(reqs) > g.cfg.MaxBatch {
+// predictBatch routes every item on its own bytes, forwards each
+// shard's items as one sub-array concurrently, and splices the shards'
+// answer elements back in request order. Items travel as the bytes the
+// client sent and answers as the bytes the replicas wrote: the gate
+// decodes neither.
+func (g *Gate) predictBatch(w http.ResponseWriter, ctx context.Context, items [][]byte) {
+	if len(items) > g.cfg.MaxBatch {
 		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d exceeds limit %d", len(reqs), g.cfg.MaxBatch))
+			fmt.Sprintf("batch of %d exceeds limit %d", len(items), g.cfg.MaxBatch))
 		return
 	}
-
 	rt := g.routing.Load()
 	if rt == nil || rt.ring.Len() == 0 {
 		g.writeUpstream(w, synth(http.StatusServiceUnavailable, "fleet: no ready replicas", 1))
 		return
 	}
-	keys := make([]uint64, len(reqs))
-	groups := map[int][]int{}
-	for i := range reqs {
-		keys[i] = g.routeKey(&reqs[i], raws[i])
+	keys := make([]uint64, len(items))
+	byShard := make([][]int, rt.ring.Len())
+	for i, item := range items {
+		keys[i] = routeKey(item)
 		shard := rt.ring.Shard(keys[i])
-		groups[shard] = append(groups[shard], i)
+		byShard[shard] = append(byShard[shard], i)
+	}
+	var groups [][]int
+	for _, idxs := range byShard {
+		if len(idxs) > 0 {
+			groups = append(groups, idxs)
+		}
 	}
 	g.o.fanout.Observe(float64(len(groups)))
 	if len(groups) > 1 {
 		g.o.batchSplit.Inc()
 	}
 
-	results := make([]serve.PredictResponse, len(reqs))
+	answers := make([]upstream, len(groups))
 	var wg sync.WaitGroup
-	for _, idxs := range groups {
+	for gi, idxs := range groups {
 		wg.Add(1)
-		go func(idxs []int) {
+		go func() {
 			defer wg.Done()
-			sub := joinRaw(raws, idxs)
-			u := g.forward(ctx, keys[idxs[0]], "/v1/predict", sub, false)
-			fillGroup(results, idxs, u)
-		}(idxs)
+			sub := make([][]byte, len(idxs))
+			for j, idx := range idxs {
+				sub[j] = items[idx]
+			}
+			answers[gi] = g.forward(ctx, keys[idxs[0]], "/v1/predict", jsonArray(sub), false)
+		}()
 	}
 	wg.Wait()
-	writeJSON(w, http.StatusOK, results)
+
+	out := make([][]byte, len(items))
+	for gi, u := range answers {
+		// A replica answers 400 when it cannot decode its items, and it
+		// would fail the whole batch the same way: answer as a direct
+		// hit would.
+		if u.status == http.StatusBadRequest {
+			g.writeUpstream(w, u)
+			return
+		}
+		fillGroup(out, groups[gi], u)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(append(jsonArray(out), '\n'))
 }
 
-// joinRaw builds a JSON array from the selected raw elements.
-func joinRaw(raws []json.RawMessage, idxs []int) []byte {
-	var buf bytes.Buffer
-	buf.WriteByte('[')
-	for i, idx := range idxs {
+// jsonArray joins JSON values into one array the way encoding/json
+// writes a slice, in one allocation with a byte to spare.
+func jsonArray(elems [][]byte) []byte {
+	n := 2
+	for _, e := range elems {
+		n += len(e) + 1
+	}
+	buf := append(make([]byte, 0, n), '[')
+	for i, e := range elems {
 		if i > 0 {
-			buf.WriteByte(',')
+			buf = append(buf, ',')
 		}
-		buf.Write(raws[idx])
+		buf = append(buf, e...)
 	}
-	buf.WriteByte(']')
-	return buf.Bytes()
+	return append(buf, ']')
 }
 
-// fillGroup scatters one shard's response back into request order. A
-// failed shard degrades to inline per-item errors — the same contract
-// replicas use for bad items, so one dead shard cannot fail the batch.
-func fillGroup(results []serve.PredictResponse, idxs []int, u upstream) {
-	fail := func(msg string) {
-		for _, idx := range idxs {
-			results[idx] = serve.PredictResponse{Error: msg}
-		}
-	}
+// fillGroup places one shard's answer elements at its items' request
+// positions. A failed shard degrades to inline {"error": ...} items —
+// the same contract replicas use for bad items, so one dead shard
+// cannot fail the batch.
+func fillGroup(out [][]byte, idxs []int, u upstream) {
+	var elems [][]byte
+	var msg string
 	switch {
 	case u.synth != "":
-		fail(u.synth)
-		return
+		msg = u.synth
 	case u.err != nil:
-		fail("fleet: upstream: " + u.err.Error())
-		return
+		msg = "fleet: upstream: " + u.err.Error()
 	case u.status != http.StatusOK:
-		fail(fmt.Sprintf("fleet: shard answered HTTP %d: %s", u.status, truncate(u.body, 200)))
-		return
+		msg = fmt.Sprintf("fleet: shard answered HTTP %d: %s", u.status, truncate(u.body, 200))
+	default:
+		var err error
+		if elems, err = jsonread.Elements(u.body); err != nil {
+			msg = "fleet: reading shard response: " + err.Error()
+		} else if len(elems) != len(idxs) {
+			msg = fmt.Sprintf("fleet: shard returned %d items for %d requests", len(elems), len(idxs))
+		}
 	}
-	var resps []serve.PredictResponse
-	if err := json.Unmarshal(u.body, &resps); err != nil {
-		fail("fleet: decoding shard response: " + err.Error())
-		return
-	}
-	if len(resps) != len(idxs) {
-		fail(fmt.Sprintf("fleet: shard returned %d items for %d requests", len(resps), len(idxs)))
+	if msg != "" {
+		item, _ := json.Marshal(map[string]string{"error": msg})
+		for _, idx := range idxs {
+			out[idx] = item
+		}
 		return
 	}
 	for j, idx := range idxs {
-		results[idx] = resps[j]
+		out[idx] = elems[j]
 	}
 }
 
@@ -823,13 +788,7 @@ func (g *Gate) handleSuitability(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req serve.SuitabilityRequest
-	key := Key(g.fleetVersion(""), hashBytes(body))
-	if err := json.Unmarshal(body, &req); err == nil {
-		key = g.routeKey(&req.PredictRequest, body)
-	}
-	u := g.forward(r.Context(), key, "/v1/suitability", body, true)
-	g.writeUpstream(w, u)
+	g.writeUpstream(w, g.forward(r.Context(), routeKey(body), "/v1/suitability", body, true))
 }
 
 // replicaView is the per-replica block of the /v1/fleet status body.
@@ -872,7 +831,7 @@ func (g *Gate) fleetStatus() map[string]any {
 		"epoch":          g.members.Epoch(),
 		"replicas":       views,
 		"replicas_ready": readyN,
-		"model_version":  g.fleetVersion(""),
+		"model_version":  g.fleetVersion(),
 	}
 }
 
@@ -1073,15 +1032,6 @@ func (g *Gate) serve(ctx context.Context, ln net.Listener) error {
 		return err
 	}
 	return nil
-}
-
-// firstByte returns the first non-whitespace byte of b, or 0.
-func firstByte(b []byte) byte {
-	trimmed := bytes.TrimLeft(b, " \t\r\n")
-	if len(trimmed) == 0 {
-		return 0
-	}
-	return trimmed[0]
 }
 
 func truncate(b []byte, n int) string {

@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"go/build"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -280,7 +282,7 @@ func TestGateIdentityAndStableRouting(t *testing.T) {
 
 		// Bit-identical to a direct hit on the owning replica.
 		raw, _ := json.Marshal(req)
-		key := tf.gate.routeKey(&reqs[i], raw)
+		key := routeKey(raw)
 		rt := tf.gate.routing.Load()
 		owner := rt.reps[rt.ring.Shard(key)]
 		_, directBody := postRaw(t, owner.url+"/v1/predict", raw)
@@ -353,17 +355,112 @@ func TestGateBatchSplitReassembly(t *testing.T) {
 	}
 }
 
-// TestGateBatchMalformedPassthrough: bodies the gate cannot split are
-// forwarded whole so the replica's own 400 reaches the client.
-func TestGateBatchMalformedPassthrough(t *testing.T) {
-	tf := newTestFleet(t, 2, nil)
-	resp, body := postRaw(t, tf.ts.URL+"/v1/predict", []byte(`[{"threads": "not-a-number"}]`))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed batch: HTTP %d: %s", resp.StatusCode, body)
+// TestGateBatchBytesMatchDirect: a warm batch split across shards comes
+// back from the gate byte for byte as one replica answers it directly —
+// the splice adds, drops and reorders nothing.
+func TestGateBatchBytesMatchDirect(t *testing.T) {
+	f := fixture(t)
+	tf := newTestFleet(t, 3, nil)
+	reqs := requests(f, 24)
+
+	// The first round fills the caches, so every item of both second
+	// answers is "cached":true.
+	var gateBody, directBody []byte
+	for round := 0; round < 2; round++ {
+		var resp *http.Response
+		if resp, gateBody = postJSON(t, tf.ts.URL+"/v1/predict", reqs); resp.StatusCode != http.StatusOK {
+			t.Fatalf("gate batch: HTTP %d: %s", resp.StatusCode, gateBody)
+		}
+		if resp, directBody = postJSON(t, tf.replicas[0].ts.URL+"/v1/predict", reqs); resp.StatusCode != http.StatusOK {
+			t.Fatalf("direct batch: HTTP %d: %s", resp.StatusCode, directBody)
+		}
 	}
-	resp, _ = postRaw(t, tf.ts.URL+"/v1/predict", []byte(`{not json`))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed single: HTTP %d", resp.StatusCode)
+	if n := bytes.Count(gateBody, []byte(`"cached":true`)); n != len(reqs) {
+		t.Fatalf("%d of %d warm items cached through the gate", n, len(reqs))
+	}
+	if !bytes.Equal(gateBody, directBody) {
+		t.Fatalf("gate batch differs from the direct answer:\n  gate: %s\ndirect: %s", gateBody, directBody)
+	}
+	var buf bytes.Buffer
+	tf.gate.Obs().WriteText(&buf)
+	if !bytes.Contains(buf.Bytes(), []byte("napel_fleet_batches_split_total 2")) {
+		t.Fatalf("batches were not split:\n%s", grepMetric(buf.String(), "napel_fleet_batches_split_total"))
+	}
+}
+
+// TestGateBatchMalformedPassthrough: a body a replica cannot decode
+// reaches the client as the replica's own 400, whether the gate can
+// split it or not — a bad item in a batch spread across shards fails
+// the whole batch, exactly as a direct hit does.
+func TestGateBatchMalformedPassthrough(t *testing.T) {
+	f := fixture(t)
+	tf := newTestFleet(t, 2, nil)
+
+	var mixed []any
+	for i, req := range requests(f, 8) {
+		if i == 4 {
+			mixed = append(mixed, map[string]any{"threads": "not-a-number"})
+		}
+		mixed = append(mixed, req)
+	}
+	mixedBody, err := json.Marshal(mixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var items []json.RawMessage
+	if err := json.Unmarshal(mixedBody, &items); err != nil {
+		t.Fatal(err)
+	}
+	rt := tf.gate.routing.Load()
+	shards := map[int]bool{}
+	for _, item := range items {
+		shards[rt.ring.Shard(routeKey(item))] = true
+	}
+	if len(shards) < 2 {
+		t.Fatal("mixed batch routes to one shard; it must span several")
+	}
+
+	for name, body := range map[string][]byte{
+		"malformed batch":  []byte(`[{"threads": "not-a-number"}]`),
+		"malformed single": []byte(`{not json`),
+		"mixed batch":      mixedBody,
+	} {
+		resp, got := postRaw(t, tf.ts.URL+"/v1/predict", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: HTTP %d: %s", name, resp.StatusCode, got)
+		}
+		if _, want := postRaw(t, tf.replicas[0].ts.URL+"/v1/predict", body); !bytes.Equal(got, want) {
+			t.Fatalf("%s: gate answered %s, a direct hit %s", name, got, want)
+		}
+	}
+}
+
+// TestFleetBuildsWithoutServe pins the byte router's decoupling: no
+// package internal/fleet builds from, directly or not, knows the predict
+// wire format, so changing that format never edits the gate.
+func TestFleetBuildsWithoutServe(t *testing.T) {
+	importer := map[string]string{} // repository package -> one package importing it
+	queue := []string{"napel/internal/fleet"}
+	for len(queue) > 0 {
+		path := queue[0]
+		queue = queue[1:]
+		pkg, err := build.ImportDir(filepath.Join("..", "..", strings.TrimPrefix(path, "napel/")), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range pkg.Imports {
+			if _, seen := importer[imp]; !seen && strings.HasPrefix(imp, "napel/") {
+				importer[imp] = path
+				queue = append(queue, imp)
+			}
+		}
+	}
+	for dep, from := range importer {
+		for _, banned := range []string{"napel/internal/serve", "napel/internal/napel", "napel/internal/pisa", "napel/internal/ml"} {
+			if dep == banned || strings.HasPrefix(dep, banned+"/") {
+				t.Errorf("%s imports %s", from, dep)
+			}
+		}
 	}
 }
 
@@ -381,7 +478,7 @@ func TestGateHedging(t *testing.T) {
 	found := false
 	for _, cand := range requests(f, 200) {
 		raw, _ := json.Marshal(cand)
-		if rt.reps[rt.ring.Shard(tf.gate.routeKey(&cand, raw))] == rt.reps[0] {
+		if rt.reps[rt.ring.Shard(routeKey(raw))] == rt.reps[0] {
 			req, found = cand, true
 			break
 		}
@@ -499,7 +596,7 @@ func TestGateRollingReload(t *testing.T) {
 	f := fixture(t)
 	tf := newTestFleet(t, 3, nil)
 
-	oldVersion := tf.gate.fleetVersion("")
+	oldVersion := tf.gate.fleetVersion()
 	modelB, err := os.ReadFile(f.modelB)
 	if err != nil {
 		t.Fatal(err)
@@ -562,7 +659,7 @@ func TestGateRollingReload(t *testing.T) {
 			t.Fatalf("replica %s: %+v, want ok on %s", r.URL, r, newVersion)
 		}
 	}
-	if v := tf.gate.fleetVersion(""); v != newVersion {
+	if v := tf.gate.fleetVersion(); v != newVersion {
 		t.Fatalf("fleet version %s after roll, want %s", v, newVersion)
 	}
 	var buf bytes.Buffer

@@ -107,6 +107,7 @@ func (g *Gate) reloadReplica(ctx context.Context, rep *replica) (string, error) 
 	}
 }
 
+// readyzOnce fetches and decodes rep's /readyz body.
 func (g *Gate) readyzOnce(ctx context.Context, rep *replica) (replicaStatus, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.url+"/readyz", nil)
 	if err != nil {
@@ -117,6 +118,8 @@ func (g *Gate) readyzOnce(ctx context.Context, rep *replica) (replicaStatus, err
 		return replicaStatus{}, err
 	}
 	defer resp.Body.Close()
+	// /readyz answers 503 with the same body shape while unready, so
+	// decode regardless of status and trust the body's ready flag.
 	var st replicaStatus
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st); err != nil {
 		return replicaStatus{}, fmt.Errorf("decoding readyz: %w", err)

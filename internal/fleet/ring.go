@@ -1,15 +1,17 @@
 // Package fleet is the front tier that turns N napel-serve replicas
-// into one logical service: a consistent-hash ring keyed on (model
-// version, feature-vector hash) shards requests so each replica's LRU
-// cache sees a disjoint keyspace — N caches become one cache N× the
-// size — while per-replica circuit breakers, hedged single predicts and
-// budget-split batch fan-out keep one slow or failing replica from
-// dragging the fleet down. cmd/napel-gate is the binary front end;
-// RollingReload drives fleet-wide hot-installs gated per replica by
-// /readyz.
+// into one logical service: a consistent-hash ring keyed on each
+// request's bytes shards requests so each replica's LRU cache sees a
+// disjoint keyspace — N caches become one cache N× the size — while
+// per-replica circuit breakers, hedged single predicts and budget-split
+// batch fan-out keep one slow or failing replica from dragging the
+// fleet down. The gate never decodes a predict, so only internal/serve
+// and its clients know the wire format. cmd/napel-gate is the binary
+// front end; RollingReload drives fleet-wide hot-installs gated per
+// replica by /readyz.
 package fleet
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -84,11 +86,20 @@ func NewRing(replicas []string, vnodes int) *Ring {
 	return r
 }
 
-// Key folds a model version and a feature-vector hash into a ring key.
-// Both halves matter: a promotion changes every key (deliberately — new
-// weights mean a cold cache either way, and rehashing spreads the
-// refill across the fleet), while distinct feature vectors land on
-// distinct replicas.
+// routeKey is the gate's ring key for one request body or batch item:
+// FNV-64a over its bytes, trimmed of surrounding whitespace, finalized
+// like the ring's tokens. No model version enters it: a promotion keeps
+// every key's owner, and each replica's cache tells versions apart.
+func routeKey(b []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(bytes.TrimSpace(b))
+	return mix64(h.Sum64())
+}
+
+// Key folds a model version and a feature-vector hash into a ring key,
+// routing by decoded feature identity. The gate routes on bytes
+// (routeKey) instead; Key remains for code modelling the decode-based
+// scheme, such as the benchmark's replay of the gate's layers.
 func Key(modelVersion string, featHash uint64) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(modelVersion))

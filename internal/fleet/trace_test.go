@@ -42,7 +42,7 @@ func TestGateTracePropagationWithHedge(t *testing.T) {
 	found := false
 	for _, cand := range requests(f, 200) {
 		raw, _ := json.Marshal(cand)
-		if rt.reps[rt.ring.Shard(tf.gate.routeKey(&cand, raw))] == rt.reps[0] {
+		if rt.reps[rt.ring.Shard(routeKey(raw))] == rt.reps[0] {
 			req, found = cand, true
 			break
 		}

@@ -2,7 +2,9 @@
 // held in memory, for callers that know the schema they are decoding.
 // It exists for the model file (internal/napel's envelope around
 // internal/ml/rf's forests), where encoding/json's reflection and its
-// repeated scans of the forest bytes dominated load time.
+// repeated scans of the forest bytes dominated load time, and for
+// internal/fleet's gate, which splits batched request bodies with
+// Elements without decoding them.
 //
 // Each value is read once, left to right, by the method for the type
 // the caller expects; numbers are converted with strconv.ParseFloat and
@@ -451,4 +453,28 @@ func (r *Reader) End() error {
 		return r.errorf("unexpected data after the top-level value")
 	}
 	return nil
+}
+
+// Elements checks that data is one well-formed JSON array and returns
+// the exact bytes of each element, without the whitespace around them:
+// what encoding/json yields as []json.RawMessage, aliasing data.
+func Elements(data []byte) ([][]byte, error) {
+	r := New(data)
+	var elems [][]byte
+	err := r.Array(func() error {
+		r.ws()
+		start := r.pos
+		if err := r.Skip(); err != nil {
+			return err
+		}
+		elems = append(elems, data[start:r.pos])
+		return nil
+	})
+	if err == nil {
+		err = r.End()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return elems, nil
 }

@@ -1,6 +1,7 @@
 package jsonread
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"strings"
@@ -86,12 +87,15 @@ func TestArrayLen(t *testing.T) {
 }
 
 // FuzzReader checks the reader against encoding/json on arbitrary bytes:
-// Skip accepts exactly the documents json.Valid accepts, and a string
-// or number the reader accepts decodes to what encoding/json decodes.
+// Skip accepts exactly the documents json.Valid accepts, a string or
+// number the reader accepts decodes to what encoding/json decodes, and
+// Elements accepts exactly the valid documents that are arrays, whose
+// elements are then encoding/json's []json.RawMessage byte for byte.
 func FuzzReader(f *testing.F) {
 	for _, s := range []string{
 		`{"a":[1,2.5e-3,-0,true,false,null,"x"]}`, `"😀\ud800A\/\b\f\n\r\t\"\\"`,
 		"\"\xff\xed\xa0\x80é\"", `"\ud800\u12"`, `1e400`, `-0.0E+5`, `[[[]]]`, `{"a":1,"a":2}`,
+		`[]`, ` [ {"a":1} , [2],"x" ] `, `[1,]`, `[1]x`, `{"a":[1]}`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -111,6 +115,22 @@ func FuzzReader(f *testing.F) {
 			var want float64
 			if err := json.Unmarshal(data, &want); err != nil || math.Float64bits(v) != math.Float64bits(want) {
 				t.Fatalf("Float = %v, encoding/json %v (%v)", v, want, err)
+			}
+		}
+		elems, err := Elements(data)
+		isArray := json.Valid(data) && bytes.TrimLeft(data, " \t\r\n")[0] == '['
+		if (err == nil) != isArray {
+			t.Fatalf("Elements accepted=%v (%v), valid array=%v", err == nil, err, isArray)
+		}
+		if err == nil {
+			var want []json.RawMessage
+			if err := json.Unmarshal(data, &want); err != nil || len(elems) != len(want) {
+				t.Fatalf("Elements found %d elements, encoding/json %d (%v)", len(elems), len(want), err)
+			}
+			for i := range want {
+				if !bytes.Equal(elems[i], want[i]) {
+					t.Fatalf("element %d = %q, encoding/json %q", i, elems[i], want[i])
+				}
 			}
 		}
 	})

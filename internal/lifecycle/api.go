@@ -33,6 +33,7 @@ const maxSpecBytes = 1 << 20
 // (POST /v1/lease, /v1/heartbeat, /v1/complete; GET /v1/collect) is
 // mounted on the same mux, so one listener serves operators and
 // napel-worker processes alike.
+//
 //	GET  /metrics               Prometheus text exposition
 //	GET  /debug/traces          recent job/engine spans, grouped by trace
 //	GET  /debug/pprof/...       runtime profiling

@@ -139,20 +139,20 @@ type Report struct {
 	// Targets lists every base URL the schedule round-robined across
 	// (omitted for classic single-target runs); Topology is a free-form
 	// stamp of the serving shape behind them, e.g. "gate+3x serve".
-	Targets    []string `json:"targets,omitempty"`
-	Topology   string   `json:"topology,omitempty"`
-	GOMAXPROCS int      `json:"gomaxprocs,omitempty"`
-	Mode       Mode     `json:"mode"`
-	Seed           uint64  `json:"seed"`
-	Mix            string  `json:"mix"`
-	Keyspace       int     `json:"keyspace"`
-	BatchSize      int     `json:"batch_size"`
-	Workers        int     `json:"workers,omitempty"`
-	ThinkMS        float64 `json:"think_ms,omitempty"`
-	TargetRPS      float64 `json:"target_rps,omitempty"`
-	Requested      uint64  `json:"requested,omitempty"`
-	ScheduleDigest string  `json:"schedule_digest"`
-	BodyDigest     string  `json:"body_digest"`
+	Targets        []string `json:"targets,omitempty"`
+	Topology       string   `json:"topology,omitempty"`
+	GOMAXPROCS     int      `json:"gomaxprocs,omitempty"`
+	Mode           Mode     `json:"mode"`
+	Seed           uint64   `json:"seed"`
+	Mix            string   `json:"mix"`
+	Keyspace       int      `json:"keyspace"`
+	BatchSize      int      `json:"batch_size"`
+	Workers        int      `json:"workers,omitempty"`
+	ThinkMS        float64  `json:"think_ms,omitempty"`
+	TargetRPS      float64  `json:"target_rps,omitempty"`
+	Requested      uint64   `json:"requested,omitempty"`
+	ScheduleDigest string   `json:"schedule_digest"`
+	BodyDigest     string   `json:"body_digest"`
 
 	DurationSeconds float64 `json:"duration_seconds"`
 	Interrupted     bool    `json:"interrupted,omitempty"`

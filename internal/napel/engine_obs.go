@@ -18,12 +18,12 @@ var engineBuckets = []float64{
 // function to the newest run (Func re-registration replaces the
 // closure).
 type engineObs struct {
-	workers  *obs.Gauge
-	busy     *obs.Gauge
-	queue    *obs.Gauge
-	unitSec  *obs.Histogram
-	stage    map[string]*obs.Histogram
-	ckpSec   *obs.Histogram
+	workers     *obs.Gauge
+	busy        *obs.Gauge
+	queue       *obs.Gauge
+	unitSec     *obs.Histogram
+	stage       map[string]*obs.Histogram
+	ckpSec      *obs.Histogram
 	done        *obs.Counter
 	restored    *obs.Counter
 	failed      *obs.Counter

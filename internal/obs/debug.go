@@ -14,10 +14,10 @@ import (
 // oldest first, with the root (parentless) span determining the
 // trace-level name and duration used by the filters.
 type traceGroup struct {
-	TraceID         string       `json:"trace_id"`
-	Name            string       `json:"name,omitempty"`
-	Start           time.Time    `json:"start"`
-	DurationSeconds float64      `json:"duration_seconds"`
+	TraceID         string    `json:"trace_id"`
+	Name            string    `json:"name,omitempty"`
+	Start           time.Time `json:"start"`
+	DurationSeconds float64   `json:"duration_seconds"`
 	// Orphan marks a trace with no local root: every span has a parent,
 	// but the parent span never arrived in this process's ring — the
 	// normal shape for a trace that began in another process (a remote

@@ -114,10 +114,10 @@ func TestParseTextHardened(t *testing.T) {
 	}
 	cases := map[string]float64{
 		`weird_total{path="a\\b",msg="line\nbreak",q="qu\"ote"}`: 3,
-		`lat_bucket{le="+Inf"}`: 12,
-		`stamped_total{x="1"}`:  5,
-		"tabbed_total":          7,
-		`trailing_total{x="1"}`: 2,
+		`lat_bucket{le="+Inf"}`:                                  12,
+		`stamped_total{x="1"}`:                                   5,
+		"tabbed_total":                                           7,
+		`trailing_total{x="1"}`:                                  2,
 	}
 	for series, want := range cases {
 		if got := snap.Value(series); got != want {

@@ -238,7 +238,7 @@ func TestPusherDropsWhenSaturated(t *testing.T) {
 
 	p := NewPusher(PushConfig{URL: srv.URL, Process: "p", Buffer: 1, BatchSize: 1, FlushInterval: time.Hour})
 	p.Enqueue(SpanRecord{Name: "a"})
-	<-inHandler // exporter is now blocked mid-POST
+	<-inHandler                      // exporter is now blocked mid-POST
 	p.Enqueue(SpanRecord{Name: "b"}) // fills the buffer
 	p.Enqueue(SpanRecord{Name: "c"}) // must drop, not block
 	if d := p.Dropped(); d != 1 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"napel/internal/stats"
@@ -260,9 +261,18 @@ func (pr *Profiler) branchSummary() (bias, entropy, biasedFrac float64) {
 	if len(pr.branchSites) == 0 {
 		return 0, 0, 0
 	}
+	// Floating-point sums depend on their order, so sites are added in
+	// ascending PC order rather than map order: a profile's features are
+	// then bit-identical from run to run.
+	pcs := make([]uint32, 0, len(pr.branchSites))
+	for pc := range pr.branchSites {
+		pcs = append(pcs, pc)
+	}
+	slices.Sort(pcs)
 	var totalW float64
 	var biasedSites int
-	for _, s := range pr.branchSites {
+	for _, pc := range pcs {
+		s := pr.branchSites[pc]
 		p := float64(s.taken) / float64(s.total)
 		w := float64(s.total)
 		bmax := p

@@ -444,3 +444,24 @@ func TestProfileWriteJSON(t *testing.T) {
 		t.Fatalf("mix_load = %v, want 0.5", back.Features["mix_load"])
 	}
 }
+
+// TestBranchSummaryDeterministic: the branch features sum floating-point
+// terms across sites, so the sum must not follow map iteration order —
+// every call on one profile returns the same bits.
+func TestBranchSummaryDeterministic(t *testing.T) {
+	p := NewProfiler()
+	for site := uint32(0); site < 64; site++ {
+		for n := uint32(0); n < 3+site*7%41; n++ {
+			p.OnInst(trace.Inst{Op: trace.OpBranch, PC: 1000 + site, Dst: trace.NoReg,
+				Src1: trace.NoReg, Src2: trace.NoReg, Taken: site%4 == 0 || n%(2+site%5) == 0})
+		}
+	}
+	bias, entropy, biased := p.branchSummary()
+	for call := 0; call < 200; call++ {
+		b, e, f := p.branchSummary()
+		if math.Float64bits(b) != math.Float64bits(bias) || math.Float64bits(e) != math.Float64bits(entropy) ||
+			math.Float64bits(f) != math.Float64bits(biased) {
+			t.Fatalf("call %d: (%v, %v, %v), first call (%v, %v, %v)", call, b, e, f, bias, entropy, biased)
+		}
+	}
+}

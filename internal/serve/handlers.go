@@ -379,10 +379,9 @@ func hashPrediction(feat []float64, totalInstrs float64) uint64 {
 }
 
 // RouteHash returns the feature-vector hash a replica's response cache
-// keys this request on — the second half of the fleet ring key. The
-// gate calls it so routing agrees exactly with replica-side cache
-// identity: two requests collide at the gate iff they would share a
-// cache entry on a replica.
+// keys this request on: two requests share it iff they would share a
+// cache entry. With fleet.Key it models routing by feature identity;
+// napel-gate routes on request bytes and does not call it.
 func (req *PredictRequest) RouteHash() (uint64, error) {
 	feat, totalInstrs, _, _, err := req.assemble()
 	if err != nil {

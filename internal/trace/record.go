@@ -104,7 +104,7 @@ func (s *replaySource) Insts() []Inst { return s.rec.insts }
 // instruction cap, and (after Fanout returns) how many instructions it
 // received and its effective coverage.
 type Sink struct {
-	C      Consumer
+	C Consumer
 	// Budget is the per-sink instruction cap; 0 means the whole run.
 	// The sink(s) whose budget is the run's largest also receive the
 	// whole run — including the soft-budget overshoot a kernel emits

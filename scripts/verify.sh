@@ -27,6 +27,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== gofmt -l . =="
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "verify: gofmt would reformat:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
+
 echo "== go vet ./... =="
 go vet ./...
 
@@ -57,6 +65,12 @@ echo "== fuzz the scrape and traceparent parsers (10 s each) =="
 # service parses the traceparent header of any client.
 go test -run '^$' -fuzz FuzzParseExposition -fuzztime 10s ./internal/obs
 go test -run '^$' -fuzz FuzzParseTraceParent -fuzztime 10s ./internal/obs
+
+echo "== fuzz the JSON reader and batch splitter (10 s) =="
+# napel-gate splits every batch body any client sends with
+# jsonread.Elements; FuzzReader checks it and the model decoder's reader
+# against encoding/json.
+go test -run '^$' -fuzz FuzzReader -fuzztime 10s ./internal/jsonread
 
 echo "== napel-serve smoke test =="
 tmp=$(mktemp -d)
