@@ -4,7 +4,9 @@
 // internal/ml/rf's forests), where encoding/json's reflection and its
 // repeated scans of the forest bytes dominated load time, and for
 // internal/fleet's gate, which splits batched request bodies with
-// Elements without decoding them.
+// Elements without decoding them, and for napel-serve's request
+// decoder, which reads every predict body straight into a feature
+// vector.
 //
 // Each value is read once, left to right, by the method for the type
 // the caller expects; numbers are converted with strconv.ParseFloat and
@@ -24,6 +26,7 @@ package jsonread
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strconv"
 	"unicode"
@@ -46,8 +49,17 @@ type Reader struct {
 // New returns a Reader positioned at the start of data.
 func New(data []byte) *Reader { return &Reader{data: data} }
 
+// SyntaxError is a document that is malformed or does not hold what the
+// caller asked for at Offset.
+type SyntaxError struct {
+	Offset int
+	Msg    string // what is wrong, without the offset
+}
+
+func (e *SyntaxError) Error() string { return fmt.Sprintf("offset %d: %s", e.Offset, e.Msg) }
+
 func (r *Reader) errorf(format string, args ...any) error {
-	return fmt.Errorf("offset %d: %s", r.pos, fmt.Sprintf(format, args...))
+	return &SyntaxError{Offset: r.pos, Msg: fmt.Sprintf(format, args...)}
 }
 
 // ws skips insignificant whitespace.
@@ -298,6 +310,20 @@ func (r *Reader) Int(bitSize int) (int64, error) {
 	return v, nil
 }
 
+// Uint reads a number as an unsigned integer of the given bit size: a
+// sign, fraction or exponent is an error, as is a value out of range.
+func (r *Reader) Uint(bitSize int) (uint64, error) {
+	lit, err := r.number()
+	if err != nil {
+		return 0, err
+	}
+	v, err := strconv.ParseUint(string(lit), 10, bitSize)
+	if err != nil {
+		return 0, r.errorf("number %s is not a uint%d", lit, bitSize)
+	}
+	return v, nil
+}
+
 // StringBytes reads a string and returns its decoded bytes, valid only
 // until the next string is read.
 func (r *Reader) StringBytes() ([]byte, error) {
@@ -455,13 +481,22 @@ func (r *Reader) End() error {
 	return nil
 }
 
+// ErrTooMany is Elements' answer to an array of more than its maximum
+// number of elements.
+var ErrTooMany = errors.New("jsonread: too many array elements")
+
 // Elements checks that data is one well-formed JSON array and returns
 // the exact bytes of each element, without the whitespace around them:
-// what encoding/json yields as []json.RawMessage, aliasing data.
-func Elements(data []byte) ([][]byte, error) {
+// what encoding/json yields as []json.RawMessage, aliasing data. It
+// stops with ErrTooMany at element max+1, before reading it, so a huge
+// array costs no more than max elements.
+func Elements(data []byte, max int) ([][]byte, error) {
 	r := New(data)
 	var elems [][]byte
 	err := r.Array(func() error {
+		if len(elems) == max {
+			return ErrTooMany
+		}
 		r.ws()
 		start := r.pos
 		if err := r.Skip(); err != nil {

@@ -3,6 +3,7 @@ package jsonread
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -78,6 +79,26 @@ func TestNestingLimit(t *testing.T) {
 	}
 }
 
+func TestElementsStopsPastMax(t *testing.T) {
+	for _, c := range []struct {
+		doc  string
+		max  int
+		want error
+	}{
+		{`[1,2,3]`, 3, nil},
+		{`[1,2,3]`, 2, ErrTooMany},
+		{`[]`, 0, nil},
+		{`[1]`, 0, ErrTooMany},
+		// The limit is met before the malformed element is read.
+		{`[1,2,3,}`, 3, ErrTooMany},
+	} {
+		_, err := Elements([]byte(c.doc), c.max)
+		if !errors.Is(err, c.want) {
+			t.Errorf("Elements(%s, %d) = %v, want %v", c.doc, c.max, err, c.want)
+		}
+	}
+}
+
 func TestArrayLen(t *testing.T) {
 	for doc, want := range map[string]int{`[]`: 0, `[ ]`: 0, `[1]`: 1, `[1, -2.5e3 ,0]`: 3, `null`: 0} {
 		if got := New([]byte(doc)).ArrayLen(); got != want {
@@ -90,7 +111,8 @@ func TestArrayLen(t *testing.T) {
 // Skip accepts exactly the documents json.Valid accepts, a string or
 // number the reader accepts decodes to what encoding/json decodes, and
 // Elements accepts exactly the valid documents that are arrays, whose
-// elements are then encoding/json's []json.RawMessage byte for byte.
+// elements are then encoding/json's []json.RawMessage byte for byte,
+// and refuses them with ErrTooMany under a maximum one short.
 func FuzzReader(f *testing.F) {
 	for _, s := range []string{
 		`{"a":[1,2.5e-3,-0,true,false,null,"x"]}`, `"😀\ud800A\/\b\f\n\r\t\"\\"`,
@@ -117,10 +139,15 @@ func FuzzReader(f *testing.F) {
 				t.Fatalf("Float = %v, encoding/json %v (%v)", v, want, err)
 			}
 		}
-		elems, err := Elements(data)
+		elems, err := Elements(data, len(data))
 		isArray := json.Valid(data) && bytes.TrimLeft(data, " \t\r\n")[0] == '['
 		if (err == nil) != isArray {
 			t.Fatalf("Elements accepted=%v (%v), valid array=%v", err == nil, err, isArray)
+		}
+		if err == nil && len(elems) > 0 {
+			if _, err := Elements(data, len(elems)-1); !errors.Is(err, ErrTooMany) {
+				t.Fatalf("Elements with a maximum of %d of %d elements: %v", len(elems)-1, len(elems), err)
+			}
 		}
 		if err == nil {
 			var want []json.RawMessage

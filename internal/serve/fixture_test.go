@@ -29,7 +29,7 @@ var (
 	fixtureVal  fixtureData
 )
 
-func fixture(t *testing.T) *fixtureData {
+func fixture(t testing.TB) *fixtureData {
 	t.Helper()
 	fixtureOnce.Do(func() {
 		fixtureVal = buildFixture()
@@ -112,7 +112,7 @@ func saveModel(p *napel.Predictor, path string) error {
 
 // newTestServer builds a server over a copy of model A so tests that
 // rewrite or corrupt the model file cannot interfere with each other.
-func newTestServer(t *testing.T, cfg Config) (*Server, string) {
+func newTestServer(t testing.TB, cfg Config) (*Server, string) {
 	t.Helper()
 	f := fixture(t)
 	modelPath := filepath.Join(t.TempDir(), "model.json")

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"io/fs"
 	"math"
 	"net/http"
@@ -17,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"napel/internal/httpbody"
 	"napel/internal/napel"
 	"napel/internal/obs"
 	"napel/internal/resilience"
@@ -132,34 +132,52 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"reloaded": true, "models": models})
 }
 
-// readBody reads the whole request body, answering 413 past the body
-// limit and 400 on other read errors; ok is false when it answered.
-func readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
-	body, err := io.ReadAll(r.Body)
+// readBody reads the whole request body into a buffer sized from its
+// Content-Length, answering 413 past the body limit and 400 on other
+// read errors; ok is false when it answered.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
+	t0 := time.Now()
+	body, status, err := httpbody.Request(r, s.cfg.MaxBodyBytes)
+	s.o.stageRead.ObserveSince(t0)
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("body exceeds %d bytes", tooBig.Limit))
-			return nil, false
-		}
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeError(w, status, err.Error())
 		return nil, false
 	}
 	return body, true
 }
 
+// writeAnswer writes a 200 answer, timed as the encode stage.
+func (s *Server) writeAnswer(w http.ResponseWriter, v any) {
+	t0 := time.Now()
+	writeJSON(w, http.StatusOK, v)
+	s.o.stageEncode.ObserveSince(t0)
+}
+
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
+	body, ok := s.readBody(w, r)
 	if !ok {
 		return
 	}
-	if first := firstByte(body); first == '[' {
-		s.predictBatch(w, r.Context(), body)
+	t0 := time.Now()
+	if firstByte(body) == '[' {
+		reqs, err := decodeBatch(body, s.cfg.MaxBatch)
+		s.o.stageDecode.ObserveSince(t0)
+		switch {
+		case errors.Is(err, errBatchTooLarge):
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("batch exceeds limit %d", s.cfg.MaxBatch))
+		case err != nil:
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding batch: %v", err))
+		case len(reqs) == 0:
+			writeError(w, http.StatusBadRequest, "empty batch")
+		default:
+			s.predictBatch(w, r.Context(), reqs)
+		}
 		return
 	}
-	var req PredictRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	var req input
+	err := decodeRequest(body, &req, nil)
+	s.o.stageDecode.ObserveSince(t0)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
 		return
 	}
@@ -168,29 +186,15 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, apiErr.status, apiErr.msg)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeAnswer(w, resp)
 }
 
-// predictBatch fans a request array out across the worker pool. The
-// response is an index-aligned array; item failures are reported inline
-// so one malformed entry cannot fail the batch. Every item's spans hang
+// predictBatch fans a decoded request array out across the worker pool.
+// The response is an index-aligned array; item failures are reported
+// inline so one bad entry cannot fail the batch. Every item's spans hang
 // off the request's root span, so one /debug/traces entry shows the
 // whole fan-out.
-func (s *Server) predictBatch(w http.ResponseWriter, ctx context.Context, body []byte) {
-	var reqs []PredictRequest
-	if err := json.Unmarshal(body, &reqs); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding batch: %v", err))
-		return
-	}
-	if len(reqs) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	if len(reqs) > s.cfg.MaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d exceeds limit %d", len(reqs), s.cfg.MaxBatch))
-		return
-	}
+func (s *Server) predictBatch(w http.ResponseWriter, ctx context.Context, reqs []input) {
 	resps := make([]PredictResponse, len(reqs))
 	workers := s.cfg.Workers
 	if workers > len(reqs) {
@@ -220,25 +224,29 @@ func (s *Server) predictBatch(w http.ResponseWriter, ctx context.Context, body [
 	}
 	wg.Wait()
 	bspan.End()
-	writeJSON(w, http.StatusOK, resps)
+	s.writeAnswer(w, resps)
 }
 
 func (s *Server) handleSuitability(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
+	body, ok := s.readBody(w, r)
 	if !ok {
 		return
 	}
-	var req SuitabilityRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	t0 := time.Now()
+	var req input
+	var host WireHost
+	err := decodeRequest(body, &req, &host)
+	s.o.stageDecode.ObserveSince(t0)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
 		return
 	}
-	hostEDP, err := req.Host.edp()
+	hostEDP, err := host.edp()
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
-	nmc, apiErr := s.predictOne(r.Context(), &req.PredictRequest)
+	nmc, apiErr := s.predictOne(r.Context(), &req)
 	if apiErr != nil {
 		writeError(w, apiErr.status, apiErr.msg)
 		return
@@ -253,7 +261,7 @@ func (s *Server) handleSuitability(w http.ResponseWriter, r *http.Request) {
 	if reduction > 1 {
 		verdict = "offload"
 	}
-	writeJSON(w, http.StatusOK, SuitabilityResponse{
+	s.writeAnswer(w, SuitabilityResponse{
 		NMC:          nmc,
 		HostEDP:      hostEDP,
 		EDPReduction: reduction,
@@ -267,7 +275,7 @@ func (s *Server) handleSuitability(w http.ResponseWriter, r *http.Request) {
 // assembly, cache lookup, model predict) gets a child span and a sample
 // in the per-stage histogram, so /debug/traces and /metrics agree on
 // where a slow prediction spent its time.
-func (s *Server) predictOne(ctx context.Context, req *PredictRequest) (PredictResponse, *apiError) {
+func (s *Server) predictOne(ctx context.Context, req *input) (PredictResponse, *apiError) {
 	if s.testHookPredict != nil {
 		s.testHookPredict()
 	}
@@ -279,9 +287,9 @@ func (s *Server) predictOne(ctx context.Context, req *PredictRequest) (PredictRe
 	// start. No last-good answer can stand in: those are kept per
 	// resolved model, and a generation, once installed, holds every
 	// configured model.
-	model, ok := s.registry.Get(req.Model)
+	model, ok := s.registry.Get(req.model)
 	if !ok {
-		return PredictResponse{}, &apiError{http.StatusNotFound, fmt.Sprintf("unknown model %q", req.Model)}
+		return PredictResponse{}, &apiError{http.StatusNotFound, fmt.Sprintf("unknown model %q", req.model)}
 	}
 
 	t0 := time.Now()

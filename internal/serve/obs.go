@@ -29,9 +29,12 @@ type serveObs struct {
 	degradedServed    *obs.Counter
 	deadlineExhausted *obs.Counter
 
-	stageCache    *obs.Histogram
+	stageRead     *obs.Histogram
+	stageDecode   *obs.Histogram
 	stageAssemble *obs.Histogram
+	stageCache    *obs.Histogram
 	stagePredict  *obs.Histogram
+	stageEncode   *obs.Histogram
 
 	// durSumNanos/durCount aggregate completed-request latency so the
 	// Retry-After computation can quote the observed mean.
@@ -72,11 +75,14 @@ func newServeObs(tracer *obs.Tracer, endpoints ...string) *serveObs {
 	o.deadlineExhausted = reg.Counter("napel_serve_deadline_exhausted_total",
 		"Predictions refused because the request budget was already spent.")
 	stage := reg.HistogramVec("napel_serve_predict_stage_seconds",
-		"Per-stage prediction latency: cache lookup, feature assembly, model predict.",
+		"Per-stage request latency: body read, body decode, feature assembly, cache lookup, model predict, answer encode and write.",
 		nil, "stage")
-	o.stageCache = stage.With("cache")
+	o.stageRead = stage.With("read")
+	o.stageDecode = stage.With("decode")
 	o.stageAssemble = stage.With("assemble")
+	o.stageCache = stage.With("cache")
 	o.stagePredict = stage.With("predict")
+	o.stageEncode = stage.With("encode")
 	return o
 }
 

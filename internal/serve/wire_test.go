@@ -174,7 +174,11 @@ func TestExpectedMatchesServed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, apiErr := s.predictOne(context.Background(), &wired)
+	var in input
+	if err := decodeRequest(body, &in, nil); err != nil {
+		t.Fatal(err)
+	}
+	resp, apiErr := s.predictOne(context.Background(), &in)
 	if apiErr != nil {
 		t.Fatalf("predictOne: %v", apiErr.msg)
 	}

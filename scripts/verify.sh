@@ -72,6 +72,13 @@ echo "== fuzz the JSON reader and batch splitter (10 s) =="
 # against encoding/json.
 go test -run '^$' -fuzz FuzzReader -fuzztime 10s ./internal/jsonread
 
+echo "== fuzz the request decoder (10 s) =="
+# napel-serve decodes every predict, batch and suitability body with its
+# own one-pass decoder; FuzzDecodeRequest checks it against encoding/json
+# plus the map-form assembly. Minimizing a ~13 KB seed can stall a short
+# run, hence the minimize cap.
+go test -run '^$' -fuzz FuzzDecodeRequest -fuzztime 10s -fuzzminimizetime 2s ./internal/serve
+
 echo "== napel-serve smoke test =="
 tmp=$(mktemp -d)
 server_pid=""
