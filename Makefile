@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race verify bench clean
+.PHONY: build test race verify clean
 
 build:
 	$(GO) build ./...
@@ -15,12 +15,6 @@ race:
 # napel-serve HTTP service. See scripts/verify.sh.
 verify:
 	./scripts/verify.sh
-
-# Perf-trajectory benchmark: replayable napel-loadgen run against a live
-# napel-serve, SLO-gated, writing BENCH_<pr>.json at the repo root.
-# Tune via BENCH_PR / BENCH_SEED / BENCH_REQUESTS (see scripts/bench.sh).
-bench:
-	./scripts/bench.sh
 
 clean:
 	$(GO) clean ./...

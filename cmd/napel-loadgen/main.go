@@ -1,22 +1,19 @@
-// Command napel-loadgen drives a live napel-serve with replayable mixed
-// traffic and gates the result on SLOs, emitting the machine-readable
-// BENCH_*.json reports that form the repo's performance trajectory:
+// Command napel-loadgen drives a live napel-serve, or a napel-gate in
+// front of replicas, with replayable mixed traffic and gates the result
+// on its error rate and on bit-exact correctness probing:
 //
 //	napel train -out model.json
 //	napel-serve -model model.json -addr :9090 &
 //	napel-loadgen -target http://localhost:9090 -requests 2000 \
-//	    -probe-model model.json -slo-p99 250ms -min-rps 50 -out BENCH_6.json
+//	    -probe-model model.json -max-error-rate 0 -out report.json
 //
 // Traffic mixes single POST /v1/predict, batched predict arrays and
-// POST /v1/suitability per -mix. Two load shapes:
-//
-//   - closed-loop (default): -workers concurrent clients issuing
-//     requests back to back with optional -think pauses, honoring
-//     Retry-After on 429/503 (capped by -max-retry-after) so a
-//     backpressuring server is paced, not hammered;
-//   - open-loop (-mode open -rps N): a seeded exponential arrival
-//     schedule at the target rate, shedding arrivals beyond
-//     -max-outstanding instead of queueing.
+// POST /v1/suitability per -mix, from -workers concurrent clients
+// issuing requests back to back with optional -think pauses, honoring
+// Retry-After on 429/503 (capped by -max-retry-after) so a
+// backpressuring server is paced, not hammered. Latency, throughput and
+// CPU are measured by the serving benchmark (bash bench/run.sh), which
+// reuses this package's generator and prober.
 //
 // Bodies are synthesized from -seed: the same seed yields a
 // byte-identical request schedule, attested by digests in the report.
@@ -63,11 +60,8 @@ func run() int {
 	target := flag.String("target", "", "base URL(s) to drive, comma-separated for round-robin across replicas or a gate (required)")
 	scrapeTargets := flag.String("scrape-targets", "", "comma-separated /metrics endpoints to bracket the run (default: the -target list)")
 	topology := flag.String("topology", "", "serving-shape stamp for the report, e.g. 'gate+3x serve'")
-	mode := flag.String("mode", "closed", "load shape: closed (workers) or open (target rate)")
-	workers := flag.Int("workers", 8, "closed-loop concurrent clients")
-	think := flag.Duration("think", 0, "closed-loop pause between a worker's requests")
-	rps := flag.Float64("rps", 0, "open-loop target arrival rate (requests/sec)")
-	maxOutstanding := flag.Int("max-outstanding", 256, "open-loop in-flight bound; arrivals beyond it are shed and counted")
+	workers := flag.Int("workers", 8, "concurrent clients")
+	think := flag.Duration("think", 0, "pause between a worker's requests")
 	requests := flag.Uint64("requests", 0, "stop after this many scheduled requests (0 = use -duration)")
 	duration := flag.Duration("duration", 0, "stop after this much wall time (0 = use -requests)")
 	seed := flag.Uint64("seed", 1, "seed for the replayable request schedule and bodies")
@@ -79,14 +73,11 @@ func run() int {
 	probeModel := flag.String("probe-model", "", "local copy of the served model file; sampled responses are verified against it bit-for-bit")
 	probeEvery := flag.Int("probe-every", 8, "probe every Nth successful request per worker")
 	maxRetryAfter := flag.Duration("max-retry-after", 2*time.Second, "cap on honored Retry-After hints")
-	sloP99 := flag.Duration("slo-p99", 0, "SLO: overall p99 latency bound (0 disables)")
-	minRPS := flag.Float64("min-rps", 0, "SLO: minimum achieved throughput in ok requests/sec (0 disables)")
 	maxErrorRate := flag.Float64("max-error-rate", -1, "SLO: maximum hard-error fraction of issued requests, backpressure excluded (negative disables)")
 	expectDegraded := flag.Bool("expect-degraded", false, "SLO: require at least one degraded answer (chaos-under-load gate)")
 	scrape := flag.Bool("scrape", true, "scrape target /metrics before and after, attributing server-side allocs/GC/cache behavior")
 	out := flag.String("out", "-", "report file ('-' = stdout)")
 	tracePush := flag.String("trace-push", "", "push the client spans in bounded batches to this napel-obsd base URL (empty = off)")
-	pr := flag.Int("pr", 0, "PR number stamped into the report (BENCH_<pr>.json trajectory key)")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 
@@ -116,19 +107,16 @@ func run() int {
 	}
 
 	cfg := loadgen.Config{
-		Targets:        targets,
-		ScrapeTargets:  splitList(*scrapeTargets),
-		Mode:           loadgen.Mode(*mode),
-		Workers:        *workers,
-		Think:          *think,
-		RPS:            *rps,
-		MaxOutstanding: *maxOutstanding,
-		Requests:       *requests,
-		Duration:       *duration,
-		Mix:            mix,
-		ProbeEvery:     *probeEvery,
-		MaxRetryAfter:  *maxRetryAfter,
-		ScrapeMetrics:  *scrape,
+		Targets:       targets,
+		ScrapeTargets: splitList(*scrapeTargets),
+		Workers:       *workers,
+		Think:         *think,
+		Requests:      *requests,
+		Duration:      *duration,
+		Mix:           mix,
+		ProbeEvery:    *probeEvery,
+		MaxRetryAfter: *maxRetryAfter,
+		ScrapeMetrics: *scrape,
 		Synth: loadgen.SynthConfig{
 			Seed:      *seed,
 			Keyspace:  *keyspace,
@@ -136,8 +124,6 @@ func run() int {
 			Model:     *model,
 		},
 		SLO: loadgen.SLOLimits{
-			P99:            *sloP99,
-			MinRPS:         *minRPS,
 			MaxErrorRate:   *maxErrorRate,
 			ExpectDegraded: *expectDegraded,
 		},
@@ -180,7 +166,6 @@ func run() int {
 	if err != nil {
 		return fail(err)
 	}
-	rep.PR = *pr
 	rep.GitRev = obs.Revision()
 	rep.StartedAt = startedAt.Format(time.RFC3339)
 	rep.Topology = *topology
@@ -222,8 +207,8 @@ func splitList(v string) []string {
 // summarize prints the human-readable digest to stderr; stdout stays
 // reserved for the JSON report.
 func summarize(rep *loadgen.Report) {
-	fmt.Fprintf(os.Stderr, "napel-loadgen: %s %s seed=%d mix=%s %.1fs\n",
-		rep.Mode, rep.Target, rep.Seed, rep.Mix, rep.DurationSeconds)
+	fmt.Fprintf(os.Stderr, "napel-loadgen: %s seed=%d mix=%s %.1fs\n",
+		rep.Target, rep.Seed, rep.Mix, rep.DurationSeconds)
 	fmt.Fprintf(os.Stderr, "  issued %d  ok %d (%.1f req/s)  errors %d  backpressure %d  degraded %d\n",
 		rep.Issued, rep.OK, rep.RequestsPerSec, rep.Errors, rep.Backpressure, rep.Degraded)
 	for _, ep := range rep.Endpoints {

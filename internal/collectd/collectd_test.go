@@ -93,9 +93,11 @@ func startCluster(t *testing.T, c *Coordinator, n int, seed uint64) []context.Ca
 // TestDistributedByteIdenticalWithWorkerKill is the tentpole's
 // correctness oracle: a 2-worker distributed collection — one worker
 // killed mid-run, its leases expiring and requeueing — must produce
-// TrainingData byte-identical to serial in-process collection.
+// TrainingData byte-identical to serial in-process collection. kme and
+// bfs join atax because they have many branch sites, whose features
+// only sum to the same bits in every process when summed in PC order.
 func TestDistributedByteIdenticalWithWorkerKill(t *testing.T) {
-	kernels := quickKernels(t, "atax")
+	kernels := quickKernels(t, "atax", "kme", "bfs")
 	opts := quickOptions()
 	opts.Workers = 4
 

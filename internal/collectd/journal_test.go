@@ -3,12 +3,16 @@ package collectd
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
+	"napel/internal/atomicfile"
 	"napel/internal/napel"
 	"napel/internal/workload"
 )
@@ -164,6 +168,56 @@ func TestJournalTornTailDropped(t *testing.T) {
 	if st.Completed == 0 {
 		t.Fatal("torn unit was not re-executed by the worker")
 	}
+}
+
+// FuzzJournalReplay opens a journal of arbitrary bytes, as a crash or a
+// damaged disk could leave one. OpenJournal must not panic; it may fail
+// only on an undecodable record before the last line; every replayable
+// completion's payload must hash to its recorded sha256; and reopening
+// the same bytes must replay the same set.
+func FuzzJournalReplay(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "collect.journal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		lines, _, err := atomicfile.ReadLines(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := -1
+		for i, line := range lines {
+			var rec journalRecord
+			if json.Unmarshal(line, &rec) != nil {
+				bad = i
+				break
+			}
+		}
+
+		j, err := OpenJournal(path, nil)
+		if wantErr := bad >= 0 && bad < len(lines)-1; (err != nil) != wantErr {
+			t.Fatalf("OpenJournal error %v; first undecodable record %d of %d", err, bad, len(lines))
+		}
+		if err != nil {
+			return
+		}
+		j.Close()
+		for key, rec := range j.completed {
+			sum := sha256.Sum256(rec.Payload)
+			if rec.T != "complete" || rec.Key != key || hex.EncodeToString(sum[:]) != rec.SHA256 {
+				t.Fatalf("replayable %q: record %+v does not match its payload's sha256 %x", key, rec, sum)
+			}
+		}
+
+		j2, err := OpenJournal(path, nil)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		j2.Close()
+		if !reflect.DeepEqual(j.completed, j2.completed) || j.replayed != j2.replayed {
+			t.Fatalf("reopening replays %d unit(s), first open %d", j2.replayed, j.replayed)
+		}
+	})
 }
 
 // TestJournalRejectsStaleSpec: a journal built under one job

@@ -113,6 +113,7 @@ func (c Config) withDefaults() Config {
 			Timeout: 30 * time.Second,
 			Transport: &http.Transport{
 				MaxIdleConnsPerHost: 64,
+				IdleConnTimeout:     upstreamIdleTimeout,
 			},
 		}
 	}
@@ -991,11 +992,31 @@ func (g *Gate) Run(ctx context.Context, addr string) error {
 	return g.serve(ctx, ln)
 }
 
+// readTimeout bounds how long a client may take to send one request,
+// body included: the gate has no in-flight limit, so a client that
+// declares a body and then stalls would otherwise hold a goroutine and
+// its read buffer for as long as it keeps the connection open. net/http
+// clears the read deadline once the body reaches EOF, so a long handler,
+// such as a rolling reload, is not cut short. Tests shorten it.
+var readTimeout = 30 * time.Second
+
+const (
+	// idleTimeout closes unused client keep-alive connections.
+	idleTimeout = 2 * time.Minute
+	// upstreamIdleTimeout drops idle connections to replicas before
+	// napel-serve's own 2-minute idle timeout closes them: net/http does
+	// not replay a POST it has already written, so reusing a connection
+	// the replica is closing would turn into a failover.
+	upstreamIdleTimeout = 90 * time.Second
+)
+
 func (g *Gate) serve(ctx context.Context, ln net.Listener) error {
 	g.CheckReplicas(ctx)
 	srv := &http.Server{
 		Handler:           g.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()

@@ -8,6 +8,7 @@ import (
 	"go/build"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -787,4 +788,41 @@ func grepMetric(metrics, prefix string) string {
 		}
 	}
 	return out.String()
+}
+
+// TestGateStalledBodyTimesOut: a client that sends a predict's headers,
+// declaring a body, and then goes silent is cut off after readTimeout
+// instead of holding a goroutine and its read buffer indefinitely.
+func TestGateStalledBodyTimesOut(t *testing.T) {
+	defer func(d time.Duration) { readTimeout = d }(readTimeout)
+	readTimeout = 200 * time.Millisecond
+	rep := newFakeReplica(t)
+	g, err := New(Config{Replicas: []string{rep.url}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- g.serve(ctx, ln) }()
+	defer func() {
+		cancel()
+		<-serveDone
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	fmt.Fprint(conn, "POST /v1/predict HTTP/1.1\r\nHost: napel\r\n"+
+		"Content-Type: application/json\r\nContent-Length: 4096\r\n\r\n")
+	conn.SetReadDeadline(start.Add(5 * time.Second))
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("connection still open %v after its headers: %v", time.Since(start), err)
+	}
 }

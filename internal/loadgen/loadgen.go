@@ -1,18 +1,14 @@
-// Package loadgen is napel-loadgen's engine: a replayable load
-// generator for a live napel-serve instance that doubles as a
-// correctness prober and emits the machine-readable BENCH_*.json
-// perf-trajectory reports every subsequent performance PR is measured
-// against.
+// Package loadgen is napel-loadgen's engine: a replayable closed-loop
+// load generator for a live napel-serve (or a napel-gate in front of
+// replicas) that doubles as a correctness prober. The serving benchmark
+// under bench/ runs its own open loop and reuses only the generator
+// (Generator, SynthConfig, Op and the digests) and ModelProber.
 //
 // The generator drives mixed traffic — single POST /v1/predict, batched
-// predict arrays, and POST /v1/suitability — in two modes:
-//
-//   - closed-loop: N workers issue requests back to back (optionally
-//     separated by think time), honoring Retry-After on 429/503 so a
-//     backpressuring server is paced, not hammered;
-//   - open-loop: a target arrival rate with a seeded exponential
-//     schedule, shedding (and counting) arrivals beyond a bounded
-//     outstanding window instead of queueing unboundedly.
+// predict arrays, and POST /v1/suitability — from N workers issuing
+// requests back to back (optionally separated by think time), honoring
+// Retry-After on 429/503 so a backpressuring server is paced, not
+// hammered.
 //
 // Request bodies are synthesized from an explicit xrand seed: the same
 // seed produces a byte-identical request schedule (op sequence and
@@ -21,7 +17,8 @@
 // relative error), backpressure and degraded answers are tallied apart
 // from successes and hard errors, the server's /metrics is scraped
 // before and after to attribute allocs/GC/cache behavior, and the
-// result is gated by configurable SLOs.
+// result is gated on its error rate, probe mismatches and, for chaos
+// runs, on degraded answers having been served.
 package loadgen
 
 import (

@@ -363,33 +363,6 @@ func TestInterruptWritesPartialReport(t *testing.T) {
 	}
 }
 
-// TestOpenLoopShedsOverWindow: with one outstanding slot and a slow
-// server, the open loop sheds arrivals instead of queueing, and counts
-// them.
-func TestOpenLoopShedsOverWindow(t *testing.T) {
-	srv := fakeServe(t, 30*time.Millisecond)
-	rep, err := Run(context.Background(), Config{
-		Target:         srv.URL,
-		Mode:           ModeOpen,
-		RPS:            400,
-		MaxOutstanding: 1,
-		Requests:       40,
-		Synth:          SynthConfig{Seed: 11, Keyspace: 4, BatchSize: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.OpenLoopDropped == 0 {
-		t.Fatal("slow server at 400 rps with window 1 shed nothing")
-	}
-	if rep.Issued+rep.OpenLoopDropped != 40 {
-		t.Fatalf("issued %d + dropped %d != 40 scheduled", rep.Issued, rep.OpenLoopDropped)
-	}
-	if rep.Mode != ModeOpen || rep.TargetRPS != 400 {
-		t.Fatalf("open-loop parameters not recorded: %+v", rep)
-	}
-}
-
 // TestScrapeDeltas: metrics snapshots around the run land in the report
 // as deltas.
 func TestScrapeDeltas(t *testing.T) {
@@ -438,20 +411,18 @@ func TestScrapeDeltas(t *testing.T) {
 // TestSLOVerdicts exercises each gate's pass and fail side directly.
 func TestSLOVerdicts(t *testing.T) {
 	rep := &Report{
-		Overall:        Quantiles{P99Ms: 50},
-		RequestsPerSec: 200,
-		ErrorRate:      0.005,
-		slo:            SLOLimits{P99: 100 * time.Millisecond, MinRPS: 100, MaxErrorRate: 0.01},
+		ErrorRate: 0.005,
+		slo:       SLOLimits{MaxErrorRate: 0.01},
 	}
 	rep.Evaluate()
-	if !rep.SLOPass || len(rep.SLO) != 3 {
-		t.Fatalf("expected 3 passing gates: %+v", rep.SLO)
+	if !rep.SLOPass || len(rep.SLO) != 1 {
+		t.Fatalf("expected 1 passing gate: %+v", rep.SLO)
 	}
 
-	rep.slo = SLOLimits{P99: 10 * time.Millisecond, MinRPS: 1000, MaxErrorRate: 0.001}
+	rep.slo = SLOLimits{MaxErrorRate: 0.001}
 	rep.Evaluate()
 	if rep.SLOPass {
-		t.Fatal("tightened gates still pass")
+		t.Fatal("tightened gate still passes")
 	}
 	for _, v := range rep.SLO {
 		if v.Pass {

@@ -9,9 +9,10 @@ import (
 	"napel/internal/stats"
 )
 
-// ReportSchema versions the BENCH_*.json wire format so trajectory
-// tooling can refuse files it does not understand.
-const ReportSchema = "napel-bench/v1"
+// ReportSchema versions the report's wire format so tooling can refuse
+// files it does not understand. v2 removed four v1 fields with the
+// open-loop mode and the trajectory key.
+const ReportSchema = "napel-bench/v2"
 
 // Quantiles summarizes one latency histogram in milliseconds.
 type Quantiles struct {
@@ -83,17 +84,10 @@ type ServerStats struct {
 	MallocsPerRequest    float64 `json:"mallocs_per_request"`
 }
 
-// SLOLimits configures the pass/fail gates. Zero values disable a gate,
-// except MaxErrorRate where a negative value disables (0 is a real,
-// strict limit).
+// SLOLimits configures the pass/fail gates.
 type SLOLimits struct {
-	// P99 bounds overall p99 latency.
-	P99 time.Duration
-	// MinRPS bounds overall achieved throughput (OK requests per
-	// second) from below.
-	MinRPS float64
 	// MaxErrorRate bounds hard errors / issued (backpressure excluded);
-	// negative disables.
+	// negative disables, and 0 is a real, strict limit.
 	MaxErrorRate float64
 	// ExpectDegraded requires at least one degraded answer — the
 	// chaos-under-load gate proving degraded-mode serving actually
@@ -126,12 +120,10 @@ type ProbeReport struct {
 	Example      string `json:"example,omitempty"`
 }
 
-// Report is the machine-readable BENCH_*.json payload: enough context
-// to replay the run (seed, mix, mode, shape) plus the measured results
-// and SLO verdicts.
+// Report is the machine-readable run report: enough context to replay
+// the run (seed, mix, shape) plus the measured results and SLO verdicts.
 type Report struct {
 	Schema    string `json:"schema"`
-	PR        int    `json:"pr,omitempty"`
 	GitRev    string `json:"git_rev,omitempty"`
 	StartedAt string `json:"started_at,omitempty"`
 
@@ -142,14 +134,12 @@ type Report struct {
 	Targets        []string `json:"targets,omitempty"`
 	Topology       string   `json:"topology,omitempty"`
 	GOMAXPROCS     int      `json:"gomaxprocs,omitempty"`
-	Mode           Mode     `json:"mode"`
 	Seed           uint64   `json:"seed"`
 	Mix            string   `json:"mix"`
 	Keyspace       int      `json:"keyspace"`
 	BatchSize      int      `json:"batch_size"`
 	Workers        int      `json:"workers,omitempty"`
 	ThinkMS        float64  `json:"think_ms,omitempty"`
-	TargetRPS      float64  `json:"target_rps,omitempty"`
 	Requested      uint64   `json:"requested,omitempty"`
 	ScheduleDigest string   `json:"schedule_digest"`
 	BodyDigest     string   `json:"body_digest"`
@@ -157,14 +147,13 @@ type Report struct {
 	DurationSeconds float64 `json:"duration_seconds"`
 	Interrupted     bool    `json:"interrupted,omitempty"`
 
-	Issued          uint64  `json:"issued"`
-	OK              uint64  `json:"ok"`
-	Errors          uint64  `json:"errors"`
-	Backpressure    uint64  `json:"backpressure"`
-	Degraded        uint64  `json:"degraded"`
-	OpenLoopDropped uint64  `json:"open_loop_dropped,omitempty"`
-	ErrorRate       float64 `json:"error_rate"`
-	RequestsPerSec  float64 `json:"requests_per_sec"`
+	Issued         uint64  `json:"issued"`
+	OK             uint64  `json:"ok"`
+	Errors         uint64  `json:"errors"`
+	Backpressure   uint64  `json:"backpressure"`
+	Degraded       uint64  `json:"degraded"`
+	ErrorRate      float64 `json:"error_rate"`
+	RequestsPerSec float64 `json:"requests_per_sec"`
 
 	Overall   Quantiles        `json:"overall_latency"`
 	Endpoints []EndpointReport `json:"endpoints"`
@@ -188,29 +177,22 @@ func buildReport(cfg Config, gen *Generator, t *tally, elapsed time.Duration, in
 	rep := &Report{
 		Schema:          ReportSchema,
 		Target:          cfg.Target,
-		Mode:            cfg.Mode,
 		GOMAXPROCS:      runtime.GOMAXPROCS(0),
 		Seed:            cfg.Synth.Seed,
 		Mix:             cfg.Mix.String(),
 		Keyspace:        gen.cfg.Keyspace,
 		BatchSize:       gen.cfg.BatchSize,
+		Workers:         cfg.Workers,
+		ThinkMS:         float64(cfg.Think) / float64(time.Millisecond),
 		Requested:       cfg.Requests,
 		DurationSeconds: elapsed.Seconds(),
 		Interrupted:     interrupted,
-		OpenLoopDropped: t.dropped,
 		BodyDigest:      gen.BodyDigest(),
 		slo:             cfg.SLO,
 		probeActive:     cfg.Prober != nil,
 	}
 	if len(cfg.Targets) > 1 {
 		rep.Targets = cfg.Targets
-	}
-	switch cfg.Mode {
-	case ModeOpen:
-		rep.TargetRPS = cfg.RPS
-	default:
-		rep.Workers = cfg.Workers
-		rep.ThinkMS = float64(cfg.Think) / float64(time.Millisecond)
 	}
 
 	overall := stats.NewLatencyHist()
@@ -279,13 +261,6 @@ func (r *Report) Evaluate() {
 	r.SLO = r.SLO[:0]
 	add := func(name string, limit, actual float64, pass bool) {
 		r.SLO = append(r.SLO, Verdict{Name: name, Limit: limit, Actual: actual, Pass: pass})
-	}
-	if r.slo.P99 > 0 {
-		limit := float64(r.slo.P99) / float64(time.Millisecond)
-		add("p99_ms", limit, r.Overall.P99Ms, r.Overall.P99Ms <= limit)
-	}
-	if r.slo.MinRPS > 0 {
-		add("min_rps", r.slo.MinRPS, r.RequestsPerSec, r.RequestsPerSec >= r.slo.MinRPS)
 	}
 	if r.slo.MaxErrorRate >= 0 {
 		add("max_error_rate", r.slo.MaxErrorRate, r.ErrorRate, r.ErrorRate <= r.slo.MaxErrorRate)

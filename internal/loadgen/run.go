@@ -17,20 +17,6 @@ import (
 	"napel/internal/stats"
 )
 
-// Mode selects the load shape.
-type Mode string
-
-const (
-	// ModeClosed runs N workers back to back: offered load adapts to
-	// the server (the classic closed system), and Retry-After answers
-	// pace the workers.
-	ModeClosed Mode = "closed"
-	// ModeOpen fires requests on a seeded exponential arrival schedule
-	// at a target rate, independent of server speed, shedding arrivals
-	// beyond MaxOutstanding.
-	ModeOpen Mode = "open"
-)
-
 // Config tunes one load-generation run. Target plus one of Requests or
 // Duration is the minimum viable configuration.
 type Config struct {
@@ -47,17 +33,12 @@ type Config struct {
 	// (default Targets). Deltas are summed across all of them, so a
 	// fleet's aggregate cache behavior lands in one ServerStats.
 	ScrapeTargets []string
-	// Mode defaults to ModeClosed.
-	Mode Mode
-	// Workers is the closed-loop concurrency (default 8).
+	// Workers is the number of concurrent clients (default 8). Offered
+	// load adapts to the server, and Retry-After answers pace the
+	// workers.
 	Workers int
-	// Think pauses each closed-loop worker between ops (default 0).
+	// Think pauses each worker between ops (default 0).
 	Think time.Duration
-	// RPS is the open-loop target arrival rate (required for ModeOpen).
-	RPS float64
-	// MaxOutstanding bounds open-loop in-flight requests; arrivals
-	// beyond it are shed and counted, not queued (default 256).
-	MaxOutstanding int
 	// Requests stops the run after this many scheduled ops (0 = run
 	// until Duration).
 	Requests uint64
@@ -74,9 +55,8 @@ type Config struct {
 	// ProbeEvery samples every Nth successful request per worker for
 	// probing (default 8; 1 probes everything).
 	ProbeEvery int
-	// MaxRetryAfter caps how long a closed-loop worker honors a
-	// Retry-After hint (default 2s) so one 3600s answer cannot stall
-	// the run.
+	// MaxRetryAfter caps how long a worker honors a Retry-After hint
+	// (default 2s) so one 3600s answer cannot stall the run.
 	MaxRetryAfter time.Duration
 	// SLO configures the pass/fail gates evaluated into the report.
 	SLO SLOLimits
@@ -107,20 +87,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Requests == 0 && c.Duration <= 0 {
 		return c, fmt.Errorf("loadgen: one of Requests or Duration must bound the run")
 	}
-	if c.Mode == "" {
-		c.Mode = ModeClosed
-	}
-	if c.Mode != ModeClosed && c.Mode != ModeOpen {
-		return c, fmt.Errorf("loadgen: unknown mode %q", c.Mode)
-	}
-	if c.Mode == ModeOpen && c.RPS <= 0 {
-		return c, fmt.Errorf("loadgen: open-loop mode requires a positive RPS")
-	}
 	if c.Workers <= 0 {
 		c.Workers = 8
-	}
-	if c.MaxOutstanding <= 0 {
-		c.MaxOutstanding = 256
 	}
 	if c.ProbeEvery <= 0 {
 		c.ProbeEvery = 8
@@ -137,9 +105,8 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// kindTally accumulates one traffic class's counters. Closed-loop
-// workers each own one (lock-free hot path); open-loop ops share one
-// under a mutex.
+// kindTally accumulates one traffic class's counters. Each worker owns
+// one, so the hot path takes no lock.
 type kindTally struct {
 	issued, ok, errors, backpressure uint64
 	degraded, cached, itemErrors     uint64
@@ -150,8 +117,7 @@ type kindTally struct {
 }
 
 type tally struct {
-	kinds   [numKinds]kindTally
-	dropped uint64 // open-loop arrivals shed over MaxOutstanding
+	kinds [numKinds]kindTally
 }
 
 func newTally() *tally {
@@ -184,7 +150,6 @@ func (t *tally) merge(o *tally) error {
 			return err
 		}
 	}
-	t.dropped += o.dropped
 	return nil
 }
 
@@ -259,16 +224,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 
 	start := time.Now()
 	total := newTally()
-	switch cfg.Mode {
-	case ModeOpen:
-		err = r.openLoop(total)
-	default:
-		err = r.closedLoop(total)
-	}
-	elapsed := time.Since(start)
-	if err != nil {
+	if err := r.closedLoop(total); err != nil {
 		return nil, err
 	}
+	elapsed := time.Since(start)
 
 	var after []obs.Snapshot
 	if cfg.ScrapeMetrics && scrapeErr == nil {
@@ -336,45 +295,6 @@ func (r *runner) closedLoop(total *tally) error {
 	return nil
 }
 
-func (r *runner) openLoop(total *tally) error {
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, r.cfg.MaxOutstanding)
-	start := time.Now()
-	var due time.Duration
-	for i := uint64(0); ; i++ {
-		if r.cfg.Requests > 0 && i >= r.cfg.Requests {
-			break
-		}
-		due += r.gen.Interarrival(i, r.cfg.RPS)
-		if !sleepFor(r.stop, due-time.Since(start)) {
-			break
-		}
-		select {
-		case sem <- struct{}{}:
-			op := r.gen.Op(i)
-			wg.Add(1)
-			go func(i uint64) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				o := r.doOp(i, op)
-				mu.Lock()
-				r.record(total, op, o)
-				mu.Unlock()
-			}(i)
-		default:
-			// The outstanding window is full: an open-loop generator
-			// sheds rather than queues, so the arrival schedule stays
-			// honest and overload shows up as a counted drop.
-			mu.Lock()
-			total.dropped++
-			mu.Unlock()
-		}
-	}
-	wg.Wait()
-	return nil
-}
-
 // doOp posts one scheduled request and classifies the result. The
 // request rides the run context, so SIGINT cancels in-flight calls;
 // those are marked canceled and excluded from every tally. With
@@ -423,7 +343,7 @@ func (r *runner) doOp(i uint64, op Op) outcome {
 	case resp.StatusCode == http.StatusTooManyRequests,
 		resp.StatusCode == http.StatusServiceUnavailable && retryAfter > 0:
 		// Backpressure: the server asked for pacing (saturated,
-		// draining or breaker-open). Closed-loop honors the hint; the
+		// draining or breaker-open). The worker honors the hint; the
 		// tally keeps it apart from hard errors.
 		if retryAfter <= 0 {
 			retryAfter = time.Second

@@ -444,10 +444,26 @@ func (s *Server) Run(ctx context.Context, addr string) error {
 	return s.serve(ctx, ln)
 }
 
+// readTimeout bounds how long a client may take to send one request,
+// body included. A client that declares a body and then stalls would
+// otherwise hold a goroutine, its read buffer and one of the MaxInFlight
+// slots, which instrument takes before the body is read. net/http clears
+// the read deadline once the body reaches EOF, so a slow handler, such
+// as a reload, is not cut short. Tests shorten it.
+var readTimeout = 30 * time.Second
+
+// idleTimeout closes unused keep-alive connections. It stays well above
+// a 10 s benchmark round, and above napel-gate's upstream
+// IdleConnTimeout, so the gate never reuses a connection a replica is
+// closing: net/http does not replay a POST it has already written.
+const idleTimeout = 2 * time.Minute
+
 func (s *Server) serve(ctx context.Context, ln net.Listener) error {
 	srv := &http.Server{
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()

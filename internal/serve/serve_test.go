@@ -536,6 +536,47 @@ func TestServerGracefulDrain(t *testing.T) {
 	}
 }
 
+// TestServerStalledBodyTimesOut: a client that sends a predict's
+// headers, declaring a body, and then goes silent is cut off after
+// readTimeout, and the MaxInFlight slot its request took comes free.
+func TestServerStalledBodyTimesOut(t *testing.T) {
+	defer func(d time.Duration) { readTimeout = d }(readTimeout)
+	readTimeout = 200 * time.Millisecond
+	s, _ := newTestServer(t, Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- s.serve(ctx, ln) }()
+	defer func() {
+		cancel()
+		<-serveDone
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprint(conn, "POST /v1/predict HTTP/1.1\r\nHost: napel\r\n"+
+		"Content-Type: application/json\r\nContent-Length: 4096\r\n\r\n")
+	for deadline := time.Now().Add(5 * time.Second); s.limiter.InUse() == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the stalled request never took a limiter slot")
+		}
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(5 * time.Second))
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("connection still open %v after its headers: %v", time.Since(start), err)
+	}
+	if n := s.limiter.InUse(); n != 0 {
+		t.Fatalf("%d limiter slots still held after the stalled connection closed", n)
+	}
+}
+
 // TestServerConcurrentMixedLoad hammers predict (single and batch),
 // metrics and reload concurrently — run under -race this is the
 // serving-path thread-safety audit.

@@ -1,39 +1,161 @@
 #!/usr/bin/env bash
 # Full verification gate for the repo: static checks, build, the test
-# suite under the race detector, and live end-to-end smoke tests of the
-# napel-serve HTTP service (train a tiny model, start the server, hit
-# /healthz and /v1/predict, then check graceful drain on SIGTERM), of
-# the napel-traind lifecycle (submit a job, wait for promotion, serve
-# the promoted model), of the resilience layer (a -lazy server flipping
-# /readyz 503 -> 200, and a traind promoting under an injected fault
-# plan), of napel-loadgen (two same-seed runs replaying identical
-# request schedules with correctness probing, then a chaos-under-load
-# run proving degraded-mode serving holds a relaxed SLO), and of the
-# fleet tier (traind + two lazy store-pulling replicas behind
-# napel-gate: a rolling hot-install via POST /v1/fleet/reload, then a
-# probed loadgen run through the gate with zero mismatches), and of
-# distributed collection (a serial job vs. the same job leased to two
-# napel-worker processes with one killed mid-run: the promoted
-# manifests must agree on data_hash and model_hash byte for byte).
-# Two robustness stages close the file: a membership-chaos run (kill
-# one of three gate replicas under a zero-error-budget load — it must
-# be evicted from the ring, then readmitted on restart, with the epoch
-# advancing each way) and a coordinator-crash run (SIGKILL a traind
-# with -collect-journal mid-collection — the restart must replay
-# journaled completions, the workers must reconnect, and the resumed
-# manifest must match the serial reference byte for byte).
+# suite (the benchmark module's too) with the race detector on the
+# concurrent packages, fuzzing of the parsers of untrusted bytes, and
+# live end-to-end smoke tests of the napel-serve HTTP service (train a
+# tiny model, start the server, hit /healthz and /v1/predict, then check
+# graceful drain on SIGTERM), of the napel-traind lifecycle (submit a
+# job, wait for promotion, serve the promoted model), of the resilience
+# layer (a -lazy server flipping /readyz 503 -> 200, and a traind
+# promoting under an injected fault plan), of distributed collection (a
+# serial job vs. the same job leased to two napel-worker processes with
+# one killed mid-run: the promoted manifests must agree on data_hash and
+# model_hash byte for byte), of napel-loadgen (two same-seed runs
+# replaying identical request schedules with correctness probing, then a
+# chaos-under-load run proving degraded-mode serving holds a relaxed
+# SLO), of the fleet tier (traind + two lazy store-pulling replicas
+# behind napel-gate: a rolling hot-install via POST /v1/fleet/reload,
+# then a probed loadgen run through the gate with zero mismatches), and
+# of one trace assembled across processes by napel-obsd. Two robustness
+# stages close the file: a membership-chaos run (kill one of three gate
+# replicas under a zero-error-budget load — it must be evicted from the
+# ring, then readmitted on restart, with the epoch advancing each way)
+# and a coordinator-crash run (SIGKILL a traind with -collect-journal
+# mid-collection — the restart must replay journaled completions, the
+# workers must reconnect, and the resumed manifest must match the serial
+# reference byte for byte).
 #
-# Run via `make verify` or directly: ./scripts/verify.sh
+# Every background process goes through start, and the EXIT trap kills
+# and reaps whatever is still running, so a failing or interrupted
+# stage leaves no process behind. JSON answers are read with field,
+# which fails unless its key occurs exactly once: a renamed field fails
+# its check instead of silently matching nothing.
+#
+# Run via `make verify` or directly: ./scripts/verify.sh (needs curl and jq).
 set -euo pipefail
+shopt -s inherit_errexit
 cd "$(dirname "$0")/.."
+
+tmp=$(mktemp -d)
+declare -A pid=()
+cleanup() {
+    local p
+    for p in "${pid[@]}"; do kill -KILL "$p" 2>/dev/null || true; done
+    for p in "${pid[@]}"; do wait "$p" 2>/dev/null || true; done
+    rm -rf "$tmp"
+}
+trap cleanup EXIT
+trap 'exit 130' INT
+trap 'exit 143' TERM
+
+# fail <message> [file...]: print the message, then the named files
+# under $tmp (logs, answers), to stderr and exit 1.
+fail() {
+    echo "verify: $1" >&2
+    shift
+    local f
+    for f; do cat "$tmp/$f" >&2 || true; done
+    exit 1
+}
+
+# start <name> <command...>: run the command in the background, its
+# output appended to $tmp/<name>.log, and record its pid under name.
+start() {
+    local name=$1
+    shift
+    "$@" >>"$tmp/$name.log" 2>&1 &
+    pid[$name]=$!
+}
+
+# stop [-KILL|-0] <name>...: send the named processes SIGTERM (SIGKILL
+# to crash them; -0 sends nothing), wait for each and forget it. Every
+# process not killed must exit 0: each service drains and exits cleanly
+# on SIGTERM, and a load run exits non-zero when it fails its gates.
+stop() {
+    local sig=-TERM name rc
+    if [[ $1 == -* ]]; then
+        sig=$1
+        shift
+    fi
+    for name; do
+        kill "$sig" "${pid[$name]}" 2>/dev/null || true
+        rc=0
+        wait "${pid[$name]}" 2>/dev/null || rc=$?
+        unset "pid[$name]"
+        [ "$sig" = -KILL ] || [ "$rc" = 0 ] || fail "$name exited with status $rc, not 0" "$name.log"
+    done
+}
+
+# poll <tries> <command...>: run the command every 0.1 s until it
+# succeeds; fails after the given number of tries.
+poll() {
+    local n=$1
+    shift
+    for ((; n > 0; n--)); do
+        "$@" >/dev/null 2>&1 && return
+        sleep 0.1
+    done
+    return 1
+}
+
+# wait_up <name> <url> [tries]: poll the URL until it answers 2xx (50
+# tries by default); on timeout fail with name's log.
+wait_up() {
+    poll "${3:-50}" curl -fsS -o /dev/null "$2" || fail "$1 never answered $2" "$1.log"
+}
+
+# field <key[.key...]> [file]: print the one JSON value whose key path,
+# array indices skipped, ends in these keys (read stdin without a
+# file). Fails when the key is absent or occurs more than once: the
+# loadgen report holds four "mismatches", and only probe.mismatches is
+# the prober's.
+field() {
+    local json
+    json=$(cat "${2:-/dev/stdin}")
+    jq -rn --arg k "$1" '($k | split(".")) as $s | input
+        | [paths(type | . != "object" and . != "array") as $p
+           | select([$p[] | strings] | .[-($s | length):] == $s) | getpath($p)]
+        | if length == 1 then .[0] else error("\(length) values") end' <<<"$json" \
+        || fail "want exactly one '$1' in ${2:-the answer}: $json"
+}
+
+# counter <url> <series>: the value of one exact series on <url>/metrics
+# (0 when absent).
+counter() { curl -sS "$1/metrics" | awk -v s="$2" '$1 == s { v = $2 } END { print v + 0 }'; }
+
+# promoted <url> <job-id> [file...]: wait up to 60 s for the job to end,
+# and fail with its JSON and the named files unless it was promoted.
+promoted() {
+    local url=$1 job=$2 state=""
+    shift 2
+    for _ in $(seq 600); do
+        state=$(curl -sS "$url/v1/jobs/$job" | tee "$tmp/job.json" | field state)
+        case $state in promoted) return ;; rejected | failed | canceled) break ;; esac
+        sleep 0.1
+    done
+    fail "job $job ended in state '$state' (want promoted)" job.json "$@"
+}
+
+# same_hashes <url> <serial-job> <job>: the manifests the two jobs
+# promoted must agree on data_hash and model_hash.
+same_hashes() {
+    local job mid f a b
+    for job in "$2" "$3"; do
+        mid=$(curl -sS "$1/v1/jobs/$job" | field manifest_id)
+        curl -sS -o "$tmp/$job.manifest" "$1/v1/store/manifests/$mid"
+    done
+    for f in data_hash model_hash; do
+        a=$(field "$f" "$tmp/$2.manifest")
+        b=$(field "$f" "$tmp/$3.manifest")
+        [ -n "$a" ] && [ "$a" = "$b" ] || fail "$f diverged: serial '$a' vs job $3 '$b'"
+    done
+}
+
+command -v jq >/dev/null || fail "jq is required to read JSON answers"
 
 echo "== gofmt -l . =="
 unformatted=$(gofmt -l .)
-if [ -n "$unformatted" ]; then
-    echo "verify: gofmt would reformat:" >&2
-    echo "$unformatted" >&2
-    exit 1
-fi
+[ -z "$unformatted" ] || fail "gofmt would reformat: $unformatted"
 
 echo "== go vet ./... =="
 go vet ./...
@@ -53,6 +175,12 @@ echo "== go test -race (concurrent packages) =="
 # dedicated micro-settings parallel-pipeline tests.
 go test -race -count=1 ./internal/serve/... ./internal/fleet/... ./internal/member/... ./internal/cache/... ./internal/napel/... ./internal/trace/... ./internal/lifecycle/... ./internal/collectd/... ./internal/obs/... ./internal/obsd/... ./internal/resilience/...
 go test -race -count=1 -run 'Parallel' ./internal/exp/...
+
+echo "== the benchmark module: go vet and go test =="
+# bench/ is a module of its own, so the stages above never compile it,
+# yet it imports loadgen, serve, fleet, cache and obs. go build ./...
+# would leave the benchmark binary in bench/.
+(cd bench && go vet ./... && go test ./...)
 
 echo "== fuzz the model file decoder (10 s) =="
 # A model can arrive as untrusted bytes over -model-store. The seed
@@ -79,23 +207,14 @@ echo "== fuzz the request decoder (10 s) =="
 # run, hence the minimize cap.
 go test -run '^$' -fuzz FuzzDecodeRequest -fuzztime 10s -fuzzminimizetime 2s ./internal/serve
 
-echo "== napel-serve smoke test =="
-tmp=$(mktemp -d)
-server_pid=""
-traind_pid=""
-cleanup() {
-    for pid in "$server_pid" "$traind_pid" \
-        "${replica1_pid:-}" "${replica2_pid:-}" "${replica3_pid:-}" \
-        "${gate_pid:-}" "${lg_pid:-}" \
-        "${worker1_pid:-}" "${worker2_pid:-}" "${obsd_pid:-}"; do
-        [ -n "$pid" ] && kill "$pid" 2>/dev/null
-    done
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
+echo "== fuzz the collection journal replay (10 s) =="
+# A restarted napel-traind replays whatever bytes a crash or a damaged
+# disk left in its -collect-journal; only a torn tail is expected.
+go test -run '^$' -fuzz FuzzJournalReplay -fuzztime 10s ./internal/collectd
 
-go build -o "$tmp/napel" ./cmd/napel
-go build -o "$tmp/napel-serve" ./cmd/napel-serve
+echo "== napel-serve smoke test =="
+go build -o "$tmp/" ./cmd/napel ./cmd/napel-serve ./cmd/napel-traind \
+    ./cmd/napel-worker ./cmd/napel-loadgen ./cmd/napel-gate ./cmd/napel-obsd
 
 # A deliberately tiny model: one kernel, scaled inputs, small budgets —
 # this trains in about a second and is only used to exercise the wire.
@@ -105,171 +224,65 @@ go build -o "$tmp/napel-serve" ./cmd/napel-serve
 "$tmp/napel" export-profile -kernel atax -scale 32 -max-iters 1 \
     -budget 20000 -out "$tmp/req.json"
 
-port=$(( (RANDOM % 20000) + 20000 ))
-url="http://127.0.0.1:$port"
-"$tmp/napel-serve" -model "$tmp/model.json" -addr "127.0.0.1:$port" -quiet 2>"$tmp/server.log" &
-server_pid=$!
+# Each server takes the next port from a random base.
+port=$((RANDOM % 20000 + 20000))
+prom='text/plain; version=0.0.4; charset=utf-8'
+spec='"kernels":["atax"],"train_scale":32,"max_iters":1,
+    "profile_budget":20000,"sim_budget":20000,"train_archs":2,"workers":2'
 
-up=""
-for _ in $(seq 1 50); do
-    if curl -fsS -o /dev/null "$url/healthz" 2>/dev/null; then
-        up=yes
-        break
-    fi
-    sleep 0.1
-done
-if [ -z "$up" ]; then
-    echo "verify: server never became healthy" >&2
-    cat "$tmp/server.log" >&2
-    exit 1
-fi
-
+url=http://127.0.0.1:$((++port))
+start serve "$tmp/napel-serve" -model "$tmp/model.json" -addr "${url#http://}" -quiet
+wait_up serve "$url/healthz"
 health=$(curl -sS -o /dev/null -w '%{http_code}' "$url/healthz")
 predict=$(curl -sS -o "$tmp/resp.json" -w '%{http_code}' -d @"$tmp/req.json" "$url/v1/predict")
-if [ "$health" != 200 ] || [ "$predict" != 200 ]; then
-    echo "verify: healthz=$health predict=$predict (want 200/200)" >&2
-    cat "$tmp/resp.json" >&2
-    exit 1
-fi
-if ! grep -q '"edp"' "$tmp/resp.json"; then
-    echo "verify: predict response has no edp field:" >&2
-    cat "$tmp/resp.json" >&2
-    exit 1
-fi
+[ "$health" = 200 ] && [ "$predict" = 200 ] \
+    || fail "healthz=$health predict=$predict (want 200/200)" resp.json
+grep -q '"edp"' "$tmp/resp.json" || fail "predict response has no edp field" resp.json
 
 # Observability surface: /metrics must speak exposition format 0.0.4 and
 # carry the request just made; /debug/traces must show its spans.
-mct=$(curl -sS -o "$tmp/metrics.txt" -w '%{content_type}' "$url/metrics")
-if [ "$mct" != "text/plain; version=0.0.4; charset=utf-8" ]; then
-    echo "verify: /metrics content type '$mct'" >&2
-    exit 1
-fi
+ct=$(curl -sS -o "$tmp/metrics.txt" -w '%{content_type}' "$url/metrics")
+[ "$ct" = "$prom" ] || fail "/metrics content type '$ct'"
 for series in napel_build_info napel_serve_requests_total \
     napel_serve_predict_stage_seconds_bucket napel_serve_cache_misses_total; do
-    if ! grep -q "$series" "$tmp/metrics.txt"; then
-        echo "verify: /metrics missing $series" >&2
-        cat "$tmp/metrics.txt" >&2
-        exit 1
-    fi
+    grep -q "$series" "$tmp/metrics.txt" || fail "/metrics missing $series" metrics.txt
 done
-if ! curl -sS "$url/debug/traces?name=predict" | grep -q '"http.predict"'; then
-    echo "verify: /debug/traces has no http.predict trace" >&2
-    curl -sS "$url/debug/traces" >&2
-    exit 1
-fi
+curl -sS -o "$tmp/traces.json" "$url/debug/traces?name=predict"
+grep -q '"http.predict"' "$tmp/traces.json" || fail "/debug/traces has no http.predict trace" traces.json
 
-kill -TERM "$server_pid"
-if ! wait "$server_pid"; then
-    echo "verify: server did not exit cleanly on SIGTERM" >&2
-    cat "$tmp/server.log" >&2
-    exit 1
-fi
-server_pid=""
+stop serve
 echo "smoke test: healthz=$health predict=$predict, clean SIGTERM drain"
 
 echo "== napel-traind lifecycle smoke test =="
-go build -o "$tmp/napel-traind" ./cmd/napel-traind
-
-tport=$(( (RANDOM % 20000) + 20000 ))
-turl="http://127.0.0.1:$tport"
-"$tmp/napel-traind" -store "$tmp/store" -addr "127.0.0.1:$tport" \
-    2>"$tmp/traind.log" &
-traind_pid=$!
-
-up=""
-for _ in $(seq 1 50); do
-    if curl -fsS -o /dev/null "$turl/healthz" 2>/dev/null; then
-        up=yes
-        break
-    fi
-    sleep 0.1
-done
-if [ -z "$up" ]; then
-    echo "verify: traind never became healthy" >&2
-    cat "$tmp/traind.log" >&2
-    exit 1
-fi
+turl=http://127.0.0.1:$((++port))
+start traind "$tmp/napel-traind" -store "$tmp/store" -addr "${turl#http://}"
+wait_up traind "$turl/healthz"
 
 # Submit a deliberately tiny job and wait for canary promotion.
-submit=$(curl -sS -d '{"kernels":["atax"],"train_scale":32,"max_iters":1,
-    "profile_budget":20000,"sim_budget":20000,"train_archs":2,"workers":2}' \
-    "$turl/v1/jobs")
-job=$(printf '%s' "$submit" | sed -n 's/.*"id"[: ]*"\(j-[0-9]*\)".*/\1/p')
-if [ -z "$job" ]; then
-    echo "verify: job submission failed: $submit" >&2
-    exit 1
-fi
-state=""
-for _ in $(seq 1 300); do
-    state=$(curl -sS "$turl/v1/jobs/$job" | sed -n 's/.*"state"[: ]*"\([a-z]*\)".*/\1/p')
-    case "$state" in promoted|rejected|failed|canceled) break ;; esac
-    sleep 0.1
-done
-if [ "$state" != promoted ]; then
-    echo "verify: job $job ended in state '$state' (want promoted)" >&2
-    curl -sS "$turl/v1/jobs/$job" >&2
-    cat "$tmp/traind.log" >&2
-    exit 1
-fi
-if ! curl -sS "$turl/v1/store" | grep -q '"model_hash"'; then
-    echo "verify: store has no promoted manifest after promotion" >&2
-    exit 1
-fi
+job=$(curl -sS -d "{$spec}" "$turl/v1/jobs" | field id)
+promoted "$turl" "$job" traind.log
+curl -sS -o "$tmp/store.json" "$turl/v1/store"
+grep -q '"model_hash"' "$tmp/store.json" || fail "store has no promoted manifest after promotion" store.json
 
 # The daemon's observability surface after one promoted job.
-tct=$(curl -sS -o "$tmp/tmetrics.txt" -w '%{content_type}' "$turl/metrics")
-if [ "$tct" != "text/plain; version=0.0.4; charset=utf-8" ]; then
-    echo "verify: traind /metrics content type '$tct'" >&2
-    exit 1
-fi
+ct=$(curl -sS -o "$tmp/tmetrics.txt" -w '%{content_type}' "$turl/metrics")
+[ "$ct" = "$prom" ] || fail "traind /metrics content type '$ct'"
 for series in napel_build_info napel_traind_promotions_total \
     napel_traind_job_stage_seconds_bucket napel_engine_unit_seconds_count; do
-    if ! grep -q "$series" "$tmp/tmetrics.txt"; then
-        echo "verify: traind /metrics missing $series" >&2
-        cat "$tmp/tmetrics.txt" >&2
-        exit 1
-    fi
+    grep -q "$series" "$tmp/tmetrics.txt" || fail "traind /metrics missing $series" tmetrics.txt
 done
-if ! curl -sS "$turl/debug/traces?name=job" | grep -q '"engine.unit"'; then
-    echo "verify: traind /debug/traces has no engine.unit spans under the job trace" >&2
-    curl -sS "$turl/debug/traces" >&2
-    exit 1
-fi
+curl -sS -o "$tmp/ttraces.json" "$turl/debug/traces?name=job"
+grep -q '"engine.unit"' "$tmp/ttraces.json" \
+    || fail "traind /debug/traces has no engine.unit spans under the job trace" ttraces.json
 
 # The promoted pointer must be directly servable by napel-serve.
-lport=$(( (RANDOM % 20000) + 20000 ))
-lurl="http://127.0.0.1:$lport"
-"$tmp/napel-serve" -model "$tmp/store/current-model.json" \
-    -addr "127.0.0.1:$lport" -quiet 2>"$tmp/serve2.log" &
-server_pid=$!
-up=""
-for _ in $(seq 1 50); do
-    if curl -fsS -o /dev/null "$lurl/healthz" 2>/dev/null; then
-        up=yes
-        break
-    fi
-    sleep 0.1
-done
-if [ -z "$up" ]; then
-    echo "verify: server on promoted model never became healthy" >&2
-    cat "$tmp/serve2.log" >&2
-    exit 1
-fi
+lurl=http://127.0.0.1:$((++port))
+start serve2 "$tmp/napel-serve" -model "$tmp/store/current-model.json" -addr "${lurl#http://}" -quiet
+wait_up serve2 "$lurl/healthz"
 lpredict=$(curl -sS -o "$tmp/resp2.json" -w '%{http_code}' -d @"$tmp/req.json" "$lurl/v1/predict")
-if [ "$lpredict" != 200 ] || ! grep -q '"edp"' "$tmp/resp2.json"; then
-    echo "verify: predict via promoted model: status=$lpredict" >&2
-    cat "$tmp/resp2.json" >&2
-    exit 1
-fi
-kill "$server_pid" 2>/dev/null; wait "$server_pid" 2>/dev/null || true
-server_pid=""
-kill -TERM "$traind_pid"
-if ! wait "$traind_pid"; then
-    echo "verify: traind did not exit cleanly on SIGTERM" >&2
-    cat "$tmp/traind.log" >&2
-    exit 1
-fi
-traind_pid=""
+[ "$lpredict" = 200 ] && grep -q '"edp"' "$tmp/resp2.json" \
+    || fail "predict via promoted model: status=$lpredict" resp2.json
+stop serve2 traind
 echo "lifecycle smoke test: job $job promoted, served prediction status $lpredict"
 
 echo "== chaos smoke test: lazy readiness =="
@@ -277,119 +290,43 @@ echo "== chaos smoke test: lazy readiness =="
 # while /readyz (readiness) is 503, and /readyz must flip to 200 once
 # -follow installs a model at the watched path. The chaos flags ride
 # along to prove the plan parser and injection plumbing work end to end.
-rport=$(( (RANDOM % 20000) + 20000 ))
-rurl="http://127.0.0.1:$rport"
+rurl=http://127.0.0.1:$((++port))
 chaos_model="$tmp/chaos-model.json" # does not exist yet
-"$tmp/napel-serve" -model "$chaos_model" -lazy -follow 200ms \
-    -chaos-seed 7 -chaos-spec 'serve.reload:0.05' \
-    -addr "127.0.0.1:$rport" -quiet 2>"$tmp/chaos-serve.log" &
-server_pid=$!
-up=""
-for _ in $(seq 1 50); do
-    if curl -fsS -o /dev/null "$rurl/healthz" 2>/dev/null; then
-        up=yes
-        break
-    fi
-    sleep 0.1
-done
-if [ -z "$up" ]; then
-    echo "verify: lazy server never became live" >&2
-    cat "$tmp/chaos-serve.log" >&2
-    exit 1
-fi
+start lazy "$tmp/napel-serve" -model "$chaos_model" -lazy -follow 200ms \
+    -chaos-seed 7 -chaos-spec 'serve.reload:0.05' -addr "${rurl#http://}" -quiet
+wait_up lazy "$rurl/healthz"
 ready=$(curl -sS -o /dev/null -w '%{http_code}' "$rurl/readyz")
-if [ "$ready" != 503 ]; then
-    echo "verify: /readyz=$ready before any model (want 503)" >&2
-    exit 1
-fi
+[ "$ready" = 503 ] || fail "/readyz=$ready before any model (want 503)"
 cp "$tmp/model.json" "$chaos_model"
-ready=""
-for _ in $(seq 1 150); do
-    if curl -fsS -o /dev/null "$rurl/readyz" 2>/dev/null; then
-        ready=200
-        break
-    fi
-    sleep 0.2
-done
-if [ "$ready" != 200 ]; then
-    echo "verify: /readyz never flipped to 200 after the model appeared" >&2
-    cat "$tmp/chaos-serve.log" >&2
-    exit 1
-fi
+wait_up lazy "$rurl/readyz" 300
 cpredict=$(curl -sS -o "$tmp/resp3.json" -w '%{http_code}' -d @"$tmp/req.json" "$rurl/v1/predict")
-if [ "$cpredict" != 200 ]; then
-    echo "verify: predict after lazy load: status=$cpredict" >&2
-    cat "$tmp/resp3.json" >&2
-    exit 1
-fi
+[ "$cpredict" = 200 ] || fail "predict after lazy load: status=$cpredict" resp3.json
 curl -sS -o "$tmp/chaos-metrics.txt" "$rurl/metrics"
 for series in napel_serve_ready napel_resilience_breaker_state napel_chaos_injected_total; do
-    if ! grep -q "$series" "$tmp/chaos-metrics.txt"; then
-        echo "verify: lazy server /metrics missing $series" >&2
-        cat "$tmp/chaos-metrics.txt" >&2
-        exit 1
-    fi
+    grep -q "$series" "$tmp/chaos-metrics.txt" || fail "lazy server /metrics missing $series" chaos-metrics.txt
 done
-kill "$server_pid" 2>/dev/null; wait "$server_pid" 2>/dev/null || true
-server_pid=""
-echo "chaos smoke test: readyz 503 -> $ready, predict $cpredict"
+stop lazy
+echo "chaos smoke test: readyz 503 -> 200, predict $cpredict"
 
 echo "== chaos smoke test: traind promotes under injected faults =="
 # A traind with ~16% of atomic file operations failing (torn writes and
 # sync errors, deterministic under the fixed seed) must still drive a
 # job to promotion through its retry loop.
-cport=$(( (RANDOM % 20000) + 20000 ))
-curl_traind="http://127.0.0.1:$cport"
-"$tmp/napel-traind" -store "$tmp/chaos-store" -addr "127.0.0.1:$cport" \
-    -chaos-seed 7 -chaos-spec 'atomicfile.write:0.08:partial,atomicfile.sync:0.08' \
-    2>"$tmp/chaos-traind.log" &
-traind_pid=$!
-up=""
-for _ in $(seq 1 50); do
-    if curl -fsS -o /dev/null "$curl_traind/healthz" 2>/dev/null; then
-        up=yes
-        break
-    fi
-    sleep 0.1
-done
-if [ -z "$up" ]; then
-    echo "verify: chaos traind never became healthy" >&2
-    cat "$tmp/chaos-traind.log" >&2
-    exit 1
-fi
+curl_traind=http://127.0.0.1:$((++port))
+start chaos-traind "$tmp/napel-traind" -store "$tmp/chaos-store" -addr "${curl_traind#http://}" \
+    -chaos-seed 7 -chaos-spec 'atomicfile.write:0.08:partial,atomicfile.sync:0.08'
+wait_up chaos-traind "$curl_traind/healthz"
 # Submission itself can hit an injected fault; retry a few times.
 cjob=""
-for _ in $(seq 1 10); do
-    csubmit=$(curl -sS -d '{"kernels":["atax"],"train_scale":32,"max_iters":1,
-        "profile_budget":20000,"sim_budget":20000,"train_archs":2,"workers":2,
-        "max_retries":10}' "$curl_traind/v1/jobs")
-    cjob=$(printf '%s' "$csubmit" | sed -n 's/.*"id"[: ]*"\(j-[0-9]*\)".*/\1/p')
-    [ -n "$cjob" ] && break
+for _ in $(seq 10); do
+    cjob=$(curl -sS -d "{$spec,\"max_retries\":10}" "$curl_traind/v1/jobs" | field id 2>/dev/null) && break
     sleep 0.2
 done
-if [ -z "$cjob" ]; then
-    echo "verify: chaos job submission failed: $csubmit" >&2
-    exit 1
-fi
-cstate=""
-for _ in $(seq 1 600); do
-    cstate=$(curl -sS "$curl_traind/v1/jobs/$cjob" | sed -n 's/.*"state"[: ]*"\([a-z]*\)".*/\1/p')
-    case "$cstate" in promoted|rejected|failed|canceled) break ;; esac
-    sleep 0.1
-done
-if [ "$cstate" != promoted ]; then
-    echo "verify: chaos job $cjob ended in state '$cstate' (want promoted)" >&2
-    curl -sS "$curl_traind/v1/jobs/$cjob" >&2
-    cat "$tmp/chaos-traind.log" >&2
-    exit 1
-fi
-injected=$(curl -sS "$curl_traind/metrics" | sed -n 's/^napel_chaos_injected_total \([0-9.e+]*\)$/\1/p')
-if [ -z "$injected" ] || [ "$injected" = 0 ]; then
-    echo "verify: chaos traind reports no injected faults (napel_chaos_injected_total='$injected')" >&2
-    exit 1
-fi
-kill -TERM "$traind_pid"; wait "$traind_pid" 2>/dev/null || true
-traind_pid=""
+[ -n "$cjob" ] || fail "chaos job submission failed" chaos-traind.log
+promoted "$curl_traind" "$cjob" chaos-traind.log
+injected=$(counter "$curl_traind" napel_chaos_injected_total)
+[ "$injected" != 0 ] || fail "chaos traind reports no injected faults (napel_chaos_injected_total=$injected)"
+stop chaos-traind
 echo "chaos smoke test: job $cjob promoted with $injected injected faults"
 
 echo "== collectd smoke test: distributed collection is byte-identical =="
@@ -400,100 +337,27 @@ echo "== collectd smoke test: distributed collection is byte-identical =="
 # requeue onto the survivor. The promoted manifests must agree on
 # data_hash AND model_hash: the distributed dataset assembled from
 # remote payloads is byte-identical to the serial one.
-go build -o "$tmp/napel-worker" ./cmd/napel-worker
-wport=$(( (RANDOM % 20000) + 20000 ))
-wurl="http://127.0.0.1:$wport"
-"$tmp/napel-traind" -store "$tmp/collectd-store" -addr "127.0.0.1:$wport" \
-    -lease-ttl 1s 2>"$tmp/collectd-traind.log" &
-traind_pid=$!
-up=""
-for _ in $(seq 1 50); do
-    if curl -fsS -o /dev/null "$wurl/healthz" 2>/dev/null; then
-        up=yes
-        break
-    fi
-    sleep 0.1
-done
-if [ -z "$up" ]; then
-    echo "verify: collectd traind never became healthy" >&2
-    cat "$tmp/collectd-traind.log" >&2
-    exit 1
-fi
+wurl=http://127.0.0.1:$((++port))
+start collectd-traind "$tmp/napel-traind" -store "$tmp/collectd-store" -addr "${wurl#http://}" -lease-ttl 1s
+wait_up collectd-traind "$wurl/healthz"
 dspec='"kernels":["atax","mvt"],"train_scale":32,"max_iters":1,
     "profile_budget":20000,"sim_budget":20000,"train_archs":2,"workers":4'
-wait_job() { # wait_job <url> <job-id> -> prints final state
-    local s=""
-    for _ in $(seq 1 600); do
-        s=$(curl -sS "$1/v1/jobs/$2" | sed -n 's/.*"state"[: ]*"\([a-z]*\)".*/\1/p')
-        case "$s" in promoted|rejected|failed|canceled) break ;; esac
-        sleep 0.1
-    done
-    printf '%s' "$s"
-}
-manifest_field() { # manifest_field <url> <job-json-file> <field>
-    local mid
-    mid=$(sed -n 's/.*"manifest_id"[: ]*"\([^"]*\)".*/\1/p' "$2" | head -1)
-    curl -sS "$1/v1/store/manifests/$mid" | sed -n "s/.*\"$3\"[: ]*\"\([^\"]*\)\".*/\1/p" | head -1
-}
-ssubmit=$(curl -sS -d "{$dspec}" "$wurl/v1/jobs")
-sjob=$(printf '%s' "$ssubmit" | sed -n 's/.*"id"[: ]*"\(j-[0-9]*\)".*/\1/p')
-if [ -z "$sjob" ]; then
-    echo "verify: collectd serial job submission failed: $ssubmit" >&2
-    exit 1
-fi
-sstate=$(wait_job "$wurl" "$sjob")
-if [ "$sstate" != promoted ]; then
-    echo "verify: collectd serial job $sjob ended '$sstate' (want promoted)" >&2
-    cat "$tmp/collectd-traind.log" >&2
-    exit 1
-fi
-curl -sS "$wurl/v1/jobs/$sjob" >"$tmp/collectd-serial-job.json"
+sjob=$(curl -sS -d "{$dspec}" "$wurl/v1/jobs" | field id)
+promoted "$wurl" "$sjob" collectd-traind.log
 
 # Two workers lease from the daemon's own admin listener.
-"$tmp/napel-worker" -coordinator "$wurl" -id smoke-w1 -poll 20ms \
-    2>"$tmp/collectd-w1.log" &
-worker1_pid=$!
-"$tmp/napel-worker" -coordinator "$wurl" -id smoke-w2 -poll 20ms \
-    2>"$tmp/collectd-w2.log" &
-worker2_pid=$!
-dsubmit=$(curl -sS -d "{$dspec,\"distributed\":true}" "$wurl/v1/jobs")
-djob=$(printf '%s' "$dsubmit" | sed -n 's/.*"id"[: ]*"\(j-[0-9]*\)".*/\1/p')
-if [ -z "$djob" ]; then
-    echo "verify: collectd distributed job submission failed: $dsubmit" >&2
-    exit 1
-fi
+start collectd-w1 "$tmp/napel-worker" -coordinator "$wurl" -id smoke-w1 -poll 20ms
+start collectd-w2 "$tmp/napel-worker" -coordinator "$wurl" -id smoke-w2 -poll 20ms
+djob=$(curl -sS -d "{$dspec,\"distributed\":true}" "$wurl/v1/jobs" | field id)
 # Kill one worker mid-run; its in-flight lease expires and requeues.
 sleep 0.4
-kill -9 "$worker2_pid" 2>/dev/null; wait "$worker2_pid" 2>/dev/null || true
-worker2_pid=""
-dstate=$(wait_job "$wurl" "$djob")
-if [ "$dstate" != promoted ]; then
-    echo "verify: collectd distributed job $djob ended '$dstate' (want promoted)" >&2
-    curl -sS "$wurl/v1/jobs/$djob" >&2
-    cat "$tmp/collectd-traind.log" "$tmp/collectd-w1.log" >&2
-    exit 1
-fi
-curl -sS "$wurl/v1/jobs/$djob" >"$tmp/collectd-dist-job.json"
-for field in data_hash model_hash; do
-    sh=$(manifest_field "$wurl" "$tmp/collectd-serial-job.json" "$field")
-    dh=$(manifest_field "$wurl" "$tmp/collectd-dist-job.json" "$field")
-    if [ -z "$sh" ] || [ "$sh" != "$dh" ]; then
-        echo "verify: collectd $field diverged: serial '$sh' vs distributed '$dh'" >&2
-        exit 1
-    fi
-done
+stop -KILL collectd-w2
+promoted "$wurl" "$djob" collectd-traind.log collectd-w1.log
+same_hashes "$wurl" "$sjob" "$djob"
 # The units really travelled through the coordinator, not in-process.
-completes=$(curl -sS "$wurl/metrics" \
-    | sed -n 's/^napel_collectd_completes_total{result="ok"} \([0-9.e+]*\)$/\1/p')
-if [ -z "$completes" ] || [ "$completes" = 0 ]; then
-    echo "verify: coordinator reports no completed leases (napel_collectd_completes_total='$completes')" >&2
-    curl -sS "$wurl/metrics" | grep napel_collectd >&2 || true
-    exit 1
-fi
-kill "$worker1_pid" 2>/dev/null; wait "$worker1_pid" 2>/dev/null || true
-worker1_pid=""
-kill -TERM "$traind_pid"; wait "$traind_pid" 2>/dev/null || true
-traind_pid=""
+completes=$(counter "$wurl" 'napel_collectd_completes_total{result="ok"}')
+[ "$completes" != 0 ] || fail "coordinator reports no completed leases (napel_collectd_completes_total=$completes)"
+stop collectd-w1 collectd-traind
 echo "collectd smoke test: serial and distributed manifests agree ($completes leases completed, 1 worker killed mid-run)"
 
 echo "== loadgen smoke test: deterministic replay =="
@@ -501,52 +365,24 @@ echo "== loadgen smoke test: deterministic replay =="
 # attest identical request schedules (schedule/body digests) and pass
 # their SLO gates, with the correctness prober verifying sampled
 # responses against the local model file.
-go build -o "$tmp/napel-loadgen" ./cmd/napel-loadgen
-gport=$(( (RANDOM % 20000) + 20000 ))
-gurl="http://127.0.0.1:$gport"
-"$tmp/napel-serve" -model "$tmp/model.json" -addr "127.0.0.1:$gport" -quiet \
-    2>"$tmp/lg-serve.log" &
-server_pid=$!
-up=""
-for _ in $(seq 1 50); do
-    if curl -fsS -o /dev/null "$gurl/healthz" 2>/dev/null; then
-        up=yes
-        break
-    fi
-    sleep 0.1
-done
-if [ -z "$up" ]; then
-    echo "verify: loadgen target server never became healthy" >&2
-    cat "$tmp/lg-serve.log" >&2
-    exit 1
-fi
+gurl=http://127.0.0.1:$((++port))
+start lg-serve "$tmp/napel-serve" -model "$tmp/model.json" -addr "${gurl#http://}" -quiet
+wait_up lg-serve "$gurl/healthz"
 for run in 1 2; do
-    if ! "$tmp/napel-loadgen" -target "$gurl" -requests 300 -workers 4 \
+    "$tmp/napel-loadgen" -target "$gurl" -requests 300 -workers 4 \
         -seed 11 -keyspace 8 -base "$tmp/req.json" \
         -probe-model "$tmp/model.json" -probe-every 2 \
-        -max-error-rate 0 -out "$tmp/lg$run.json" 2>"$tmp/lg$run.log"; then
-        echo "verify: loadgen run $run failed" >&2
-        cat "$tmp/lg$run.log" >&2
-        exit 1
-    fi
+        -max-error-rate 0 -out "$tmp/lg$run.json" 2>"$tmp/lg$run.log" \
+        || fail "loadgen run $run failed" "lg$run.log"
 done
-digest() { sed -n "s/.*\"$2\"[: ]*\"\([0-9a-f]*\)\".*/\1/p" "$1" | head -1; }
-for field in schedule_digest body_digest; do
-    d1=$(digest "$tmp/lg1.json" "$field")
-    d2=$(digest "$tmp/lg2.json" "$field")
-    if [ -z "$d1" ] || [ "$d1" != "$d2" ]; then
-        echo "verify: $field diverged between same-seed runs ('$d1' vs '$d2')" >&2
-        exit 1
-    fi
+for f in body_digest schedule_digest; do
+    d1=$(field "$f" "$tmp/lg1.json")
+    d2=$(field "$f" "$tmp/lg2.json")
+    [ -n "$d1" ] && [ "$d1" = "$d2" ] || fail "$f diverged between same-seed runs ('$d1' vs '$d2')"
 done
-probed=$(sed -n 's/.*"checked"[: ]*\([0-9]*\).*/\1/p' "$tmp/lg1.json" | head -1)
-if [ -z "$probed" ] || [ "$probed" -eq 0 ]; then
-    echo "verify: loadgen prober checked no responses" >&2
-    cat "$tmp/lg1.json" >&2
-    exit 1
-fi
-kill "$server_pid" 2>/dev/null; wait "$server_pid" 2>/dev/null || true
-server_pid=""
+probed=$(field probe.checked "$tmp/lg1.json")
+[ "$probed" -gt 0 ] || fail "loadgen prober checked no responses" lg1.json
+stop lg-serve
 echo "loadgen smoke test: schedule digest $d1 replayed, $probed responses probed"
 
 echo "== chaos smoke test: degraded serving under load holds its SLO =="
@@ -557,39 +393,18 @@ echo "== chaos smoke test: degraded serving under load holds its SLO =="
 # degraded answers (-expect-degraded) while hard errors — only the
 # variants whose first-ever request faults — stay within a relaxed
 # error budget.
-dport=$(( (RANDOM % 20000) + 20000 ))
-durl="http://127.0.0.1:$dport"
-"$tmp/napel-serve" -model "$tmp/model.json" -addr "127.0.0.1:$dport" -quiet \
-    -cache-entries 1 -chaos-seed 7 -chaos-spec 'serve.predict:0.2' \
-    2>"$tmp/chaos-load-serve.log" &
-server_pid=$!
-up=""
-for _ in $(seq 1 50); do
-    if curl -fsS -o /dev/null "$durl/healthz" 2>/dev/null; then
-        up=yes
-        break
-    fi
-    sleep 0.1
-done
-if [ -z "$up" ]; then
-    echo "verify: chaos-load server never became healthy" >&2
-    cat "$tmp/chaos-load-serve.log" >&2
-    exit 1
-fi
-if ! "$tmp/napel-loadgen" -target "$durl" -requests 400 -workers 4 \
+durl=http://127.0.0.1:$((++port))
+start chaos-serve "$tmp/napel-serve" -model "$tmp/model.json" -addr "${durl#http://}" -quiet \
+    -cache-entries 1 -chaos-seed 7 -chaos-spec 'serve.predict:0.2'
+wait_up chaos-serve "$durl/healthz"
+"$tmp/napel-loadgen" -target "$durl" -requests 400 -workers 4 \
     -seed 23 -keyspace 8 -base "$tmp/req.json" \
     -probe-model "$tmp/model.json" \
     -expect-degraded -max-error-rate 0.2 -out "$tmp/chaos-load.json" \
-    2>"$tmp/chaos-load.log"; then
-    echo "verify: chaos-under-load run failed its gates" >&2
-    cat "$tmp/chaos-load.log" >&2
-    cat "$tmp/chaos-load.json" >&2
-    exit 1
-fi
-degraded=$(sed -n 's/.*"degraded"[: ]*\([0-9]*\).*/\1/p' "$tmp/chaos-load.json" | head -1)
-kill "$server_pid" 2>/dev/null; wait "$server_pid" 2>/dev/null || true
-server_pid=""
-echo "chaos smoke test: $degraded degraded answers served under injected faults, SLO held"
+    2>"$tmp/chaos-load.log" \
+    || fail "chaos-under-load run failed its gates" chaos-load.log chaos-load.json
+stop chaos-serve
+echo "chaos smoke test: degraded answers served under injected faults, SLO held"
 
 echo "== fleet smoke test: store-driven replicas behind napel-gate =="
 # The full distribution path: two -lazy replicas come up against an
@@ -600,131 +415,51 @@ echo "== fleet smoke test: store-driven replicas behind napel-gate =="
 # the promoted model file as its correctness oracle: every probed
 # response must be bit-identical to a local evaluation, proving gate
 # routing neither corrupts nor mixes up requests.
-go build -o "$tmp/napel-gate" ./cmd/napel-gate
-fport=$(( (RANDOM % 20000) + 20000 ))
-furl="http://127.0.0.1:$fport"
-"$tmp/napel-traind" -store "$tmp/fleet-store" -addr "127.0.0.1:$fport" \
-    2>"$tmp/fleet-traind.log" &
-traind_pid=$!
-up=""
-for _ in $(seq 1 50); do
-    if curl -fsS -o /dev/null "$furl/healthz" 2>/dev/null; then
-        up=yes
-        break
-    fi
-    sleep 0.1
-done
-if [ -z "$up" ]; then
-    echo "verify: fleet traind never became healthy" >&2
-    cat "$tmp/fleet-traind.log" >&2
-    exit 1
-fi
+furl=http://127.0.0.1:$((++port))
+start fleet-traind "$tmp/napel-traind" -store "$tmp/fleet-store" -addr "${furl#http://}"
+wait_up fleet-traind "$furl/healthz"
 # Two lazy replicas pulling from the store over HTTP. The store is
 # still empty, so their eager first pull finds no promoted lineage:
 # live immediately, unready until the rolling reload installs the
 # model that traind promotes below.
-r1port=$(( (RANDOM % 20000) + 20000 ))
-r2port=$(( r1port + 1 ))
-r1url="http://127.0.0.1:$r1port"
-r2url="http://127.0.0.1:$r2port"
-"$tmp/napel-serve" -model-store "$furl" -lazy -addr "127.0.0.1:$r1port" -quiet \
-    2>"$tmp/fleet-r1.log" &
-replica1_pid=$!
-"$tmp/napel-serve" -model-store "$furl" -lazy -addr "127.0.0.1:$r2port" -quiet \
-    2>"$tmp/fleet-r2.log" &
-replica2_pid=$!
-gateport=$(( (RANDOM % 20000) + 20000 ))
-gateurl="http://127.0.0.1:$gateport"
-"$tmp/napel-gate" -addr "127.0.0.1:$gateport" \
-    -replicas "$r1url,$r2url" -health-interval 100ms \
-    2>"$tmp/fleet-gate.log" &
-gate_pid=$!
-fleet_cleanup() {
-    for pid in "$replica1_pid" "$replica2_pid" "$gate_pid"; do
-        kill "$pid" 2>/dev/null; wait "$pid" 2>/dev/null || true
-    done
-    replica1_pid=""; replica2_pid=""; gate_pid=""
-}
-up=""
-for _ in $(seq 1 50); do
-    if curl -fsS -o /dev/null "$gateurl/healthz" 2>/dev/null \
-        && curl -fsS -o /dev/null "$r1url/healthz" 2>/dev/null \
-        && curl -fsS -o /dev/null "$r2url/healthz" 2>/dev/null; then
-        up=yes
-        break
-    fi
-    sleep 0.1
-done
-if [ -z "$up" ]; then
-    echo "verify: fleet tier never became live" >&2
-    cat "$tmp/fleet-gate.log" "$tmp/fleet-r1.log" >&2
-    exit 1
-fi
+r1url=http://127.0.0.1:$((++port))
+r2url=http://127.0.0.1:$((++port))
+gateurl=http://127.0.0.1:$((++port))
+start fleet-r1 "$tmp/napel-serve" -model-store "$furl" -lazy -addr "${r1url#http://}" -quiet
+start fleet-r2 "$tmp/napel-serve" -model-store "$furl" -lazy -addr "${r2url#http://}" -quiet
+start fleet-gate "$tmp/napel-gate" -addr "${gateurl#http://}" \
+    -replicas "$r1url,$r2url" -health-interval 100ms
+wait_up fleet-gate "$gateurl/healthz"
+wait_up fleet-r1 "$r1url/healthz"
+wait_up fleet-r2 "$r2url/healthz"
 ready=$(curl -sS -o /dev/null -w '%{http_code}' "$r1url/readyz")
-if [ "$ready" != 503 ]; then
-    echo "verify: lazy store replica /readyz=$ready before install (want 503)" >&2
-    exit 1
-fi
+[ "$ready" = 503 ] || fail "lazy store replica /readyz=$ready before install (want 503)"
 
 # Now publish something to distribute: train + promote through traind.
-fsubmit=$(curl -sS -d '{"kernels":["atax"],"train_scale":32,"max_iters":1,
-    "profile_budget":20000,"sim_budget":20000,"train_archs":2,"workers":2}' \
-    "$furl/v1/jobs")
-fjob=$(printf '%s' "$fsubmit" | sed -n 's/.*"id"[: ]*"\(j-[0-9]*\)".*/\1/p')
-if [ -z "$fjob" ]; then
-    echo "verify: fleet job submission failed: $fsubmit" >&2
-    exit 1
-fi
-fstate=""
-for _ in $(seq 1 300); do
-    fstate=$(curl -sS "$furl/v1/jobs/$fjob" | sed -n 's/.*"state"[: ]*"\([a-z]*\)".*/\1/p')
-    case "$fstate" in promoted|rejected|failed|canceled) break ;; esac
-    sleep 0.1
-done
-if [ "$fstate" != promoted ]; then
-    echo "verify: fleet job $fjob ended in state '$fstate' (want promoted)" >&2
-    cat "$tmp/fleet-traind.log" >&2
-    exit 1
-fi
+fjob=$(curl -sS -d "{$spec}" "$furl/v1/jobs" | field id)
+promoted "$furl" "$fjob" fleet-traind.log
 
 # Fleet-wide rolling hot-install through the gate.
 roll=$(curl -sS -o "$tmp/fleet-roll.json" -w '%{http_code}' -X POST "$gateurl/v1/fleet/reload")
-if [ "$roll" != 200 ]; then
-    echo "verify: rolling reload: HTTP $roll" >&2
-    cat "$tmp/fleet-roll.json" >&2
-    cat "$tmp/fleet-gate.log" >&2
-    exit 1
-fi
+[ "$roll" = 200 ] || fail "rolling reload: HTTP $roll" fleet-roll.json fleet-gate.log
 for rurl in "$r1url" "$r2url"; do
     ready=$(curl -sS -o /dev/null -w '%{http_code}' "$rurl/readyz")
-    if [ "$ready" != 200 ]; then
-        echo "verify: replica $rurl /readyz=$ready after rolling reload (want 200)" >&2
-        exit 1
-    fi
+    [ "$ready" = 200 ] || fail "replica $rurl /readyz=$ready after rolling reload (want 200)"
 done
 
 # Drive the gate; the promoted model file is the correctness oracle.
-if ! "$tmp/napel-loadgen" -target "$gateurl" -requests 300 -workers 4 \
+"$tmp/napel-loadgen" -target "$gateurl" -requests 300 -workers 4 \
     -seed 31 -keyspace 8 -base "$tmp/req.json" \
     -probe-model "$tmp/fleet-store/current-model.json" -probe-every 2 \
     -max-error-rate 0 -topology "gate+2x serve" \
     -scrape-targets "$r1url,$r2url" -out "$tmp/fleet-lg.json" \
-    2>"$tmp/fleet-lg.log"; then
-    echo "verify: fleet loadgen run failed its gates" >&2
-    cat "$tmp/fleet-lg.log" >&2
-    cat "$tmp/fleet-gate.log" >&2
-    exit 1
-fi
-fprobed=$(sed -n 's/.*"checked"[: ]*\([0-9]*\).*/\1/p' "$tmp/fleet-lg.json" | head -1)
-fmism=$(sed -n 's/.*"mismatches"[: ]*\([0-9]*\).*/\1/p' "$tmp/fleet-lg.json" | head -1)
-if [ -z "$fprobed" ] || [ "$fprobed" -eq 0 ] || [ "$fmism" != 0 ]; then
-    echo "verify: fleet probe checked=$fprobed mismatches=$fmism (want >0 and 0)" >&2
-    cat "$tmp/fleet-lg.json" >&2
-    exit 1
-fi
-fleet_cleanup
-kill -TERM "$traind_pid"; wait "$traind_pid" 2>/dev/null || true
-traind_pid=""
+    2>"$tmp/fleet-lg.log" \
+    || fail "fleet loadgen run failed its gates" fleet-lg.log fleet-gate.log
+fprobed=$(field probe.checked "$tmp/fleet-lg.json")
+fmism=$(field probe.mismatches "$tmp/fleet-lg.json")
+[ "$fprobed" -gt 0 ] && [ "$fmism" = 0 ] \
+    || fail "fleet probe checked=$fprobed mismatches=$fmism (want >0 and 0)" fleet-lg.json
+stop fleet-r1 fleet-r2 fleet-gate fleet-traind
 echo "fleet smoke test: rolled 2 replicas, $fprobed gate responses probed, 0 mismatches"
 
 echo "== fleet-trace smoke test: one trace across loadgen, gate and serve via napel-obsd =="
@@ -736,88 +471,44 @@ echo "== fleet-trace smoke test: one trace across loadgen, gate and serve via na
 # the serving replica's server span, joined only by the propagated
 # header), and obsd's /metrics must re-export the replicas' series
 # merged under job/instance labels.
-go build -o "$tmp/napel-obsd" ./cmd/napel-obsd
-t1port=$(( (RANDOM % 20000) + 20000 ))
-t2port=$(( t1port + 1 ))
-t1url="http://127.0.0.1:$t1port"
-t2url="http://127.0.0.1:$t2port"
-tgateport=$(( (RANDOM % 20000) + 20000 ))
-tgateurl="http://127.0.0.1:$tgateport"
-obsport=$(( (RANDOM % 20000) + 20000 ))
-obsurl="http://127.0.0.1:$obsport"
-"$tmp/napel-serve" -model "$tmp/model.json" -addr "127.0.0.1:$t1port" -quiet \
-    -trace-push "$obsurl" 2>"$tmp/trace-r1.log" &
-replica1_pid=$!
-"$tmp/napel-serve" -model "$tmp/model.json" -addr "127.0.0.1:$t2port" -quiet \
-    -trace-push "$obsurl" 2>"$tmp/trace-r2.log" &
-replica2_pid=$!
-"$tmp/napel-gate" -addr "127.0.0.1:$tgateport" -replicas "$t1url,$t2url" \
-    -health-interval 100ms -trace-push "$obsurl" 2>"$tmp/trace-gate.log" &
-gate_pid=$!
-"$tmp/napel-obsd" -addr "127.0.0.1:$obsport" -scrape-interval 200ms \
-    -targets "gate=$tgateurl,serve=$t1url,serve=$t2url" \
-    2>"$tmp/trace-obsd.log" &
-obsd_pid=$!
-up=""
-for _ in $(seq 1 50); do
-    if curl -fsS -o /dev/null "$tgateurl/readyz" 2>/dev/null \
-        && curl -fsS -o /dev/null "$obsurl/healthz" 2>/dev/null; then
-        up=yes
-        break
-    fi
-    sleep 0.1
-done
-if [ -z "$up" ]; then
-    echo "verify: trace fleet never became ready" >&2
-    cat "$tmp/trace-gate.log" "$tmp/trace-obsd.log" >&2
-    exit 1
-fi
-if ! "$tmp/napel-loadgen" -target "$tgateurl" -requests 200 -workers 4 \
+t1url=http://127.0.0.1:$((++port))
+t2url=http://127.0.0.1:$((++port))
+tgateurl=http://127.0.0.1:$((++port))
+obsurl=http://127.0.0.1:$((++port))
+start trace-r1 "$tmp/napel-serve" -model "$tmp/model.json" -addr "${t1url#http://}" -quiet \
+    -trace-push "$obsurl"
+start trace-r2 "$tmp/napel-serve" -model "$tmp/model.json" -addr "${t2url#http://}" -quiet \
+    -trace-push "$obsurl"
+start trace-gate "$tmp/napel-gate" -addr "${tgateurl#http://}" -replicas "$t1url,$t2url" \
+    -health-interval 100ms -trace-push "$obsurl"
+start trace-obsd "$tmp/napel-obsd" -addr "${obsurl#http://}" -scrape-interval 200ms \
+    -targets "gate=$tgateurl,serve=$t1url,serve=$t2url"
+wait_up trace-gate "$tgateurl/readyz"
+wait_up trace-obsd "$obsurl/healthz"
+"$tmp/napel-loadgen" -target "$tgateurl" -requests 200 -workers 4 \
     -seed 7 -keyspace 8 -base "$tmp/req.json" -trace-push "$obsurl" \
-    -max-error-rate 0 -out "$tmp/trace-lg.json" 2>"$tmp/trace-lg.log"; then
-    echo "verify: trace loadgen run failed" >&2
-    cat "$tmp/trace-lg.log" >&2
-    exit 1
-fi
+    -max-error-rate 0 -out "$tmp/trace-lg.json" 2>"$tmp/trace-lg.log" \
+    || fail "trace loadgen run failed" trace-lg.log
 # Pushers flush every second (and on loadgen exit); obsd scrapes every
 # 200ms. Poll until a cross-process trace and the merged series appear.
-fleet_trace=""
-for _ in $(seq 1 50); do
-    curl -sS "$obsurl/debug/fleet?limit=50" >"$tmp/trace-fleet.json" 2>/dev/null || true
-    if grep -q '"process_count":3' "$tmp/trace-fleet.json"; then
-        fleet_trace=yes
-        break
-    fi
-    sleep 0.2
-done
-if [ -z "$fleet_trace" ]; then
-    echo "verify: /debug/fleet never assembled a trace spanning 3 processes" >&2
-    cat "$tmp/trace-fleet.json" >&2
-    cat "$tmp/trace-obsd.log" >&2
-    exit 1
-fi
+fleet_trace() {
+    curl -sS -o "$tmp/trace-fleet.json" "$obsurl/debug/fleet?limit=50"
+    grep -q '"process_count":3' "$tmp/trace-fleet.json"
+}
+poll 100 fleet_trace \
+    || fail "/debug/fleet never assembled a trace spanning 3 processes" trace-fleet.json trace-obsd.log
 for probe in napel-loadgen napel-gate napel-serve; do
-    if ! grep -q "\"$probe\"" "$tmp/trace-fleet.json"; then
-        echo "verify: /debug/fleet names no $probe spans" >&2
-        cat "$tmp/trace-fleet.json" >&2
-        exit 1
-    fi
+    grep -q "\"$probe\"" "$tmp/trace-fleet.json" || fail "/debug/fleet names no $probe spans" trace-fleet.json
 done
-curl -sS "$obsurl/metrics" >"$tmp/trace-metrics.txt"
-for series in 'napel_fleet_up{job="gate",instance="127.0.0.1:'"$tgateport"'"} 1' \
-    'napel_fleet_up{job="serve",instance="127.0.0.1:'"$t1port"'"} 1' \
+curl -sS -o "$tmp/trace-metrics.txt" "$obsurl/metrics"
+for series in "napel_fleet_up{job=\"gate\",instance=\"${tgateurl#http://}\"} 1" \
+    "napel_fleet_up{job=\"serve\",instance=\"${t1url#http://}\"} 1" \
     'napel_serve_requests_total{job="serve"' \
     'napel_fleet_gate_requests_total{job="gate"' \
     napel_obsd_spans_total; do
-    if ! grep -qF "$series" "$tmp/trace-metrics.txt"; then
-        echo "verify: obsd /metrics missing '$series'" >&2
-        grep 'napel_fleet\|napel_obsd' "$tmp/trace-metrics.txt" >&2 || cat "$tmp/trace-metrics.txt" >&2
-        exit 1
-    fi
+    grep -qF "$series" "$tmp/trace-metrics.txt" || fail "obsd /metrics missing '$series'" trace-metrics.txt
 done
-fleet_cleanup
-kill "$obsd_pid" 2>/dev/null; wait "$obsd_pid" 2>/dev/null || true
-obsd_pid=""
+stop trace-r1 trace-r2 trace-gate trace-obsd
 echo "fleet-trace smoke test: cross-process trace assembled, merged fleet series exported"
 
 echo "== membership chaos smoke test: kill a replica under load, evict, readmit =="
@@ -828,122 +519,46 @@ echo "== membership chaos smoke test: kill a replica under load, evict, readmit 
 # intervals (the ring epoch advances, replicas_ready drops to 2) while
 # ring failover keeps the error budget at zero. Restarting the dead
 # replica must readmit it at a yet-higher epoch with no gate restart.
-m1port=$(( (RANDOM % 20000) + 20000 ))
-m2port=$(( m1port + 1 ))
-m3port=$(( m1port + 2 ))
-m1url="http://127.0.0.1:$m1port"
-m2url="http://127.0.0.1:$m2port"
-m3url="http://127.0.0.1:$m3port"
-mgateport=$(( (RANDOM % 20000) + 20000 ))
-mgateurl="http://127.0.0.1:$mgateport"
-"$tmp/napel-serve" -model "$tmp/model.json" -addr "127.0.0.1:$m1port" -quiet \
-    2>"$tmp/member-r1.log" &
-replica1_pid=$!
-"$tmp/napel-serve" -model "$tmp/model.json" -addr "127.0.0.1:$m2port" -quiet \
-    2>"$tmp/member-r2.log" &
-replica2_pid=$!
-"$tmp/napel-gate" -addr "127.0.0.1:$mgateport" -replicas "$m1url,$m2url" \
-    -health-interval 50ms -evict-after 2 2>"$tmp/member-gate.log" &
-gate_pid=$!
+m1url=http://127.0.0.1:$((++port))
+m2url=http://127.0.0.1:$((++port))
+m3url=http://127.0.0.1:$((++port))
+mgateurl=http://127.0.0.1:$((++port))
+start member-r1 "$tmp/napel-serve" -model "$tmp/model.json" -addr "${m1url#http://}" -quiet
+start member-r2 "$tmp/napel-serve" -model "$tmp/model.json" -addr "${m2url#http://}" -quiet
+start member-gate "$tmp/napel-gate" -addr "${mgateurl#http://}" -replicas "$m1url,$m2url" \
+    -health-interval 50ms -evict-after 2
 # The third replica has no seed entry: it registers itself.
-"$tmp/napel-serve" -model "$tmp/model.json" -addr "127.0.0.1:$m3port" -quiet \
-    -join "$mgateurl" -join-interval 200ms 2>"$tmp/member-r3.log" &
-replica3_pid=$!
-gate_epoch() { curl -sS "$mgateurl/readyz" | sed -n 's/.*"epoch"[: ]*\([0-9]*\).*/\1/p'; }
-gate_ready_n() { curl -sS "$mgateurl/readyz" | sed -n 's/.*"replicas_ready"[: ]*\([0-9]*\).*/\1/p'; }
-up=""
-for _ in $(seq 1 100); do
-    if [ "$(gate_ready_n 2>/dev/null)" = 3 ]; then
-        up=yes
-        break
-    fi
-    sleep 0.1
-done
-if [ -z "$up" ]; then
-    echo "verify: gate never saw 3 ready replicas (static seed + join)" >&2
-    cat "$tmp/member-gate.log" "$tmp/member-r3.log" >&2
-    exit 1
-fi
-if ! grep -q "announced" "$tmp/member-r3.log"; then
-    echo "verify: joining replica never logged its announce" >&2
-    cat "$tmp/member-r3.log" >&2
-    exit 1
-fi
-epoch0=$(gate_epoch)
-"$tmp/napel-loadgen" -target "$mgateurl" -duration 3s -workers 4 \
+start member-r3 "$tmp/napel-serve" -model "$tmp/model.json" -addr "${m3url#http://}" -quiet \
+    -join "$mgateurl" -join-interval 200ms
+gate_ready_n() { [ "$(curl -sS "$mgateurl/readyz" | field replicas_ready)" = "$1" ]; }
+poll 100 gate_ready_n 3 || fail "gate never saw 3 ready replicas (static seed + join)" member-gate.log member-r3.log
+grep -q "announced" "$tmp/member-r3.log" || fail "joining replica never logged its announce" member-r3.log
+epoch0=$(curl -sS "$mgateurl/readyz" | field epoch)
+start member-lg "$tmp/napel-loadgen" -target "$mgateurl" -duration 3s -workers 4 \
     -seed 43 -keyspace 8 -base "$tmp/req.json" \
     -probe-model "$tmp/model.json" -probe-every 2 \
-    -max-error-rate 0 -out "$tmp/member-lg.json" 2>"$tmp/member-lg.log" &
-lg_pid=$!
+    -max-error-rate 0 -out "$tmp/member-lg.json"
 sleep 0.5
-kill -9 "$replica2_pid" 2>/dev/null; wait "$replica2_pid" 2>/dev/null || true
-replica2_pid=""
+stop -KILL member-r2
 # Eviction within -evict-after probe intervals (2 x 50ms; poll allows
 # scheduler noise but stays an order of magnitude under the load run).
-evicted=""
-for _ in $(seq 1 50); do
-    if [ "$(gate_ready_n)" = 2 ]; then
-        evicted=yes
-        break
-    fi
-    sleep 0.05
-done
-if [ -z "$evicted" ]; then
-    echo "verify: killed replica was never evicted from the ring" >&2
-    curl -sS "$mgateurl/v1/fleet" >&2
-    cat "$tmp/member-gate.log" >&2
-    exit 1
-fi
-epoch1=$(gate_epoch)
-if [ -z "$epoch1" ] || [ "$epoch1" -le "$epoch0" ]; then
-    echo "verify: eviction did not advance the ring epoch ($epoch0 -> $epoch1)" >&2
-    exit 1
-fi
-if ! wait "$lg_pid"; then
-    lg_pid=""
-    echo "verify: loadgen through the membership churn failed its zero-error gate" >&2
-    cat "$tmp/member-lg.log" >&2
-    cat "$tmp/member-lg.json" >&2 || true
-    exit 1
-fi
-lg_pid=""
+poll 25 gate_ready_n 2 || fail "killed replica was never evicted from the ring" member-gate.log
+epoch1=$(curl -sS "$mgateurl/readyz" | field epoch)
+[ "$epoch1" -gt "$epoch0" ] || fail "eviction did not advance the ring epoch ($epoch0 -> $epoch1)"
+# The load run must pass its zero-error gate through the churn.
+stop -0 member-lg
 # The replica restarts on its old address; the prober readmits it.
-"$tmp/napel-serve" -model "$tmp/model.json" -addr "127.0.0.1:$m2port" -quiet \
-    2>"$tmp/member-r2b.log" &
-replica2_pid=$!
-readmitted=""
-for _ in $(seq 1 100); do
-    if [ "$(gate_ready_n)" = 3 ]; then
-        readmitted=yes
-        break
-    fi
-    sleep 0.1
-done
-if [ -z "$readmitted" ]; then
-    echo "verify: restarted replica was never readmitted to the ring" >&2
-    curl -sS "$mgateurl/v1/fleet" >&2
-    cat "$tmp/member-gate.log" "$tmp/member-r2b.log" >&2
-    exit 1
-fi
-epoch2=$(gate_epoch)
-if [ -z "$epoch2" ] || [ "$epoch2" -le "$epoch1" ]; then
-    echo "verify: readmission did not advance the ring epoch ($epoch1 -> $epoch2)" >&2
-    exit 1
-fi
+start member-r2 "$tmp/napel-serve" -model "$tmp/model.json" -addr "${m2url#http://}" -quiet
+poll 100 gate_ready_n 3 \
+    || fail "restarted replica was never readmitted to the ring" member-gate.log member-r2.log
+epoch2=$(curl -sS "$mgateurl/readyz" | field epoch)
+[ "$epoch2" -gt "$epoch1" ] || fail "readmission did not advance the ring epoch ($epoch1 -> $epoch2)"
 # The ring-change accounting must agree with what just happened.
-curl -sS "$mgateurl/metrics" >"$tmp/member-metrics.txt"
 for change in evict readmit; do
-    n=$(sed -n "s/^napel_fleet_ring_changes_total{change=\"$change\"} \([0-9.e+]*\)\$/\1/p" \
-        "$tmp/member-metrics.txt")
-    if [ -z "$n" ] || [ "$n" = 0 ]; then
-        echo "verify: gate counted no $change ring changes" >&2
-        grep napel_fleet_ring "$tmp/member-metrics.txt" >&2 || true
-        exit 1
-    fi
+    n=$(counter "$mgateurl" "napel_fleet_ring_changes_total{change=\"$change\"}")
+    [ "$n" != 0 ] || fail "gate counted no $change ring changes"
 done
-fleet_cleanup
-kill "$replica3_pid" 2>/dev/null; wait "$replica3_pid" 2>/dev/null || true
-replica3_pid=""
+stop member-r1 member-r2 member-r3 member-gate
 echo "membership chaos smoke test: evict + readmit under load, epoch $epoch0 -> $epoch1 -> $epoch2, zero hard errors"
 
 echo "== collectd journal smoke test: SIGKILLed coordinator resumes byte-identically =="
@@ -957,74 +572,25 @@ echo "== collectd journal smoke test: SIGKILLed coordinator resumes byte-identic
 # ride out the outage on their backoff loop and reconnect, and the
 # resumed job's promoted manifest must agree with a serial reference
 # run byte for byte.
-jport=$(( (RANDOM % 20000) + 20000 ))
-jurl="http://127.0.0.1:$jport"
-journal="$tmp/collect.journal"
-start_journal_traind() {
-    "$tmp/napel-traind" -store "$tmp/journal-store" -addr "127.0.0.1:$jport" \
-        -lease-ttl 1s -collect-journal "$journal" -checkpoint-every 1h \
-        2>>"$tmp/journal-traind.log" &
-    traind_pid=$!
-    up=""
-    for _ in $(seq 1 50); do
-        if curl -fsS -o /dev/null "$jurl/healthz" 2>/dev/null; then
-            up=yes
-            break
-        fi
-        sleep 0.1
-    done
-    if [ -z "$up" ]; then
-        echo "verify: journal traind never became healthy" >&2
-        cat "$tmp/journal-traind.log" >&2
-        exit 1
-    fi
-}
-start_journal_traind
-jsubmit=$(curl -sS -d "{$dspec}" "$jurl/v1/jobs")
-jsjob=$(printf '%s' "$jsubmit" | sed -n 's/.*"id"[: ]*"\(j-[0-9]*\)".*/\1/p')
-if [ -z "$jsjob" ]; then
-    echo "verify: journal serial job submission failed: $jsubmit" >&2
-    exit 1
-fi
-jsstate=$(wait_job "$jurl" "$jsjob")
-if [ "$jsstate" != promoted ]; then
-    echo "verify: journal serial job $jsjob ended '$jsstate' (want promoted)" >&2
-    cat "$tmp/journal-traind.log" >&2
-    exit 1
-fi
-curl -sS "$jurl/v1/jobs/$jsjob" >"$tmp/journal-serial-job.json"
+jurl=http://127.0.0.1:$((++port))
+journal_traind=("$tmp/napel-traind" -store "$tmp/journal-store" -addr "${jurl#http://}"
+    -lease-ttl 1s -collect-journal "$tmp/collect.journal" -checkpoint-every 1h)
+start journal-traind "${journal_traind[@]}"
+wait_up journal-traind "$jurl/healthz"
+jsjob=$(curl -sS -d "{$dspec}" "$jurl/v1/jobs" | field id)
+promoted "$jurl" "$jsjob" journal-traind.log
 # Tagged workers; a small -reconnect-max keeps the post-kill outage
 # short. The job requires tag hmc, which both advertise.
-"$tmp/napel-worker" -coordinator "$jurl" -id journal-w1 -tags hmc,x86 \
-    -poll 20ms -reconnect-max 1s 2>"$tmp/journal-w1.log" &
-worker1_pid=$!
-"$tmp/napel-worker" -coordinator "$jurl" -id journal-w2 -tags hmc \
-    -poll 20ms -reconnect-max 1s 2>"$tmp/journal-w2.log" &
-worker2_pid=$!
-jdsubmit=$(curl -sS -d "{$dspec,\"distributed\":true,\"tags\":[\"hmc\"]}" "$jurl/v1/jobs")
-jdjob=$(printf '%s' "$jdsubmit" | sed -n 's/.*"id"[: ]*"\(j-[0-9]*\)".*/\1/p')
-if [ -z "$jdjob" ]; then
-    echo "verify: journal distributed job submission failed: $jdsubmit" >&2
-    exit 1
-fi
+start journal-w1 "$tmp/napel-worker" -coordinator "$jurl" -id journal-w1 -tags hmc,x86 \
+    -poll 20ms -reconnect-max 1s
+start journal-w2 "$tmp/napel-worker" -coordinator "$jurl" -id journal-w2 -tags hmc \
+    -poll 20ms -reconnect-max 1s
+jdjob=$(curl -sS -d "{$dspec,\"distributed\":true,\"tags\":[\"hmc\"]}" "$jurl/v1/jobs" | field id)
 # SIGKILL the coordinator once the journal holds something to replay.
-killable=""
-for _ in $(seq 1 200); do
-    c=$(curl -sS "$jurl/metrics" 2>/dev/null \
-        | sed -n 's/^napel_collectd_completes_total{result="ok"} \([0-9.e+]*\)$/\1/p')
-    if [ -n "$c" ] && [ "$c" != 0 ]; then
-        killable=yes
-        break
-    fi
-    sleep 0.05
-done
-if [ -z "$killable" ]; then
-    echo "verify: no lease ever completed before the kill window closed" >&2
-    cat "$tmp/journal-traind.log" "$tmp/journal-w1.log" >&2
-    exit 1
-fi
-kill -9 "$traind_pid" 2>/dev/null; wait "$traind_pid" 2>/dev/null || true
-traind_pid=""
+lease_completed() { [ "$(counter "$jurl" 'napel_collectd_completes_total{result="ok"}')" != 0 ]; }
+poll 100 lease_completed \
+    || fail "no lease ever completed before the kill window closed" journal-traind.log journal-w1.log
+stop -KILL journal-traind
 # Hold the coordinator down long enough that the workers' *lease
 # polls* actually fail — only those drive the unreachable/reachable
 # transition. A short outage is invisible to a busy worker: finishing
@@ -1034,43 +600,17 @@ traind_pid=""
 # seconds outlasts both, so every worker lands in the backoff loop
 # before the restart.
 sleep 7
-start_journal_traind
-jdstate=$(wait_job "$jurl" "$jdjob")
-if [ "$jdstate" != promoted ]; then
-    echo "verify: resumed journal job $jdjob ended '$jdstate' (want promoted)" >&2
-    curl -sS "$jurl/v1/jobs/$jdjob" >&2
-    cat "$tmp/journal-traind.log" "$tmp/journal-w1.log" "$tmp/journal-w2.log" >&2
-    exit 1
-fi
+start journal-traind "${journal_traind[@]}"
+wait_up journal-traind "$jurl/healthz"
+promoted "$jurl" "$jdjob" journal-traind.log journal-w1.log journal-w2.log
 # The restart answered units from the journal, not by re-executing.
-replays=$(curl -sS "$jurl/metrics" \
-    | sed -n 's/^napel_collectd_journal_replayed_total \([0-9.e+]*\)$/\1/p')
-if [ -z "$replays" ] || [ "$replays" = 0 ]; then
-    echo "verify: restarted coordinator replayed nothing from the journal" >&2
-    grep 'journal' "$tmp/journal-traind.log" >&2 || true
-    exit 1
-fi
-curl -sS "$jurl/v1/jobs/$jdjob" >"$tmp/journal-dist-job.json"
-for field in data_hash model_hash; do
-    sh=$(manifest_field "$jurl" "$tmp/journal-serial-job.json" "$field")
-    dh=$(manifest_field "$jurl" "$tmp/journal-dist-job.json" "$field")
-    if [ -z "$sh" ] || [ "$sh" != "$dh" ]; then
-        echo "verify: journal-resumed $field diverged: serial '$sh' vs resumed '$dh'" >&2
-        exit 1
-    fi
-done
+replays=$(counter "$jurl" napel_collectd_journal_replayed_total)
+[ "$replays" != 0 ] || fail "restarted coordinator replayed nothing from the journal" journal-traind.log
+same_hashes "$jurl" "$jsjob" "$jdjob"
 # The workers rode out the coordinator outage on their backoff loop.
-if ! grep -q "reachable again" "$tmp/journal-w1.log" "$tmp/journal-w2.log"; then
-    echo "verify: no worker logged reconnecting after the coordinator restart" >&2
-    cat "$tmp/journal-w1.log" "$tmp/journal-w2.log" >&2
-    exit 1
-fi
-kill "$worker1_pid" 2>/dev/null; wait "$worker1_pid" 2>/dev/null || true
-worker1_pid=""
-kill "$worker2_pid" 2>/dev/null; wait "$worker2_pid" 2>/dev/null || true
-worker2_pid=""
-kill -TERM "$traind_pid"; wait "$traind_pid" 2>/dev/null || true
-traind_pid=""
+grep -q "reachable again" "$tmp/journal-w1.log" "$tmp/journal-w2.log" \
+    || fail "no worker logged reconnecting after the coordinator restart" journal-w1.log journal-w2.log
+stop journal-w1 journal-w2 journal-traind
 echo "journal smoke test: coordinator SIGKILLed and resumed, $replays unit(s) replayed, manifests byte-identical"
 
 echo "verify: OK"
