@@ -99,17 +99,62 @@ func ReadLines(path string) (records [][]byte, torn bool, err error) {
 		}
 		return nil, false, fmt.Errorf("atomicfile: read %s: %w", path, err)
 	}
-	for len(data) > 0 {
-		i := bytes.IndexByte(data, '\n')
-		if i < 0 {
-			return records, true, nil
+	off := 0
+	for {
+		rec, end, ok := nextRecord(data, off)
+		off = end
+		if !ok {
+			return records, off < len(data), nil
 		}
-		if i > 0 { // skip empty lines
-			rec := make([]byte, i)
-			copy(rec, data[:i])
-			records = append(records, rec)
-		}
-		data = data[i+1:]
+		records = append(records, bytes.Clone(rec))
 	}
-	return records, false, nil
+}
+
+// nextRecord returns the first complete record in data at or after off,
+// skipping empty lines, and the offset just past its newline. With no
+// complete record left, ok is false and end is where the unterminated
+// fragment, if any, starts.
+func nextRecord(data []byte, off int) (rec []byte, end int, ok bool) {
+	for {
+		i := bytes.IndexByte(data[off:], '\n')
+		switch {
+		case i < 0:
+			return nil, off, false
+		case i > 0:
+			return data[off : off+i], off + i + 1, true
+		}
+		off++
+	}
+}
+
+// TruncateRecords cuts the log at path after its first n records, as
+// ReadLines counts them, and syncs the cut. A log reopened after a crash
+// must be cut before the next append: a torn tail, or a record the
+// reader rejected, would otherwise run into the appended record and
+// make one line no reader can decode.
+func TruncateRecords(path string, n int) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return fmt.Errorf("atomicfile: truncate %s: %w", path, err)
+	}
+	off := 0
+	for ; n > 0; n-- {
+		_, end, ok := nextRecord(data, off)
+		if !ok {
+			break
+		}
+		off = end
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		return fmt.Errorf("atomicfile: truncate %s: %w", path, err)
+	}
+	defer f.Close()
+	if err := f.Truncate(int64(off)); err != nil {
+		return fmt.Errorf("atomicfile: truncate %s: %w", path, err)
+	}
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("atomicfile: sync %s: %w", path, err)
+	}
+	return f.Close()
 }

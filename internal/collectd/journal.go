@@ -60,15 +60,17 @@ type journalRecord struct {
 
 // OpenJournal replays the journal at path (a missing file is an empty
 // journal) and opens it for appending. A torn final record — the
-// normal residue of a crash mid-append — is dropped and counted; a
-// corrupt record anywhere else is an error, because it means something
-// other than a crash rewrote history. logf may be nil.
+// normal residue of a crash mid-append — is dropped, counted and cut
+// from the file before anything is appended; a corrupt record anywhere
+// else is an error, because it means something other than a crash
+// rewrote history. logf may be nil.
 func OpenJournal(path string, logf func(format string, args ...any)) (*Journal, error) {
 	lines, torn, err := atomicfile.ReadLines(path)
 	if err != nil {
 		return nil, err
 	}
 	j := &Journal{completed: map[string]journalRecord{}, logf: logf}
+	kept := len(lines) // records the next append follows
 	if torn {
 		j.dropped++
 	}
@@ -79,6 +81,7 @@ func OpenJournal(path string, logf func(format string, args ...any)) (*Journal, 
 				// A terminated-but-undecodable tail gets the same
 				// benefit of the doubt as an unterminated one.
 				j.dropped++
+				kept--
 				continue
 			}
 			return nil, fmt.Errorf("collectd: journal %s record %d corrupt: %w", path, i+1, uerr)
@@ -94,6 +97,11 @@ func OpenJournal(path string, logf func(format string, args ...any)) (*Journal, 
 		j.completed[rec.Key] = rec
 	}
 	j.replayed = len(j.completed)
+	if torn || kept < len(lines) {
+		if err := atomicfile.TruncateRecords(path, kept); err != nil {
+			return nil, err
+		}
+	}
 	log, err := atomicfile.OpenAppend(path)
 	if err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -170,11 +171,65 @@ func TestJournalTornTailDropped(t *testing.T) {
 	}
 }
 
+// completeRecord returns a verified completion record for key.
+func completeRecord(key string) journalRecord {
+	body := []byte(`{"key":"` + key + `","samples":[1.5,2]}`)
+	return journalRecord{T: "complete", Key: key, Spec: "s1", Worker: "w1", SHA256: hashPayload(body), Payload: body}
+}
+
+// TestJournalAppendAfterDroppedTail: a restart appends after a journal's
+// dropped tail, torn or terminated but undecodable, and the journal
+// must still open afterwards with every completion. Appending straight
+// after the dropped bytes fused them with the next record into one
+// corrupt line, which made the following open fail.
+func TestJournalAppendAfterDroppedTail(t *testing.T) {
+	for name, tail := range map[string]string{
+		"torn":        `{"t":"compl`,
+		"undecodable": `{"t":"complete","key":` + "\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			var head []byte
+			for _, key := range []string{"atax/dim=8", "mvt/dim=8"} {
+				line, err := json.Marshal(completeRecord(key))
+				if err != nil {
+					t.Fatal(err)
+				}
+				head = append(append(head, line...), '\n')
+			}
+			path := filepath.Join(t.TempDir(), "collect.journal")
+			if err := os.WriteFile(path, append(head, tail...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			j, err := OpenJournal(path, t.Logf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j.Dropped() != 1 || j.replayed != 2 {
+				t.Fatalf("first open: %d dropped, %d replayed; want 1 and 2", j.Dropped(), j.replayed)
+			}
+			j.record(completeRecord("gesu/dim=8"), true)
+			j.record(completeRecord("bicg/dim=8"), true)
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			j2, err := OpenJournal(path, t.Logf)
+			if err != nil {
+				t.Fatalf("reopen after appending: %v", err)
+			}
+			defer j2.Close()
+			if j2.replayed != 4 || j2.Dropped() != 0 {
+				t.Fatalf("reopen: %d replayed, %d dropped; want 4 and 0", j2.replayed, j2.Dropped())
+			}
+		})
+	}
+}
+
 // FuzzJournalReplay opens a journal of arbitrary bytes, as a crash or a
 // damaged disk could leave one. OpenJournal must not panic; it may fail
 // only on an undecodable record before the last line; every replayable
-// completion's payload must hash to its recorded sha256; and reopening
-// the same bytes must replay the same set.
+// completion's payload must hash to its recorded sha256; reopening must
+// replay the same set; and after one more completion is appended, the
+// journal must open again and replay that set plus the new completion.
 func FuzzJournalReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "collect.journal")
@@ -213,9 +268,22 @@ func FuzzJournalReplay(f *testing.F) {
 		if err != nil {
 			t.Fatalf("reopen: %v", err)
 		}
-		j2.Close()
 		if !reflect.DeepEqual(j.completed, j2.completed) || j.replayed != j2.replayed {
 			t.Fatalf("reopening replays %d unit(s), first open %d", j2.replayed, j.replayed)
+		}
+
+		appended := completeRecord("fuzz/appended")
+		j2.record(appended, true)
+		j2.Close()
+		j3, err := OpenJournal(path, nil)
+		if err != nil {
+			t.Fatalf("open after an append: %v", err)
+		}
+		j3.Close()
+		want := maps.Clone(j.completed)
+		want[appended.Key] = appended
+		if !reflect.DeepEqual(j3.completed, want) {
+			t.Fatalf("after an append the journal replays %d unit(s), want the first open's %d plus the appended one", len(j3.completed), len(j.completed))
 		}
 	})
 }

@@ -43,6 +43,16 @@ var (
 	fixtureVal  fixtureData
 )
 
+// TestMain removes the fixture's model directory once every test has
+// run, so a test run leaves nothing in the temporary directory.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if fixtureVal.dir != "" {
+		os.RemoveAll(fixtureVal.dir)
+	}
+	os.Exit(code)
+}
+
 func fixture(t *testing.T) *fixtureData {
 	t.Helper()
 	fixtureOnce.Do(func() { fixtureVal = buildFixture() })

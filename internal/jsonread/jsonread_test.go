@@ -2,8 +2,10 @@ package jsonread
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -107,17 +109,44 @@ func TestArrayLen(t *testing.T) {
 	}
 }
 
+// TestPlainWord checks Span's 8-byte test against testing each byte,
+// for every pair of byte values at several pairs of positions in a word
+// of digits, so that a borrow or carry out of one byte cannot hide the
+// other.
+func TestPlainWord(t *testing.T) {
+	plain := func(c byte) bool { return 0x23 <= c && c <= 0x3f }
+	for _, at := range [][2]int{{0, 1}, {3, 4}, {6, 7}, {0, 7}} {
+		for a := range 256 {
+			for b := range 256 {
+				w := []byte("01234567")
+				w[at[0]], w[at[1]] = byte(a), byte(b)
+				if got, want := plainWord(binary.LittleEndian.Uint64(w)), plain(byte(a)) && plain(byte(b)); got != want {
+					t.Fatalf("plainWord(%q) = %v, want %v", w, got, want)
+				}
+			}
+		}
+	}
+}
+
 // FuzzReader checks the reader against encoding/json on arbitrary bytes:
 // Skip accepts exactly the documents json.Valid accepts, a string or
-// number the reader accepts decodes to what encoding/json decodes, and
+// number the reader accepts decodes to what encoding/json decodes, Int
+// accepts and rejects what encoding/json does for int64 and int32, and
 // Elements accepts exactly the valid documents that are arrays, whose
 // elements are then encoding/json's []json.RawMessage byte for byte,
-// and refuses them with ErrTooMany under a maximum one short.
+// and refuses them with ErrTooMany under a maximum one short. It also
+// checks Span against Skip: a value Skip accepts whole is exactly its
+// span and reads back from it, and on any bytes, skipping from the
+// span gives the error, or the end, that skipping in place gives.
 func FuzzReader(f *testing.F) {
 	for _, s := range []string{
 		`{"a":[1,2.5e-3,-0,true,false,null,"x"]}`, `"😀\ud800A\/\b\f\n\r\t\"\\"`,
 		"\"\xff\xed\xa0\x80é\"", `"\ud800\u12"`, `1e400`, `-0.0E+5`, `[[[]]]`, `{"a":1,"a":2}`,
 		`[]`, ` [ {"a":1} , [2],"x" ] `, `[1,]`, `[1]x`, `{"a":[1]}`,
+		`0`, `-0`, `999999999999999999`, `-999999999999999999`, `9223372036854775807`,
+		`-9223372036854775808`, `9223372036854775808`, `2147483647`, `-2147483648`, `2147483648`, `1.0`, `1e2`,
+		`{"k\"]}":[1,{"a":"]}\\"}],"b":[0.25,12345678,-3]}`, `[1,[2,{"a":3]}`, `[1.,2]`, `{"a":1}}`, `"a\`,
+		strings.Repeat("[", maxDepth+1) + strings.Repeat("]", maxDepth+1),
 	} {
 		f.Add([]byte(s))
 	}
@@ -125,6 +154,9 @@ func FuzzReader(f *testing.F) {
 		if ok := whole(string(data), (*Reader).Skip) == nil; ok != json.Valid(data) {
 			t.Fatalf("Skip accepted=%v, json.Valid=%v", ok, !ok)
 		}
+		checkSpan(t, data)
+		checkInt[int64](t, data, 64)
+		checkInt[int32](t, data, 32)
 		var s string
 		if err := whole(string(data), func(r *Reader) (err error) { s, err = r.String(); return }); err == nil {
 			var want string
@@ -161,4 +193,46 @@ func FuzzReader(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkSpan compares reading data's first value from its span with
+// reading it in place.
+func checkSpan(t *testing.T, data []byte) {
+	in := New(data)
+	inErr := in.Skip()
+	sr := New(data)
+	span := sr.Span()
+	start := span.pos
+	spanErr := span.Skip()
+	if fmt.Sprint(spanErr) != fmt.Sprint(inErr) || (inErr == nil && span.pos != in.pos) {
+		t.Fatalf("Skip from the span: %v, end %d; in place: %v, end %d", spanErr, span.pos, inErr, in.pos)
+	}
+	if whole(string(data), (*Reader).Skip) != nil {
+		return
+	}
+	if value := bytes.TrimSpace(data); !bytes.Equal(span.data[start:], value) {
+		t.Fatalf("span %q, want the whole value %q", span.data[start:], value)
+	}
+	if err := span.End(); err != nil {
+		t.Fatalf("span of a whole value: %v after reading it back", err)
+	}
+}
+
+// checkInt compares Int(bitSize) on data with encoding/json decoding
+// data into T, which must agree on the value and on whether to reject.
+// Only null differs: Int rejects it and encoding/json leaves T unset.
+func checkInt[T int64 | int32](t *testing.T, data []byte, bitSize int) {
+	var v int64
+	err := whole(string(data), func(r *Reader) (err error) { v, err = r.Int(bitSize); return })
+	if bytes.Equal(bytes.TrimSpace(data), []byte("null")) {
+		if err == nil {
+			t.Fatal("Int accepted null")
+		}
+		return
+	}
+	var want T
+	wantErr := json.Unmarshal(data, &want)
+	if (err == nil) != (wantErr == nil) || (err == nil && v != int64(want)) {
+		t.Fatalf("Int(%d) = %d (%v), encoding/json %d (%v)", bitSize, v, err, want, wantErr)
+	}
 }

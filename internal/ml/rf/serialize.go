@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"napel/internal/jsonread"
 )
@@ -74,9 +77,11 @@ var (
 // left child the next node and its right child after it in its tree, as
 // Train lays trees out, so a walk can neither index out of range nor
 // loop. Fields no walk reads are dropped (see MarshalJSON).
+//
+// The trees are read on up to GOMAXPROCS goroutines (see readTrees), yet
+// ReadForest accepts, returns and fails exactly as a serial read would.
 func ReadForest(r *jsonread.Reader, numFeatures int) (*Forest, error) {
 	f := &Forest{}
-	var s treeScratch
 	err := r.Fields(forestFields, func(field string) error {
 		switch field {
 		case "params":
@@ -92,11 +97,19 @@ func ReadForest(r *jsonread.Reader, numFeatures int) (*Forest, error) {
 				return err
 			})
 		default: // "trees"
-			return r.Array(func() error {
-				nodes, err := readTree(r, len(f.trees), numFeatures, &s)
-				f.trees = append(f.trees, tree{nodes: nodes})
-				return err
+			var spans []jsonread.Reader
+			err := r.Array(func() error {
+				spans = append(spans, r.Span())
+				return nil
 			})
+			// A defective tree lies before anything Array rejects, so a
+			// serial read would have failed on the tree first.
+			trees, terr := readTrees(spans, numFeatures)
+			if terr != nil {
+				return terr
+			}
+			f.trees = trees
+			return err
 		}
 	})
 	if err != nil {
@@ -106,6 +119,54 @@ func ReadForest(r *jsonread.Reader, numFeatures int) (*Forest, error) {
 		return nil, errors.New("rf: serialized forest has no trees")
 	}
 	return f, nil
+}
+
+// readTrees reads one tree from each span, and nothing after it, on
+// min(GOMAXPROCS, len(spans)) goroutines that each keep their own
+// scratch. Spans give every tree the offsets and depths of a serial
+// read, so the error returned, that of the lowest-index tree that
+// fails, is the error a serial read stops at; a syntax error, which
+// carries only its offset, gains the tree's index.
+func readTrees(spans []jsonread.Reader, numFeatures int) ([]tree, error) {
+	trees := make([]tree, len(spans))
+	errs := make([]error, len(spans))
+	var next atomic.Int64
+	work := func() {
+		var s treeScratch
+		for {
+			ti := int(next.Add(1) - 1)
+			if ti >= len(spans) {
+				return
+			}
+			r := &spans[ti]
+			nodes, err := readTree(r, ti, numFeatures, &s)
+			if err == nil {
+				err = r.End()
+			}
+			trees[ti].nodes, errs[ti] = nodes, err
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(spans)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for ti, err := range errs {
+		if err == nil {
+			continue
+		}
+		var syntax *jsonread.SyntaxError
+		if errors.As(err, &syntax) {
+			return nil, fmt.Errorf("rf: tree %d: %w", ti, err)
+		}
+		return nil, err
+	}
+	return trees, nil
 }
 
 func readParams(r *jsonread.Reader, p *Params) error {
@@ -134,7 +195,7 @@ func readParams(r *jsonread.Reader, p *Params) error {
 // the features say which nodes split, a threshold, a leaf value or a
 // left link can be neither placed nor checked. Save lists "feature"
 // first, so its files never need it; otherwise one scratch serves every
-// tree of a forest.
+// tree one goroutine reads.
 type treeScratch struct {
 	thresh, value []float64
 	left          []int32

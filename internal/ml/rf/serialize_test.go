@@ -1,7 +1,11 @@
 package rf
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -126,3 +130,112 @@ func TestNodeIs16Bytes(t *testing.T) {
 		t.Fatalf("node is %d bytes, want 16", got)
 	}
 }
+
+// readForestSerial reads the trees of a forest in MarshalJSON form one
+// after another in place, skipping every other field: the serial read
+// whose errors ReadForest must report.
+func readForestSerial(data []byte, numFeatures int) error {
+	r := jsonread.New(data)
+	err := r.Fields(forestFields, func(field string) error {
+		if field != "trees" {
+			return r.Skip()
+		}
+		var s treeScratch
+		ti := 0
+		return r.Array(func() error {
+			_, err := readTree(r, ti, numFeatures, &s)
+			ti++
+			return err
+		})
+	})
+	if err == nil {
+		err = r.End()
+	}
+	return err
+}
+
+// TestForestErrorIsSerialReadsFirst pins the error contract of reading
+// trees in parallel. With several trees defective, ReadForest fails with
+// the error a serial read stops at, the lowest-index tree's, at the same
+// absolute offset; a syntax error also names its tree. Nesting inside a
+// tree counts from the document's top, as in a serial read.
+func TestForestErrorIsSerialReadsFirst(t *testing.T) {
+	d := synth(150, func(x []float64) float64 { return x[0]*x[1] + x[2] }, 21)
+	f, err := Train(d, Params{Trees: 8}, 22)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deep := func(depth int) string {
+		return `"deep":` + strings.Repeat("[", depth) + strings.Repeat("]", depth) + ","
+	}
+	// A defect is text put into a tree right after a prefix of it; a
+	// serial read of the tree then fails at offset errAt of the text,
+	// or with an error that is not a syntax error if errAt is -1.
+	type defect struct {
+		after, text string
+		errAt       int
+	}
+	number := defect{`{"feature":[`, "-x,", 0}
+	bracket := defect{`{"feature":[`, "[", 0}
+	ragged := defect{`{"feature":[`, "0,", -1}
+	// Forest, trees and tree make depth 3, so 9 997 more is the limit.
+	tooDeep := defect{"{", deep(maxDepthInTree + 1), len(`"deep":`) + maxDepthInTree + 1}
+	// put returns data with d in tree ti, and the offset of d's text.
+	put := func(data []byte, ti int, d defect) ([]byte, int) {
+		at := -1
+		for range ti + 1 {
+			at += 1 + bytes.Index(data[at+1:], []byte(`{"feature"`))
+		}
+		at += len(d.after)
+		return append(append(append([]byte(nil), data[:at]...), d.text...), data[at:]...), at
+	}
+	for _, c := range []struct {
+		name         string
+		first, later int // the defective trees, later -1 for none
+		firstBad     defect
+		laterBad     defect
+	}{
+		{"malformed number, then unbalanced bracket", 2, 5, number, bracket},
+		{"unbalanced bracket, then malformed number", 2, 5, bracket, number},
+		{"ragged node arrays, then malformed number", 2, 5, ragged, number},
+		{"nesting past the limit, then malformed number", 1, 6, tooDeep, number},
+		{"only a late tree", 5, -1, number, defect{}},
+	} {
+		data := clean
+		if c.later >= 0 {
+			data, _ = put(data, c.later, c.laterBad)
+		}
+		data, at := put(data, c.first, c.firstBad)
+		want := readForestSerial(data, 3)
+		var syntax *jsonread.SyntaxError
+		isSyntax := errors.As(want, &syntax)
+		switch {
+		case want == nil:
+			t.Fatalf("%s: the serial read accepted the forest", c.name)
+		case isSyntax != (c.firstBad.errAt >= 0) || isSyntax && syntax.Offset != at+c.firstBad.errAt:
+			t.Fatalf("%s: serial read fails with %v, not at offset %d of tree %d", c.name, want, at+c.firstBad.errAt, c.first)
+		case !isSyntax && !strings.Contains(want.Error(), fmt.Sprintf("tree %d ", c.first)):
+			t.Fatalf("%s: serial read fails with %v, not on tree %d", c.name, want, c.first)
+		}
+		wantMsg := want.Error()
+		if isSyntax {
+			wantMsg = fmt.Sprintf("rf: tree %d: %v", c.first, want)
+		}
+		if _, got := readForest(data, 3); got == nil || got.Error() != wantMsg {
+			t.Errorf("%s: ReadForest fails with %v, want %s", c.name, got, wantMsg)
+		}
+	}
+	atLimit, _ := put(clean, 1, defect{"{", deep(maxDepthInTree), 0})
+	if _, err := readForest(atLimit, 3); err != nil {
+		t.Fatalf("nesting at the limit inside a tree: %v", err)
+	}
+}
+
+// maxDepthInTree is how deep a value inside a tree of a top-level forest
+// may nest: encoding/json's limit of 10 000 less the forest object, the
+// trees array and the tree object.
+const maxDepthInTree = 10000 - 3

@@ -1,6 +1,7 @@
 package napel
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
@@ -147,5 +148,40 @@ func TestArchVectorFromCurve(t *testing.T) {
 	}
 	if _, err := ArchVectorFromCurve(nmcsim.DefaultConfig(), []float64{2.5}, 1); err == nil {
 		t.Fatal("out-of-range hit fraction accepted")
+	}
+}
+
+// TestLoadPredictorConcurrent loads one model file from 8 goroutines at
+// once. Each load reads its trees on goroutines of its own over the
+// shared bytes, and every loaded predictor must save back to exactly
+// the file. Run under -race it checks that loads share nothing but the
+// bytes they read.
+func TestLoadPredictorConcurrent(t *testing.T) {
+	data := savedBytes(t, synthPredictor(t, 12, 40))
+	saved := make([][]byte, 8)
+	errs := make([]error, len(saved))
+	var wg sync.WaitGroup
+	for i := range saved {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p, err := LoadPredictor(data)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			var buf bytes.Buffer
+			errs[i] = p.Save(&buf)
+			saved[i] = buf.Bytes()
+		}()
+	}
+	wg.Wait()
+	for i := range saved {
+		if errs[i] != nil {
+			t.Fatalf("load %d: %v", i, errs[i])
+		}
+		if !bytes.Equal(saved[i], data) {
+			t.Fatalf("load %d saves to different bytes than the file it loaded", i)
+		}
 	}
 }

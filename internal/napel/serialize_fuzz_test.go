@@ -345,6 +345,33 @@ func TestLoadPredictorLayoutSeeds(t *testing.T) {
 	}
 }
 
+// TestLoadPredictorTreeSpanSeeds pins the verdicts of the two corpus
+// seeds aimed at reading trees in parallel: an unknown key inside a tree
+// whose name holds an escaped quote and closing brackets loads as the
+// reference decodes it, and of two defective trees, a malformed number
+// in IPC tree 2 and an unbalanced bracket in tree 5, tree 2 is reported.
+func TestLoadPredictorTreeSpanSeeds(t *testing.T) {
+	odd := corpusSeed(t, "tree-key-escaped-brackets")
+	p, err := LoadPredictor(odd)
+	if err != nil {
+		t.Fatalf("tree-key-escaped-brackets: %v", err)
+	}
+	ref, err := refLoad(odd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameAsRef(p, ref); err != nil {
+		t.Fatalf("tree-key-escaped-brackets: %v", err)
+	}
+
+	bad := corpusSeed(t, "defects-in-trees-2-and-5")
+	_, err = LoadPredictor(bad)
+	want := fmt.Sprintf("rf: tree 2: offset %d: malformed number", bytes.Index(bad, []byte("1.e5"))+len("1."))
+	if err == nil || !strings.HasSuffix(err.Error(), want) {
+		t.Fatalf("defects-in-trees-2-and-5: error %v, want one ending %q", err, want)
+	}
+}
+
 // TestLoadedForestMatchesReferenceWalk is the differential test of the
 // 16-byte node layout on a model shaped like a trained NAPEL predictor:
 // the trained forests and their Save→LoadPredictor copies predict, bit

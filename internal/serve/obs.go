@@ -36,6 +36,9 @@ type serveObs struct {
 	stagePredict  *obs.Histogram
 	stageEncode   *obs.Histogram
 
+	loadFetch  *obs.Histogram
+	loadDecode *obs.Histogram
+
 	// durSumNanos/durCount aggregate completed-request latency so the
 	// Retry-After computation can quote the observed mean.
 	durSumNanos atomic.Int64
@@ -83,6 +86,11 @@ func newServeObs(tracer *obs.Tracer, endpoints ...string) *serveObs {
 	o.stageCache = stage.With("cache")
 	o.stagePredict = stage.With("predict")
 	o.stageEncode = stage.With("encode")
+	load := reg.HistogramVec("napel_serve_model_load_seconds",
+		"Time to install a model generation, at start-up, reload or follow, by stage: fetch (read and hash, or pull and verify) and decode.",
+		nil, "stage")
+	o.loadFetch = load.With("fetch")
+	o.loadDecode = load.With("decode")
 	return o
 }
 

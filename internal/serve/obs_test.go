@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -225,4 +226,47 @@ func TestTraceSinkJSONL(t *testing.T) {
 			t.Fatalf("trace sink missing span %q: %v", want, spanNames)
 		}
 	}
+}
+
+// TestModelLoadStagesObserved: napel_serve_model_load_seconds counts
+// each stage once for the start-up load and once more for each
+// generation installed later, by reload or by a follow poll; a poll
+// that finds nothing new installs nothing and counts nothing.
+func TestModelLoadStagesObserved(t *testing.T) {
+	s, modelPath := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	counts := func(want float64) {
+		t.Helper()
+		_, metrics := getBody(t, ts.URL+"/metrics")
+		for _, stage := range []string{"fetch", "decode"} {
+			if n := metricValue(t, metrics, `napel_serve_model_load_seconds_count{stage="`+stage+`"}`); n != want {
+				t.Fatalf("stage %s counted %g installs, want %g", stage, n, want)
+			}
+		}
+		if sum := metricValue(t, metrics, `napel_serve_model_load_seconds_sum{stage="decode"}`); sum <= 0 {
+			t.Fatalf("decode took %g s in all", sum)
+		}
+	}
+	counts(1)
+	if resp, body := postJSON(t, ts.URL+"/v1/models/reload", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("reload: status %d: %s", resp.StatusCode, body)
+	}
+	counts(2)
+	if changed, err := s.Registry().ReloadIfChanged(); err != nil || changed {
+		t.Fatalf("follow poll of an unchanged model: changed=%v err=%v", changed, err)
+	}
+	counts(2)
+	modelB, err := os.ReadFile(fixture(t).modelB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(modelPath, modelB, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if changed, err := s.Registry().ReloadIfChanged(); err != nil || !changed {
+		t.Fatalf("follow poll of a rewritten model: changed=%v err=%v", changed, err)
+	}
+	counts(3)
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"napel/internal/napel"
+	"napel/internal/obs"
 )
 
 // DefaultModelName is the registry entry selected when a request names
@@ -41,6 +42,10 @@ type Registry struct {
 	models         atomic.Pointer[map[string]*Model]
 	reloads        atomic.Uint64
 	followFailures atomic.Uint64
+
+	// loadFetch and loadDecode, when set, time each installed
+	// generation's source reads and its model decodes.
+	loadFetch, loadDecode *obs.Histogram
 }
 
 // NewRegistry builds a registry over the given name→file-path mapping
@@ -55,21 +60,23 @@ func newRegistry(paths map[string]string, lazy bool) (*Registry, error) {
 	for name, path := range paths {
 		sources[name] = &FileSource{Path: path}
 	}
-	return newRegistrySources(sources, lazy)
+	return newRegistrySources(sources, lazy, nil, nil)
 }
 
 // NewRegistrySources builds a registry over arbitrary model sources
 // (mixing file- and store-backed entries is fine) and performs the
 // initial load.
 func NewRegistrySources(sources map[string]ModelSource) (*Registry, error) {
-	return newRegistrySources(sources, false)
+	return newRegistrySources(sources, false, nil, nil)
 }
 
-func newRegistrySources(sources map[string]ModelSource, lazy bool) (*Registry, error) {
+// newRegistrySources builds a registry whose installs, the initial load
+// included, are timed into loadFetch and loadDecode when they are set.
+func newRegistrySources(sources map[string]ModelSource, lazy bool, loadFetch, loadDecode *obs.Histogram) (*Registry, error) {
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("serve: no models configured")
 	}
-	r := &Registry{sources: sources}
+	r := &Registry{sources: sources, loadFetch: loadFetch, loadDecode: loadDecode}
 	empty := map[string]*Model{}
 	r.models.Store(&empty)
 	if _, err := r.Reload(); err != nil {
@@ -98,20 +105,35 @@ func (r *Registry) Reload() ([]*Model, error) {
 	r.reloadMu.Lock()
 	defer r.reloadMu.Unlock()
 	next := make(map[string]*Model, len(r.sources))
+	var fetch, decode time.Duration
 	for name, src := range r.sources {
+		t0 := time.Now()
 		data, version, err := src.Load()
 		if err != nil {
 			return nil, fmt.Errorf("serve: model %q: %w", name, err)
 		}
+		t1 := time.Now()
+		fetch += t1.Sub(t0)
 		m, err := modelFromBytes(name, src.Describe(), data, version)
 		if err != nil {
 			return nil, fmt.Errorf("serve: model %q: %w", name, err)
 		}
+		decode += time.Since(t1)
 		next[name] = m
 	}
 	r.models.Store(&next)
 	r.reloads.Add(1)
+	r.observeLoad(fetch, decode)
 	return sortedModels(next), nil
+}
+
+// observeLoad records how long an installed generation took to fetch
+// and to decode, summed over its models.
+func (r *Registry) observeLoad(fetch, decode time.Duration) {
+	if r.loadFetch != nil {
+		r.loadFetch.Observe(fetch.Seconds())
+		r.loadDecode.Observe(decode.Seconds())
+	}
 }
 
 // ReloadIfChanged is the polling variant of Reload: it polls every
@@ -127,16 +149,20 @@ func (r *Registry) ReloadIfChanged() (changed bool, err error) {
 	defer r.reloadMu.Unlock()
 	cur := *r.models.Load()
 	next := make(map[string]*Model, len(r.sources))
+	var fetch, decode time.Duration
 	for name, src := range r.sources {
 		prev := ""
 		old, installed := cur[name]
 		if installed {
 			prev = old.Version
 		}
+		t0 := time.Now()
 		data, version, chg, err := src.Poll(prev)
 		if err != nil {
 			return false, fmt.Errorf("serve: model %q: %w", name, err)
 		}
+		t1 := time.Now()
+		fetch += t1.Sub(t0)
 		if !chg {
 			if !installed {
 				// A source cannot report "unchanged" against nothing
@@ -151,6 +177,7 @@ func (r *Registry) ReloadIfChanged() (changed bool, err error) {
 		if err != nil {
 			return false, fmt.Errorf("serve: model %q: %w", name, err)
 		}
+		decode += time.Since(t1)
 		next[name] = m
 		changed = true
 	}
@@ -159,6 +186,7 @@ func (r *Registry) ReloadIfChanged() (changed bool, err error) {
 	}
 	r.models.Store(&next)
 	r.reloads.Add(1)
+	r.observeLoad(fetch, decode)
 	return true, nil
 }
 

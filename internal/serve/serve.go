@@ -196,7 +196,9 @@ func New(cfg Config) (*Server, error) {
 	for name, src := range cfg.ModelSources {
 		sources[name] = src
 	}
-	reg, err := newRegistrySources(sources, cfg.LazyLoad)
+	o := newServeObs(obs.NewTracer(cfg.TraceRing, cfg.TraceSink),
+		"predict", "suitability", "models", "reload", "healthz", "readyz", "metrics", "other")
+	reg, err := newRegistrySources(sources, cfg.LazyLoad, o.loadFetch, o.loadDecode)
 	if err != nil {
 		return nil, err
 	}
@@ -204,9 +206,8 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		registry: reg,
 		cache:    cache.NewLRU[cacheKey, napel.Prediction](cfg.CacheEntries),
-		o: newServeObs(obs.NewTracer(cfg.TraceRing, cfg.TraceSink),
-			"predict", "suitability", "models", "reload", "healthz", "readyz", "metrics", "other"),
-		limiter: resilience.NewBulkhead(cfg.MaxInFlight, cfg.QueueWait),
+		o:        o,
+		limiter:  resilience.NewBulkhead(cfg.MaxInFlight, cfg.QueueWait),
 		reloadBreaker: resilience.NewBreaker(resilience.BreakerConfig{
 			Name:             "serve.reload",
 			FailureThreshold: cfg.ReloadFailureThreshold,

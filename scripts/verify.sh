@@ -170,10 +170,11 @@ echo "== go test -race (concurrent packages) =="
 # The race detector slows the full internal/exp table/figure drivers past
 # the per-package test timeout, so the race pass targets the packages
 # that actually share state across goroutines: the HTTP service, the LRU
-# response cache, the predictor it serves concurrently, the trace fan-out
+# response cache, the predictor it serves concurrently, the model file
+# decoder that reads a forest's trees in parallel, the trace fan-out
 # layer, and the parallel collection engine. internal/exp joins with its
 # dedicated micro-settings parallel-pipeline tests.
-go test -race -count=1 ./internal/serve/... ./internal/fleet/... ./internal/member/... ./internal/cache/... ./internal/napel/... ./internal/trace/... ./internal/lifecycle/... ./internal/collectd/... ./internal/obs/... ./internal/obsd/... ./internal/resilience/...
+go test -race -count=1 ./internal/serve/... ./internal/fleet/... ./internal/member/... ./internal/cache/... ./internal/napel/... ./internal/ml/rf/... ./internal/jsonread/... ./internal/trace/... ./internal/lifecycle/... ./internal/collectd/... ./internal/obs/... ./internal/obsd/... ./internal/resilience/...
 go test -race -count=1 -run 'Parallel' ./internal/exp/...
 
 echo "== the benchmark module: go vet and go test =="
