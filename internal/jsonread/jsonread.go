@@ -9,10 +9,15 @@
 // vector.
 //
 // Each value is read once, left to right, by the method for the type
-// the caller expects; numbers convert to exactly what encoding/json
-// converts them to, through strconv.ParseFloat and strconv.ParseInt
-// except for the literal 0 and integers of at most 18 digits, which
-// need no general conversion. Span lets several goroutines read the
+// the caller expects, and Floats and Ints read a whole array of numbers
+// into a slice. Numbers convert to exactly what encoding/json converts
+// them to, bit for bit, in the same pass that checks their grammar: the
+// scan gathers up to 19 significant digits into an integer mantissa and
+// a decimal exponent, and when the value is exact in a float64 multiply
+// or divide (Clinger's fast path) or in 128-bit integer arithmetic
+// (exponents within ±27), it is rounded there; longer mantissas, larger
+// exponents and every malformed literal go through strconv.ParseFloat
+// and strconv.ParseInt as before. Span lets several goroutines read the
 // elements of one array at once. The reader accepts a subset of what
 // encoding/json accepts, and for a document both accept it yields the
 // same values:
@@ -32,6 +37,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"strconv"
 	"unicode"
 	"unicode/utf16"
@@ -175,26 +182,68 @@ func (r *Reader) Fields(names []string, field func(name string) error) error {
 // Array reads an array, calling elem once per element; elem must read
 // exactly one value.
 func (r *Reader) Array(elem func() error) error {
+	more, err := r.openArray()
+	for more && err == nil {
+		if err = elem(); err == nil {
+			more, err = r.more()
+		}
+	}
+	return err
+}
+
+// Floats reads an array of numbers, appending each to dst as Float
+// reads it. It accepts, and fails, exactly as Array calling Float per
+// element does, without a call per element; dst grows only if it lacks
+// the capacity.
+func (r *Reader) Floats(dst []float64) ([]float64, error) {
+	more, err := r.openArray()
+	for more && err == nil {
+		var v float64
+		if v, err = r.Float(); err == nil {
+			dst = append(dst, v)
+			more, err = r.more()
+		}
+	}
+	return dst, err
+}
+
+// Ints is Floats for Int(bitSize).
+func (r *Reader) Ints(dst []int64, bitSize int) ([]int64, error) {
+	more, err := r.openArray()
+	for more && err == nil {
+		var v int64
+		if v, err = r.Int(bitSize); err == nil {
+			dst = append(dst, v)
+			more, err = r.more()
+		}
+	}
+	return dst, err
+}
+
+// openArray consumes the '[' of an array, and its ']' too if it is
+// empty; more reports whether an element follows.
+func (r *Reader) openArray() (more bool, err error) {
 	if err := r.open('[', "an array"); err != nil {
-		return err
+		return false, err
 	}
 	if r.consume(']') {
 		r.depth--
-		return nil
+		return false, nil
 	}
-	for {
-		if err := elem(); err != nil {
-			return err
-		}
-		if r.consume(',') {
-			continue
-		}
-		if r.consume(']') {
-			r.depth--
-			return nil
-		}
-		return r.errorf("expected ',' or ']' in an array, found %s", r.describeNext())
+	return true, nil
+}
+
+// more consumes what follows an array element: a ',', and then more is
+// true, or the closing ']'.
+func (r *Reader) more() (more bool, err error) {
+	if r.consume(',') {
+		return true, nil
 	}
+	if r.consume(']') {
+		r.depth--
+		return false, nil
+	}
+	return false, r.errorf("expected ',' or ']' in an array, found %s", r.describeNext())
 }
 
 // ArrayLen returns the number of elements of the array of numbers at the
@@ -289,12 +338,17 @@ func digits(d []byte, i int) int {
 
 // Float reads a number as a float64.
 func (r *Reader) Float() (float64, error) {
+	r.ws()
+	start := r.pos
+	if mant, exp, neg, _, ok := r.scan(); ok {
+		if v, ok := exactFloat(mant, exp, neg); ok {
+			return v, nil
+		}
+		r.pos = start
+	}
 	lit, err := r.number()
 	if err != nil {
 		return 0, err
-	}
-	if len(lit) == 1 && lit[0] == '0' {
-		return 0, nil
 	}
 	v, err := strconv.ParseFloat(string(lit), 64)
 	if err != nil {
@@ -306,41 +360,30 @@ func (r *Reader) Float() (float64, error) {
 // Int reads a number as an integer of the given bit size: a fraction
 // or exponent is an error, as is a value out of range.
 func (r *Reader) Int(bitSize int) (int64, error) {
+	r.ws()
+	start := r.pos
+	if mant, _, neg, point, ok := r.scan(); ok && !point {
+		// At most 19 digits: mant is the literal's magnitude exactly.
+		if !neg && mant <= math.MaxInt64 || neg && mant <= 1<<63 {
+			v := int64(mant)
+			if neg {
+				v = -v // 1<<63 wraps to math.MinInt64, which it is
+			}
+			if fitsInt(v, bitSize) {
+				return v, nil
+			}
+		}
+	}
+	r.pos = start
 	lit, err := r.number()
 	if err != nil {
 		return 0, err
-	}
-	if v, ok := shortInt(lit); ok && fitsInt(v, bitSize) {
-		return v, nil
 	}
 	v, err := strconv.ParseInt(string(lit), 10, bitSize)
 	if err != nil {
 		return 0, r.errorf("number %s is not an int%d", lit, bitSize)
 	}
 	return v, nil
-}
-
-// shortInt converts a literal of at most 18 digits after an optional
-// minus sign, which cannot overflow an int64; ok is false for anything
-// else, such as a fraction or an exponent.
-func shortInt(lit []byte) (v int64, ok bool) {
-	d := lit
-	if len(d) > 0 && d[0] == '-' {
-		d = d[1:]
-	}
-	if len(d) == 0 || len(d) > 18 {
-		return 0, false
-	}
-	for _, c := range d {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		v = v*10 + int64(c-'0')
-	}
-	if len(d) < len(lit) {
-		v = -v
-	}
-	return v, true
 }
 
 // fitsInt reports whether v is in range for a signed integer of bitSize
@@ -351,6 +394,170 @@ func fitsInt(v int64, bitSize int) bool {
 	}
 	shift := 64 - bitSize
 	return v<<shift>>shift == v
+}
+
+// maxDigits is how many significant digits scan gathers: 10^19-1, the
+// largest 19-digit mantissa, fits a uint64, and 10^20-1 does not.
+const maxDigits = 19
+
+// scan reads the number literal at the read position, converting its
+// digits as it checks them: the literal's value is ±mant·10^exp exactly,
+// and point reports a fraction or exponent part. ok is false, with
+// nothing consumed, for a literal of more than maxDigits significant
+// digits (leading zeros of a fraction do not count) and for anything
+// number rejects, which then reads the literal again and reports it.
+func (r *Reader) scan() (mant uint64, exp int, neg, point, ok bool) {
+	d, i := r.data, r.pos
+	if i < len(d) && d[i] == '-' {
+		neg = true
+		i++
+	}
+	nd := 0 // digits gathered into mant
+	if i < len(d) && d[i] == '0' {
+		i++
+	} else {
+		j := i
+		for ; i < len(d) && d[i]-'0' <= 9; i++ {
+			mant = mant*10 + uint64(d[i]-'0')
+		}
+		if i == j {
+			return 0, 0, false, false, false
+		}
+		nd = i - j
+	}
+	if i < len(d) && d[i] == '.' {
+		i++
+		j := i
+		if mant == 0 {
+			for i < len(d) && d[i] == '0' {
+				i++
+			}
+		}
+		k := i
+		for ; i < len(d) && d[i]-'0' <= 9; i++ {
+			mant = mant*10 + uint64(d[i]-'0')
+		}
+		if i == j {
+			return 0, 0, false, false, false
+		}
+		nd, exp, point = nd+i-k, j-i, true
+	}
+	if nd > maxDigits {
+		return 0, 0, false, false, false
+	}
+	if i < len(d) && d[i]|0x20 == 'e' {
+		i++
+		eneg := i < len(d) && d[i] == '-'
+		if i < len(d) && (d[i] == '+' || eneg) {
+			i++
+		}
+		j := i
+		e := 0
+		for ; i < len(d) && d[i]-'0' <= 9; i++ {
+			if e < 1<<20 {
+				e = e*10 + int(d[i]-'0')
+			}
+		}
+		if i == j {
+			return 0, 0, false, false, false
+		}
+		if eneg {
+			e = -e
+		}
+		exp, point = exp+e, true
+	}
+	r.pos = i
+	return mant, exp, neg, point, true
+}
+
+// pow10 holds the powers of ten a float64 holds exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// pow5 holds the powers of five a uint64 holds: 5^27 < 2^63 < 5^28.
+var pow5 = func() (p [28]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * 5
+	}
+	return p
+}()
+
+// exactFloat returns ±mant·10^exp correctly rounded, as
+// strconv.ParseFloat rounds it, when it can do so exactly without
+// strconv; ok is false otherwise. A mantissa below 2^53 and a power of
+// ten up to 10^22 are both exact float64s, so one multiply or divide
+// rounds the value once (Clinger's fast path). Otherwise, for |exp| up
+// to 27, the value is mant·5^exp·2^exp, whose integer part is exact in
+// 128 bits, or (mant·2^s/5^k)·2^(-s-k) with k = -exp, whose quotient
+// carries 63 or 64 significant bits and whose remainder says whether
+// anything is left below them; round then rounds either to 53 bits.
+// Neither path can leave the normal float64 range.
+func exactFloat(mant uint64, exp int, neg bool) (float64, bool) {
+	var v float64
+	switch {
+	case mant == 0:
+	case mant < 1<<53 && -len(pow10) < exp && exp < len(pow10):
+		v = float64(mant)
+		if exp >= 0 {
+			v *= pow10[exp]
+		} else {
+			v /= pow10[-exp]
+		}
+	case 0 <= exp && exp < len(pow5):
+		hi, lo := bits.Mul64(mant, pow5[exp])
+		v = round(hi, lo, false, exp)
+	case -len(pow5) < exp && exp < 0:
+		p := pow5[-exp]
+		// Shift mant so that the quotient fits 64 bits (hi < p) and has
+		// at least 63: 2^62 < mant·2^s/p < 2^64.
+		s := 63 + bits.Len64(p) - bits.Len64(mant)
+		var hi, lo uint64
+		if s >= 64 {
+			hi = mant << (s - 64)
+		} else {
+			hi, lo = mant>>(64-s), mant<<s
+		}
+		q, rem := bits.Div64(hi, lo, p)
+		v = round(0, q, rem != 0, exp-s)
+	default:
+		return 0, false
+	}
+	if neg {
+		v = -v
+	}
+	return v, true
+}
+
+// round returns (hi·2^64 + lo + f)·2^exp2 rounded to the nearest
+// float64, ties to even, where 0 < f < 1 if sticky and f = 0 otherwise.
+// The value must be nonzero and within the normal float64 range.
+func round(hi, lo uint64, sticky bool, exp2 int) float64 {
+	// Move the top 64 significant bits into x, gathering what falls
+	// below them into sticky.
+	var x uint64
+	if hi != 0 {
+		n := bits.LeadingZeros64(hi)
+		x = hi<<n | lo>>(64-n)
+		sticky = sticky || lo<<n != 0
+		exp2 += 64 - n
+	} else {
+		n := bits.LeadingZeros64(lo)
+		x = lo << n
+		exp2 -= n
+	}
+	// Keep 53 of x's 64 bits: the 11 below decide the rounding.
+	m := x >> 11
+	half := x&(1<<10) != 0
+	if half && (x&(1<<10-1) != 0 || sticky || m&1 != 0) {
+		m++
+		if m == 1<<53 {
+			m >>= 1
+			exp2++
+		}
+	}
+	// v = m·2^(exp2+11), and m's leading bit is the implicit one.
+	return math.Float64frombits(uint64(exp2+11+52+1023)<<52 | m&(1<<52-1))
 }
 
 // Uint reads a number as an unsigned integer of the given bit size: a

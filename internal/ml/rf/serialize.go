@@ -70,10 +70,10 @@ var (
 )
 
 // ReadForest reads a forest over numFeatures features in its MarshalJSON
-// form from r, writing each tree's node arrays straight into the tree's
-// node arena. It accepts what jsonread accepts and checks what walking
-// the trees relies on: at least one tree, no empty tree, equal-length
-// node arrays, and every split on a feature below numFeatures with its
+// form from r, building each tree's node arena from its node arrays. It
+// accepts what jsonread accepts and checks what walking the trees relies
+// on: at least one tree, no empty tree, equal-length node arrays, and
+// every split on a feature below numFeatures with its
 // left child the next node and its right child after it in its tree, as
 // Train lays trees out, so a walk can neither index out of range nor
 // loop. Fields no walk reads are dropped (see MarshalJSON).
@@ -90,12 +90,9 @@ func ReadForest(r *jsonread.Reader, numFeatures int) (*Forest, error) {
 			if r.Null() {
 				return nil
 			}
-			f.importance = make([]float64, 0, r.ArrayLen())
-			return r.Array(func() error {
-				v, err := r.Float()
-				f.importance = append(f.importance, v)
-				return err
-			})
+			var err error
+			f.importance, err = r.Floats(make([]float64, 0, r.ArrayLen()))
+			return err
 		default: // "trees"
 			var spans []jsonread.Reader
 			err := r.Array(func() error {
@@ -132,14 +129,15 @@ func readTrees(spans []jsonread.Reader, numFeatures int) ([]tree, error) {
 	errs := make([]error, len(spans))
 	var next atomic.Int64
 	work := func() {
-		var s treeScratch
+		s := scratchPool.Get().(*treeScratch)
+		defer scratchPool.Put(s)
 		for {
 			ti := int(next.Add(1) - 1)
 			if ti >= len(spans) {
 				return
 			}
 			r := &spans[ti]
-			nodes, err := readTree(r, ti, numFeatures, &s)
+			nodes, err := readTree(r, ti, numFeatures, s)
 			if err == nil {
 				err = r.End()
 			}
@@ -191,23 +189,34 @@ func readParams(r *jsonread.Reader, p *Params) error {
 	})
 }
 
-// treeScratch holds the node arrays a tree lists before "feature": until
-// the features say which nodes split, a threshold, a leaf value or a
-// left link can be neither placed nor checked. Save lists "feature"
-// first, so its files never need it; otherwise one scratch serves every
-// tree one goroutine reads.
+// treeScratch holds the five node arrays of a tree while it is read.
+// One scratch serves every tree one goroutine reads. Its arrays are
+// carved from two blocks, one per element type, which reserve sizes to
+// twice the tree that outgrows them, so the trees of one forest, which
+// differ in size far less than twofold, seldom allocate.
 type treeScratch struct {
-	thresh, value []float64
-	left          []int32
+	feature, left, right []int64
+	thresh, value        []float64
+	size                 int // capacity each array was given
 }
 
-func (s *treeScratch) size(n int) {
-	s.thresh = slices.Grow(s.thresh[:0], n)[:n]
-	s.value = slices.Grow(s.value[:0], n)[:n]
-	s.left = slices.Grow(s.left[:0], n)[:n]
+// scratchPool hands the scratch of one forest's read to the next, such
+// as a model file's second forest.
+var scratchPool = sync.Pool{New: func() any { return new(treeScratch) }}
+
+// reserve gives each array room for at least n nodes.
+func (s *treeScratch) reserve(n int) {
+	if n <= s.size {
+		return
+	}
+	n *= 2
+	s.size = n
+	ints, floats := make([]int64, 3*n), make([]float64, 2*n)
+	s.feature, s.left, s.right = ints[:0:n], ints[n:n:2*n], ints[2*n:2*n]
+	s.thresh, s.value = floats[:0:n], floats[n:n]
 }
 
-// Bits of readTree's field sets, in treeFields order.
+// Bits of readTree's field set, in treeFields order.
 const (
 	bitFeature = 1 << iota
 	bitThresh
@@ -217,100 +226,54 @@ const (
 	allTreeFields = bitValue<<1 - 1
 )
 
-// readTree reads tree ti. The first node array read sizes the arena;
-// every other array must fill it exactly.
+// readTree reads tree ti: its five node arrays, in any key order, into
+// s, then the nodes from them in one pass that checks each.
 func readTree(r *jsonread.Reader, ti, numFeatures int, s *treeScratch) ([]node, error) {
-	var nodes []node
-	var read, early uint8 // fields read; fields read before "feature"
+	var read uint8
 	err := r.Fields(treeFields, func(field string) error {
-		if nodes == nil {
-			nodes = make([]node, r.ArrayLen())
+		if read == 0 {
+			s.reserve(r.ArrayLen())
 		}
-		bit := uint8(bitFeature << slices.Index(treeFields, field))
-		inScratch := read&bitFeature == 0 && bit&(bitThresh|bitLeft|bitValue) != 0
-		if inScratch && early&(bitThresh|bitLeft|bitValue) == 0 {
-			s.size(len(nodes))
+		var err error
+		switch field {
+		case "feature":
+			s.feature, err = r.Ints(s.feature[:0], strconv.IntSize)
+		case "thresh":
+			s.thresh, err = r.Floats(s.thresh[:0])
+		case "left":
+			s.left, err = r.Ints(s.left[:0], 32)
+		case "right":
+			s.right, err = r.Ints(s.right[:0], 32)
+		default: // "value"
+			s.value, err = r.Floats(s.value[:0])
 		}
-		read |= bit
-		if inScratch {
-			early |= bit
-		}
-		i := 0
-		err := r.Array(func() error {
-			if i == len(nodes) {
-				return inconsistentTree(ti)
-			}
-			n := &nodes[i]
-			var err error
-			var v int64
-			var x float64
-			switch bit {
-			case bitFeature:
-				v, err = r.Int(strconv.IntSize)
-				if err == nil && v >= int64(numFeatures) {
-					err = fmt.Errorf("rf: tree %d node %d splits on feature %d of %d", ti, i, v, numFeatures)
-				}
-				n.feature = int32(max(v, -1))
-			case bitThresh:
-				x, err = r.Float()
-				if inScratch {
-					s.thresh[i] = x
-				} else if n.feature >= 0 {
-					n.v = x
-				}
-			case bitLeft:
-				v, err = r.Int(32)
-				if inScratch {
-					s.left[i] = int32(v)
-				} else if err == nil && n.feature >= 0 && v != int64(i+1) {
-					err = leftNotNext(ti, i)
-				}
-			case bitRight:
-				v, err = r.Int(32)
-				n.right = int32(v)
-			default: // bitValue
-				x, err = r.Float()
-				if inScratch {
-					s.value[i] = x
-				} else if n.feature < 0 {
-					n.v = x
-				}
-			}
-			i++
-			return err
-		})
-		if err == nil && i != len(nodes) {
-			err = inconsistentTree(ti)
-		}
+		read |= uint8(bitFeature << slices.Index(treeFields, field))
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	if len(nodes) == 0 {
-		return nil, fmt.Errorf("rf: tree %d is empty", ti)
-	}
-	if read != allTreeFields {
+	n := len(s.feature)
+	if read != allTreeFields || len(s.thresh) != n || len(s.left) != n || len(s.right) != n || len(s.value) != n {
 		return nil, inconsistentTree(ti)
 	}
-	n := int32(len(nodes))
-	for ni := range nodes {
-		nd := &nodes[ni]
-		if nd.feature < 0 {
-			nd.right = 0
-			if early&bitValue != 0 {
-				nd.v = s.value[ni]
-			}
-			continue
-		}
-		if early&bitThresh != 0 {
-			nd.v = s.thresh[ni]
-		}
-		if early&bitLeft != 0 && s.left[ni] != int32(ni+1) {
-			return nil, leftNotNext(ti, ni)
-		}
-		if nd.right <= int32(ni) || nd.right >= n {
-			return nil, fmt.Errorf("rf: tree %d node %d has an out-of-range right child", ti, ni)
+	if n == 0 {
+		return nil, fmt.Errorf("rf: tree %d is empty", ti)
+	}
+	nodes := make([]node, n)
+	for i := range nodes {
+		nd, feat := &nodes[i], s.feature[i]
+		switch {
+		case feat >= int64(numFeatures):
+			return nil, fmt.Errorf("rf: tree %d node %d splits on feature %d of %d", ti, i, feat, numFeatures)
+		case feat < 0:
+			nd.feature, nd.v = -1, s.value[i]
+		case s.left[i] != int64(i+1):
+			return nil, fmt.Errorf("rf: tree %d node %d: left child is not the next node", ti, i)
+		case s.right[i] <= int64(i) || s.right[i] >= int64(n):
+			return nil, fmt.Errorf("rf: tree %d node %d has an out-of-range right child", ti, i)
+		default:
+			nd.feature, nd.v, nd.right = int32(feat), s.thresh[i], int32(s.right[i])
 		}
 	}
 	return nodes, nil
@@ -318,8 +281,4 @@ func readTree(r *jsonread.Reader, ti, numFeatures int, s *treeScratch) ([]node, 
 
 func inconsistentTree(ti int) error {
 	return fmt.Errorf("rf: tree %d has inconsistent node arrays", ti)
-}
-
-func leftNotNext(ti, ni int) error {
-	return fmt.Errorf("rf: tree %d node %d: left child is not the next node", ti, ni)
 }

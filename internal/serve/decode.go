@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -47,14 +48,26 @@ var (
 	hostFields    = []string{"time_sec", "energy_j", "edp"}
 )
 
-// featureIndex maps each pisa feature name to its slot in profileVec.
-var featureIndex = sync.OnceValue(func() map[string]int {
+// featureTable lists the pisa feature names in sorted order, the order
+// in which Go clients such as napel export-profile and loadgen marshal
+// the features map, with each name's slot in profileVec and, by name,
+// its place in the list.
+type featureTable struct {
+	names []string
+	slots []int
+	place map[string]int
+}
+
+var featureOrder = sync.OnceValue(func() *featureTable {
 	names := pisa.FeatureNames()
-	m := make(map[string]int, len(names))
-	for i, n := range names {
-		m[n] = i
+	t := &featureTable{names: slices.Clone(names), place: make(map[string]int, len(names))}
+	slices.Sort(t.names)
+	t.slots = make([]int, len(names))
+	for k, n := range t.names {
+		t.slots[k] = slices.Index(names, n)
+		t.place[n] = k
 	}
-	return m
+	return t
 })
 
 // errBatchTooLarge stops a batch at item max+1.
@@ -220,18 +233,24 @@ func (d *decoder) features(p *profileVec) error {
 		p.unknown = 0
 		return nil
 	}
-	index := featureIndex()
+	t := featureOrder()
+	next := 0 // the place of the name expected next, in sorted order
 	return d.r.Object(func(key []byte) error {
-		i, known := index[string(key)]
-		if !known {
-			p.unknown++
+		k := next
+		if k >= len(t.names) || string(key) != t.names[k] {
+			var known bool
+			if k, known = t.place[string(key)]; !known {
+				k = -1
+				p.unknown++
+			}
 		}
 		var v float64
 		if err := d.float(&v); err != nil {
 			return err
 		}
-		if known {
-			p.set(i, v)
+		if k >= 0 {
+			p.set(t.slots[k], v)
+			next = k + 1
 		}
 		return nil
 	})

@@ -87,7 +87,7 @@ func newServeObs(tracer *obs.Tracer, endpoints ...string) *serveObs {
 	o.stagePredict = stage.With("predict")
 	o.stageEncode = stage.With("encode")
 	load := reg.HistogramVec("napel_serve_model_load_seconds",
-		"Time to install a model generation, at start-up, reload or follow, by stage: fetch (read and hash, or pull and verify) and decode.",
+		"Time to install a model generation, at start-up, reload or follow, by stage: fetch (read, pull and verify, or a follow poll's read and hash) and decode (with a read file's content hash beside it).",
 		nil, "stage")
 	o.loadFetch = load.With("fetch")
 	o.loadDecode = load.With("decode")

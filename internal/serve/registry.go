@@ -224,8 +224,18 @@ func loadModel(name, path string) (*Model, error) {
 
 // modelFromBytes parses one model generation out of its serialized
 // bytes. path is the source's Describe() string — purely descriptive.
+// An empty version is the bytes' content version, hashed on a goroutine
+// while the model decodes.
 func modelFromBytes(name, path string, data []byte, version string) (*Model, error) {
+	var hashed chan string
+	if version == "" {
+		hashed = make(chan string, 1)
+		go func() { hashed <- contentVersion(data) }()
+	}
 	pred, err := napel.LoadPredictor(data)
+	if hashed != nil {
+		version = <-hashed
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -30,8 +30,9 @@ type ModelSource interface {
 	// Describe identifies the source in errors and the /v1/models
 	// listing: a file path or a store URL.
 	Describe() string
-	// Load fetches the current model bytes and their serving version
-	// unconditionally.
+	// Load fetches the current model bytes unconditionally, with their
+	// serving version, or with "" to leave hashing the bytes to the
+	// registry, which then does so beside the decode.
 	Load() (data []byte, version string, err error)
 	// Poll re-checks the source against the installed version,
 	// returning bytes only when the content changed. An unchanged poll
@@ -63,19 +64,20 @@ type FileSource struct {
 
 func (f *FileSource) Describe() string { return f.Path }
 
+// Load reads the file and leaves its version to the registry.
 func (f *FileSource) Load() ([]byte, string, error) {
 	data, err := os.ReadFile(f.Path)
-	if err != nil {
-		return nil, "", err
-	}
-	return data, contentVersion(data), nil
+	return data, "", err
 }
 
+// Poll hashes the file before anything decodes it, so an unchanged file
+// costs a read and a hash.
 func (f *FileSource) Poll(prev string) ([]byte, string, bool, error) {
-	data, version, err := f.Load()
+	data, err := os.ReadFile(f.Path)
 	if err != nil {
 		return nil, "", false, err
 	}
+	version := contentVersion(data)
 	if version == prev {
 		return nil, prev, false, nil
 	}

@@ -54,6 +54,28 @@ func fileVersion(t *testing.T, path string) string {
 	return contentVersion(data)
 }
 
+// TestFileVersionHashedBesideDecode: a file-backed registry hashes the
+// bytes while they decode, at start-up and on reload, and still serves
+// their content version, the one a follow poll computes before decode.
+func TestFileVersionHashedBesideDecode(t *testing.T) {
+	f := fixture(t)
+	reg, err := NewRegistry(map[string]string{DefaultModelName: f.modelA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fileVersion(t, f.modelA)
+	if m, _ := reg.Get(""); m.Version != want {
+		t.Fatalf("start-up version %s, want %s", m.Version, want)
+	}
+	models, err := reg.Reload()
+	if err != nil || len(models) != 1 || models[0].Version != want {
+		t.Fatalf("reload: %v, %v; want version %s", models, err, want)
+	}
+	if _, version, changed, err := (&FileSource{Path: f.modelA}).Poll(want); err != nil || changed || version != want {
+		t.Fatalf("poll of the same file: version %s changed=%v err=%v", version, changed, err)
+	}
+}
+
 // TestStoreSourceServingIdentity: a store-backed registry must serve
 // the same model_version a file-backed one computes for the same bytes
 // — the identity loadgen's prober (and the gate's ring key) relies on.

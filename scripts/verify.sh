@@ -177,6 +177,11 @@ echo "== go test -race (concurrent packages) =="
 go test -race -count=1 ./internal/serve/... ./internal/fleet/... ./internal/member/... ./internal/cache/... ./internal/napel/... ./internal/ml/rf/... ./internal/jsonread/... ./internal/trace/... ./internal/lifecycle/... ./internal/collectd/... ./internal/obs/... ./internal/obsd/... ./internal/resilience/...
 go test -race -count=1 -run 'Parallel' ./internal/exp/...
 
+echo "== run each decode-path benchmark once =="
+# go test compiles benchmarks but never runs them, so a benchmark whose
+# fixture broke would go unnoticed until someone measured with it.
+go test -run '^$' -bench . -benchtime 1x ./internal/jsonread ./internal/ml/rf ./internal/napel ./internal/serve
+
 echo "== the benchmark module: go vet and go test =="
 # bench/ is a module of its own, so the stages above never compile it,
 # yet it imports loadgen, serve, fleet, cache and obs. go build ./...
@@ -198,7 +203,7 @@ go test -run '^$' -fuzz FuzzParseTraceParent -fuzztime 10s ./internal/obs
 echo "== fuzz the JSON reader and batch splitter (10 s) =="
 # napel-gate splits every batch body any client sends with
 # jsonread.Elements; FuzzReader checks it and the model decoder's reader
-# against encoding/json.
+# against encoding/json, and Float's conversion against strconv.
 go test -run '^$' -fuzz FuzzReader -fuzztime 10s ./internal/jsonread
 
 echo "== fuzz the request decoder (10 s) =="
