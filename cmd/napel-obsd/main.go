@@ -23,12 +23,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
+	"net"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
+	"napel/internal/httpd"
 	"napel/internal/obs"
 	"napel/internal/obsd"
 )
@@ -89,21 +90,14 @@ func main() {
 	defer stop()
 	go a.Run(ctx)
 
-	srv := &http.Server{Addr: *addr, Handler: a.Handler()}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "napel-obsd: scraping %d targets, listening on %s\n", a.TargetCount(), *addr)
-
-	select {
-	case err := <-errCh:
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "napel-obsd: %v\n", err)
 		os.Exit(1)
-	case <-ctx.Done():
 	}
-	sctx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := srv.Shutdown(sctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		fmt.Fprintf(os.Stderr, "napel-obsd: shutdown: %v\n", err)
+	fmt.Fprintf(os.Stderr, "napel-obsd: scraping %d targets, listening on %s\n", a.TargetCount(), *addr)
+	if err := httpd.Serve(ctx, ln, a.Handler(), *drain, nil); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+		fmt.Fprintf(os.Stderr, "napel-obsd: %v\n", err)
 		os.Exit(1)
 	}
 	fmt.Fprintln(os.Stderr, "napel-obsd: exiting")

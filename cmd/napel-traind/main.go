@@ -21,20 +21,18 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sync"
 	"syscall"
 	"time"
 
 	"napel/internal/collectd"
+	"napel/internal/httpd"
 	"napel/internal/lifecycle"
 	"napel/internal/obs"
 	"napel/internal/resilience/faultpoint"
@@ -146,34 +144,21 @@ func main() {
 		os.Exit(130)
 	}()
 
-	srv := &http.Server{Addr: *addr, Handler: lifecycle.NewAPIHandler(mgr)}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		logger.Fatal(err)
 	}
 	logger.Printf("store %s, jobs %s, serving admin API on %s", *storeDir, *jobsDir, ln.Addr())
 
-	var wg sync.WaitGroup
-	wg.Add(1)
+	managed := make(chan struct{})
 	go func() {
-		defer wg.Done()
+		defer close(managed)
 		mgr.Run(ctx)
 	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			logger.Printf("http: %v", err)
-			cancel()
-		}
-	}()
-
-	<-ctx.Done()
-	shutdownCtx, cancelShutdown := context.WithTimeout(context.Background(), *drain)
-	defer cancelShutdown()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		logger.Printf("http shutdown: %v", err)
+	if err := httpd.Serve(ctx, ln, lifecycle.NewAPIHandler(mgr), *drain, nil); err != nil {
+		logger.Printf("http: %v", err)
+		cancel()
 	}
-	wg.Wait()
+	<-managed
 	logger.Printf("jobs checkpointed, exiting")
 }

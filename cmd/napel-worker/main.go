@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"napel/internal/collectd"
+	"napel/internal/httpd"
 	"napel/internal/obs"
 	"napel/internal/resilience/faultpoint"
 )
@@ -117,26 +118,34 @@ func main() {
 		os.Exit(130)
 	}()
 
+	// The metrics listener outlives the first signal: it answers until
+	// the worker has finished its current unit, then drains.
+	stopMetrics := func() {}
 	if *addr != "" {
 		mux := http.NewServeMux()
 		mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, r *http.Request) {
-			rw.Header().Set("Content-Type", "application/json")
-			fmt.Fprintf(rw, `{"status":"ok","worker":%q}`+"\n", *id)
+			httpd.WriteJSON(rw, http.StatusOK, map[string]string{"status": "ok", "worker": *id})
 		})
-		mux.HandleFunc("GET /metrics", func(rw http.ResponseWriter, r *http.Request) {
-			rw.Header().Set("Content-Type", obs.ContentType)
-			reg.WriteText(rw)
-		})
+		mux.Handle("GET /metrics", reg.Handler())
 		ln, err := net.Listen("tcp", *addr)
 		if err != nil {
 			logger.Fatal(err)
 		}
 		logger.Printf("serving metrics on %s", ln.Addr())
-		go http.Serve(ln, mux)
+		metricsCtx, cancelMetrics := context.WithCancel(context.Background())
+		served := make(chan error, 1)
+		go func() { served <- httpd.Serve(metricsCtx, ln, mux, 5*time.Second, nil) }()
+		stopMetrics = func() {
+			cancelMetrics()
+			if err := <-served; err != nil {
+				logger.Printf("metrics: %v", err)
+			}
+		}
 	}
 
 	logger.Printf("worker %s starting against %s", *id, *coordinator)
 	w.Run(ctx)
+	stopMetrics()
 	logger.Printf("worker %s stopped", *id)
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 
+	"napel/internal/httpd"
 	"napel/internal/napel"
 	"napel/internal/obs"
 )
@@ -66,28 +67,20 @@ type completeRequest struct {
 // napel-traind mounts this next to its job/store API so one listener
 // serves both operators and workers.
 func RegisterAPI(mux *http.ServeMux, c *Coordinator) {
-	// traced joins the handler to the caller's trace when the request
-	// carries a traceparent header (napel-worker injects one per unit),
-	// so a lease grant and its completion appear under the worker's
-	// "worker.unit" span in /debug/fleet. The tracer is loaded per
-	// request: napel-traind installs it via SetTracer after mounting.
-	traced := func(name string, h http.HandlerFunc) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			ctx := obs.ExtractHTTP(obs.WithTracer(r.Context(), c.Tracer()), r)
-			ctx, span := obs.StartSpan(ctx, name)
-			defer span.End()
-			h(w, r.WithContext(ctx))
-		}
-	}
-
-	mux.HandleFunc("POST /v1/lease", traced("collectd.lease", func(w http.ResponseWriter, r *http.Request) {
+	// Each handler joins the caller's trace when the request carries a
+	// traceparent header (napel-worker injects one per unit), so a lease
+	// grant and its completion appear under the worker's "worker.unit"
+	// span in /debug/fleet. The spans go to the tracer SetTracer
+	// installed before mounting.
+	tracer := c.Tracer()
+	mux.HandleFunc("POST /v1/lease", obs.Traced(tracer, "collectd.lease", func(w http.ResponseWriter, r *http.Request) {
 		var req leaseRequest
 		if err := decodeBody(r, &req); err != nil {
-			apiError(w, http.StatusBadRequest, err.Error())
+			httpd.WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		if req.Worker == "" {
-			apiError(w, http.StatusBadRequest, "missing worker id")
+			httpd.WriteError(w, http.StatusBadRequest, "missing worker id")
 			return
 		}
 		span := obs.SpanFromContext(r.Context())
@@ -100,36 +93,36 @@ func RegisterAPI(mux *http.ServeMux, c *Coordinator) {
 		}
 		span.SetAttr("lease", l.ID)
 		span.SetAttr("key", l.Spec.Key)
-		apiJSON(w, http.StatusOK, l)
+		httpd.WriteJSON(w, http.StatusOK, l)
 	}))
 
-	mux.HandleFunc("POST /v1/heartbeat", traced("collectd.heartbeat", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/heartbeat", obs.Traced(tracer, "collectd.heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		var req heartbeatRequest
 		if err := decodeBody(r, &req); err != nil {
-			apiError(w, http.StatusBadRequest, err.Error())
+			httpd.WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		if req.Worker == "" {
-			apiError(w, http.StatusBadRequest, "missing worker id")
+			httpd.WriteError(w, http.StatusBadRequest, "missing worker id")
 			return
 		}
 		obs.SpanFromContext(r.Context()).SetAttr("worker", req.Worker)
 		unknown := c.Heartbeat(req.Worker, req.Leases)
-		apiJSON(w, http.StatusOK, heartbeatResponse{Unknown: unknown})
+		httpd.WriteJSON(w, http.StatusOK, heartbeatResponse{Unknown: unknown})
 	}))
 
-	mux.HandleFunc("POST /v1/complete", traced("collectd.complete", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/complete", obs.Traced(tracer, "collectd.complete", func(w http.ResponseWriter, r *http.Request) {
 		var req completeRequest
 		if err := decodeBody(r, &req); err != nil {
-			apiError(w, http.StatusBadRequest, err.Error())
+			httpd.WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		if req.Worker == "" || req.Lease == "" {
-			apiError(w, http.StatusBadRequest, "missing worker or lease id")
+			httpd.WriteError(w, http.StatusBadRequest, "missing worker or lease id")
 			return
 		}
 		if req.Error == "" && (len(req.Payload) == 0 || req.SHA256 == "") {
-			apiError(w, http.StatusBadRequest, "complete needs either an error or a payload with its sha256")
+			httpd.WriteError(w, http.StatusBadRequest, "complete needs either an error or a payload with its sha256")
 			return
 		}
 		span := obs.SpanFromContext(r.Context())
@@ -139,20 +132,20 @@ func RegisterAPI(mux *http.ServeMux, c *Coordinator) {
 		switch {
 		case errors.Is(err, ErrUnknownLease):
 			span.SetError(err)
-			apiError(w, http.StatusNotFound, err.Error())
+			httpd.WriteError(w, http.StatusNotFound, err.Error())
 		case errors.Is(err, ErrPayloadHash):
 			span.SetError(err)
-			apiError(w, http.StatusUnprocessableEntity, err.Error())
+			httpd.WriteError(w, http.StatusUnprocessableEntity, err.Error())
 		case err != nil:
 			span.SetError(err)
-			apiError(w, http.StatusInternalServerError, err.Error())
+			httpd.WriteError(w, http.StatusInternalServerError, err.Error())
 		default:
-			apiJSON(w, http.StatusOK, map[string]bool{"accepted": true})
+			httpd.WriteJSON(w, http.StatusOK, map[string]bool{"accepted": true})
 		}
 	}))
 
 	mux.HandleFunc("GET /v1/collect", func(w http.ResponseWriter, r *http.Request) {
-		apiJSON(w, http.StatusOK, c.Stats())
+		httpd.WriteJSON(w, http.StatusOK, c.Stats())
 	})
 }
 
@@ -163,14 +156,4 @@ func decodeBody(r *http.Request, v any) error {
 		return fmt.Errorf("decoding request: %w", err)
 	}
 	return nil
-}
-
-func apiJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func apiError(w http.ResponseWriter, status int, msg string) {
-	apiJSON(w, status, map[string]string{"error": msg})
 }

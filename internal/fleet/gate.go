@@ -16,7 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"napel/internal/httpbody"
+	"napel/internal/httpd"
 	"napel/internal/jsonread"
 	"napel/internal/member"
 	"napel/internal/obs"
@@ -206,7 +206,7 @@ func New(cfg Config) (*Gate, error) {
 	g := &Gate{
 		cfg: cfg,
 		o: newFleetObs(obs.NewTracer(cfg.TraceRing, cfg.TraceSink),
-			"predict", "suitability", "fleet", "join", "reload", "healthz", "readyz", "metrics", "other"),
+			"predict", "suitability", "fleet", "join", "reload", "healthz", "readyz", "metrics"),
 		client: cfg.Client,
 		byURL:  map[string]*replica{},
 	}
@@ -435,7 +435,7 @@ func (g *Gate) send(ctx context.Context, rep *replica, path string, body []byte)
 		return upstream{rep: rep, err: err}
 	}
 	defer resp.Body.Close()
-	data, err := httpbody.Read(io.LimitReader(resp.Body, maxRespBytes), resp.ContentLength)
+	data, err := httpd.Read(io.LimitReader(resp.Body, maxRespBytes), resp.ContentLength)
 	if err != nil {
 		return upstream{rep: rep, err: err}
 	}
@@ -608,11 +608,11 @@ func (g *Gate) writeUpstream(w http.ResponseWriter, u upstream) {
 		if u.retryAfter > 0 && u.status != http.StatusGatewayTimeout {
 			w.Header().Set("Retry-After", strconv.Itoa(u.retryAfter))
 		}
-		writeError(w, u.status, u.synth)
+		httpd.WriteError(w, u.status, u.synth)
 		return
 	}
 	if u.err != nil {
-		writeError(w, http.StatusBadGateway, "fleet: upstream: "+u.err.Error())
+		httpd.WriteError(w, http.StatusBadGateway, "fleet: upstream: "+u.err.Error())
 		return
 	}
 	ct := u.header.Get("Content-Type")
@@ -627,41 +627,19 @@ func (g *Gate) writeUpstream(w http.ResponseWriter, u upstream) {
 	w.Write(u.body)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
-}
-
-// readBody reads the whole request body into a buffer sized from its
-// Content-Length, answering 413 past the body limit and 400 on other
-// read errors; ok is false when it answered.
-func (g *Gate) readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
-	body, status, err := httpbody.Request(r, g.cfg.MaxBodyBytes)
-	if err != nil {
-		writeError(w, status, err.Error())
-		return nil, false
-	}
-	return body, true
-}
-
 // handlePredict splits a non-empty JSON array per shard, and answers 413
 // as soon as an array passes MaxBatch items. Any other body — a single
 // predict, malformed JSON, an empty array — goes whole to the replica
 // its bytes route to, which answers it as a direct hit would.
 func (g *Gate) handlePredict(w http.ResponseWriter, r *http.Request) {
-	body, ok := g.readBody(w, r)
+	body, ok := httpd.Request(w, r, g.cfg.MaxBodyBytes)
 	if !ok {
 		return
 	}
 	items, err := jsonread.Elements(body, g.cfg.MaxBatch)
 	switch {
 	case errors.Is(err, jsonread.ErrTooMany):
-		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("batch exceeds limit %d", g.cfg.MaxBatch))
+		httpd.WriteError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("batch exceeds limit %d", g.cfg.MaxBatch))
 	case err == nil && len(items) > 0:
 		g.predictBatch(w, r.Context(), items)
 	default:
@@ -781,7 +759,7 @@ func fillGroup(out [][]byte, idxs []int, u upstream) {
 }
 
 func (g *Gate) handleSuitability(w http.ResponseWriter, r *http.Request) {
-	body, ok := g.readBody(w, r)
+	body, ok := httpd.Request(w, r, g.cfg.MaxBodyBytes)
 	if !ok {
 		return
 	}
@@ -833,7 +811,7 @@ func (g *Gate) fleetStatus() map[string]any {
 }
 
 func (g *Gate) handleFleet(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, g.fleetStatus())
+	httpd.WriteJSON(w, http.StatusOK, g.fleetStatus())
 }
 
 // handleJoin admits a replica announced at runtime: the URL is
@@ -841,7 +819,7 @@ func (g *Gate) handleFleet(w http.ResponseWriter, r *http.Request) {
 // the ring before the call returns. Joining is idempotent; a known URL
 // just refreshes its membership record.
 func (g *Gate) handleJoin(w http.ResponseWriter, r *http.Request) {
-	body, ok := g.readBody(w, r)
+	body, ok := httpd.Request(w, r, g.cfg.MaxBodyBytes)
 	if !ok {
 		return
 	}
@@ -849,19 +827,19 @@ func (g *Gate) handleJoin(w http.ResponseWriter, r *http.Request) {
 		URL string `json:"url"`
 	}
 	if err := json.Unmarshal(body, &req); err != nil || req.URL == "" {
-		writeError(w, http.StatusBadRequest, `fleet: join body must be {"url": "http://host:port"}`)
+		httpd.WriteError(w, http.StatusBadRequest, `fleet: join body must be {"url": "http://host:port"}`)
 		return
 	}
 	rep, created, err := g.addReplica(req.URL)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpd.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	g.members.Join(rep.url, nil)
 	g.probe(r.Context(), rep)
 	g.rebuild()
 	info, _ := g.members.Get(rep.url)
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpd.WriteJSON(w, http.StatusOK, map[string]any{
 		"url":        rep.url,
 		"new":        created,
 		"membership": info.State.String(),
@@ -872,16 +850,16 @@ func (g *Gate) handleJoin(w http.ResponseWriter, r *http.Request) {
 func (g *Gate) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	st := g.fleetStatus()
 	if g.Ready() {
-		writeJSON(w, http.StatusOK, st)
+		httpd.WriteJSON(w, http.StatusOK, st)
 		return
 	}
 	w.Header().Set("Retry-After", "1")
-	writeJSON(w, http.StatusServiceUnavailable, st)
+	httpd.WriteJSON(w, http.StatusServiceUnavailable, st)
 }
 
 func (g *Gate) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	alive, epoch := g.members.AliveEpoch()
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpd.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":         "ok",
 		"replicas":       len(g.replicaList()),
 		"replicas_ready": len(alive),
@@ -890,21 +868,16 @@ func (g *Gate) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (g *Gate) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", obs.ContentType)
-	g.o.reg.WriteText(w)
-}
-
 func (g *Gate) handleReload(w http.ResponseWriter, r *http.Request) {
 	results, err := g.RollingReload(r.Context())
 	if err != nil {
-		writeJSON(w, http.StatusBadGateway, map[string]any{
+		httpd.WriteJSON(w, http.StatusBadGateway, map[string]any{
 			"error":    err.Error(),
 			"replicas": results,
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"reloaded": true, "replicas": results})
+	httpd.WriteJSON(w, http.StatusOK, map[string]any{"reloaded": true, "replicas": results})
 }
 
 // Handler returns the routed gate handler.
@@ -912,40 +885,39 @@ func (g *Gate) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/healthz", g.instrument("healthz", http.MethodGet, g.handleHealthz))
 	mux.Handle("/readyz", g.instrument("readyz", http.MethodGet, g.handleReadyz))
-	mux.Handle("/metrics", g.instrument("metrics", http.MethodGet, g.handleMetrics))
+	mux.Handle("/metrics", g.instrument("metrics", http.MethodGet, g.o.reg.Handler().ServeHTTP))
 	mux.Handle("/v1/predict", g.instrument("predict", http.MethodPost, g.handlePredict))
 	mux.Handle("/v1/suitability", g.instrument("suitability", http.MethodPost, g.handleSuitability))
 	mux.Handle("/v1/fleet", g.instrument("fleet", http.MethodGet, g.handleFleet))
 	mux.Handle("/v1/fleet/join", g.instrument("join", http.MethodPost, g.handleJoin))
 	mux.Handle("/v1/fleet/reload", g.instrument("reload", http.MethodPost, g.handleReload))
 	mux.Handle("/", g.instrument("other", "", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("no route %s", r.URL.Path))
+		httpd.WriteError(w, http.StatusNotFound, fmt.Sprintf("no route %s", r.URL.Path))
 	}))
 	obs.MountDebug(mux, g.o.tracer)
 	return mux
 }
 
-// instrument wraps a handler with method check, drain refusal, body
-// limits, the optional request budget, a root span and per-endpoint
-// metrics. Probes bypass the drain refusal.
+// instrument wraps a handler with method check, drain refusal, the
+// optional request budget, a root span and per-endpoint metrics. Probes
+// bypass the drain refusal.
 func (g *Gate) instrument(endpoint, method string, h http.HandlerFunc) http.Handler {
 	probe := endpoint == "healthz" || endpoint == "readyz"
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w}
+		rec := &httpd.Recorder{ResponseWriter: w}
 		ctx, span := obs.StartSpan(obs.ExtractHTTP(obs.WithTracer(r.Context(), g.o.tracer), r), "gate."+endpoint)
 		span.SetAttr("method", r.Method)
 		span.SetAttr("path", r.URL.Path)
 
 		switch {
 		case method != "" && r.Method != method:
-			writeError(rec, http.StatusMethodNotAllowed, fmt.Sprintf("%s requires %s", r.URL.Path, method))
+			httpd.WriteError(rec, http.StatusMethodNotAllowed, fmt.Sprintf("%s requires %s", r.URL.Path, method))
 		case !probe && g.draining.Load():
 			rec.Header().Set("Retry-After", "1")
-			writeError(rec, http.StatusServiceUnavailable, "gate is draining")
+			httpd.WriteError(rec, http.StatusServiceUnavailable, "gate is draining")
 		default:
 			r = r.WithContext(ctx)
-			r.Body = http.MaxBytesReader(rec, r.Body, g.cfg.MaxBodyBytes)
 			if g.cfg.Budget > 0 && (endpoint == "predict" || endpoint == "suitability") {
 				bctx, cancel := resilience.WithBudget(ctx, g.cfg.Budget)
 				h(rec, r.WithContext(bctx))
@@ -956,30 +928,10 @@ func (g *Gate) instrument(endpoint, method string, h http.HandlerFunc) http.Hand
 		}
 
 		dur := time.Since(start)
-		span.SetAttrInt("status", int64(rec.status))
+		span.SetAttrInt("status", int64(rec.Status))
 		span.End()
-		g.o.observe(endpoint, rec.status, dur)
+		g.o.gateRequests.Observe(endpoint, rec.Status, dur)
 	})
-}
-
-// statusRecorder captures the response status for metrics.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (sr *statusRecorder) WriteHeader(code int) {
-	if sr.status == 0 {
-		sr.status = code
-	}
-	sr.ResponseWriter.WriteHeader(code)
-}
-
-func (sr *statusRecorder) Write(p []byte) (int, error) {
-	if sr.status == 0 {
-		sr.status = http.StatusOK
-	}
-	return sr.ResponseWriter.Write(p)
 }
 
 // Run serves on addr until ctx is cancelled, probing replicas at
@@ -992,34 +944,14 @@ func (g *Gate) Run(ctx context.Context, addr string) error {
 	return g.serve(ctx, ln)
 }
 
-// readTimeout bounds how long a client may take to send one request,
-// body included: the gate has no in-flight limit, so a client that
-// declares a body and then stalls would otherwise hold a goroutine and
-// its read buffer for as long as it keeps the connection open. net/http
-// clears the read deadline once the body reaches EOF, so a long handler,
-// such as a rolling reload, is not cut short. Tests shorten it.
-var readTimeout = 30 * time.Second
-
-const (
-	// idleTimeout closes unused client keep-alive connections.
-	idleTimeout = 2 * time.Minute
-	// upstreamIdleTimeout drops idle connections to replicas before
-	// napel-serve's own 2-minute idle timeout closes them: net/http does
-	// not replay a POST it has already written, so reusing a connection
-	// the replica is closing would turn into a failover.
-	upstreamIdleTimeout = 90 * time.Second
-)
+// upstreamIdleTimeout drops idle connections to replicas before a
+// replica's own httpd.IdleTimeout closes them: net/http does not replay
+// a POST it has already written, so reusing a connection the replica is
+// closing would turn into a failover.
+const upstreamIdleTimeout = httpd.IdleTimeout * 3 / 4
 
 func (g *Gate) serve(ctx context.Context, ln net.Listener) error {
 	g.CheckReplicas(ctx)
-	srv := &http.Server{
-		Handler:           g.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       readTimeout,
-		IdleTimeout:       idleTimeout,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
 	healthCtx, stopHealth := context.WithCancel(ctx)
 	defer stopHealth()
 	go func() {
@@ -1034,21 +966,7 @@ func (g *Gate) serve(ctx context.Context, ln net.Listener) error {
 			}
 		}
 	}()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	g.draining.Store(true)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), g.cfg.DrainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("fleet: drain incomplete after %s: %w", g.cfg.DrainTimeout, err)
-	}
-	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
+	return httpd.Serve(ctx, ln, g.Handler(), g.cfg.DrainTimeout, func() { g.draining.Store(true) })
 }
 
 func truncate(b []byte, n int) string {

@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"napel/internal/httpd"
 	"napel/internal/napel"
 	"napel/internal/pisa"
 	"napel/internal/serve"
@@ -801,11 +802,11 @@ func grepMetric(metrics, prefix string) string {
 }
 
 // TestGateStalledBodyTimesOut: a client that sends a predict's headers,
-// declaring a body, and then goes silent is cut off after readTimeout
+// declaring a body, and then goes silent is cut off after httpd.ReadTimeout
 // instead of holding a goroutine and its read buffer indefinitely.
 func TestGateStalledBodyTimesOut(t *testing.T) {
-	defer func(d time.Duration) { readTimeout = d }(readTimeout)
-	readTimeout = 200 * time.Millisecond
+	defer func(d time.Duration) { httpd.ReadTimeout = d }(httpd.ReadTimeout)
+	httpd.ReadTimeout = 200 * time.Millisecond
 	rep := newFakeReplica(t)
 	g, err := New(Config{Replicas: []string{rep.url}})
 	if err != nil {

@@ -3,11 +3,9 @@ package fleet
 import (
 	"time"
 
+	"napel/internal/httpd"
 	"napel/internal/obs"
 )
-
-// statusClasses indexes status/100: index 0 aggregates anything exotic.
-var statusClasses = [6]string{"other", "1xx", "2xx", "3xx", "4xx", "5xx"}
 
 // fleetObs is the gate's observability surface on a shared internal/obs
 // registry. Per-endpoint and per-replica series are pre-resolved at
@@ -17,8 +15,7 @@ type fleetObs struct {
 	tracer *obs.Tracer
 	start  time.Time
 
-	gateRequests map[string]*[6]*obs.Counter
-	gateDuration map[string]*obs.Histogram
+	gateRequests *httpd.RequestMetrics
 
 	// Per-replica upstream handles live on the replica structs; the vecs
 	// are kept to resolve them at construction.
@@ -39,23 +36,12 @@ func newFleetObs(tracer *obs.Tracer, endpoints ...string) *fleetObs {
 	reg := obs.NewRegistry()
 	obs.RegisterBuildInfo(reg, "napel-gate")
 	o := &fleetObs{
-		reg:          reg,
-		tracer:       tracer,
-		start:        time.Now(),
-		gateRequests: make(map[string]*[6]*obs.Counter, len(endpoints)),
-		gateDuration: make(map[string]*obs.Histogram, len(endpoints)),
-	}
-	req := reg.CounterVec("napel_fleet_gate_requests_total",
-		"Requests completed at the gate by endpoint and status class.", "endpoint", "class")
-	dur := reg.HistogramVec("napel_fleet_gate_request_duration_seconds",
-		"Gate request latency by endpoint, fanout and reassembly included.", nil, "endpoint")
-	for _, ep := range endpoints {
-		var handles [6]*obs.Counter
-		for ci, class := range statusClasses {
-			handles[ci] = req.With(ep, class)
-		}
-		o.gateRequests[ep] = &handles
-		o.gateDuration[ep] = dur.With(ep)
+		reg:    reg,
+		tracer: tracer,
+		start:  time.Now(),
+		gateRequests: httpd.NewRequestMetrics(reg, "napel_fleet_gate",
+			"Requests completed at the gate by endpoint and status class.",
+			"Gate request latency by endpoint, fanout and reassembly included.", endpoints...),
 	}
 	o.upstream = reg.CounterVec("napel_fleet_requests_total",
 		"Upstream attempts by replica and outcome (ok, client_error, error, canceled).",
@@ -82,19 +68,4 @@ func newFleetObs(tracer *obs.Tracer, endpoints ...string) *fleetObs {
 		"Ring membership changes by kind (join, evict, readmit, expire, leave).",
 		"change")
 	return o
-}
-
-// observe records one completed gate request.
-func (o *fleetObs) observe(endpoint string, status int, d time.Duration) {
-	em, ok := o.gateRequests[endpoint]
-	if !ok {
-		endpoint = "other"
-		em = o.gateRequests[endpoint]
-	}
-	class := status / 100
-	if class < 0 || class >= len(em) {
-		class = 0
-	}
-	em[class].Inc()
-	o.gateDuration[endpoint].Observe(d.Seconds())
 }

@@ -1,4 +1,4 @@
-package httpbody
+package httpd
 
 import (
 	"bytes"
@@ -11,6 +11,9 @@ import (
 	"strings"
 	"testing"
 	"testing/iotest"
+	"time"
+
+	"napel/internal/obs"
 )
 
 func TestRead(t *testing.T) {
@@ -77,12 +80,16 @@ func TestRequestStatuses(t *testing.T) {
 		{"read past the limit", strings.NewReader(strings.Repeat(" ", limit+1)), -1, http.StatusRequestEntityTooLarge},
 		{"read error", iotest.ErrReader(errors.New("reset")), -1, http.StatusBadRequest},
 	} {
-		r := httptest.NewRequest(http.MethodPost, "/", nil)
-		r.Body = http.MaxBytesReader(httptest.NewRecorder(), io.NopCloser(c.body), limit)
+		r := httptest.NewRequest(http.MethodPost, "/", io.NopCloser(c.body))
 		r.ContentLength = c.length
-		body, status, err := Request(r, limit)
-		if status != c.status || (err == nil) != (status == http.StatusOK) {
-			t.Errorf("%s: status %d, error %v, want %d", c.name, status, err, c.status)
+		rec := httptest.NewRecorder()
+		body, ok := Request(rec, r, limit)
+		status := http.StatusOK
+		if !ok {
+			status = rec.Code
+		}
+		if status != c.status || ok != (status == http.StatusOK) || ok != (rec.Body.Len() == 0) {
+			t.Errorf("%s: status %d, answered %q, want %d", c.name, status, rec.Body, c.status)
 		}
 		if status == http.StatusOK && string(body) != "{}" {
 			t.Errorf("%s: body %q", c.name, body)
@@ -96,17 +103,48 @@ func TestRequestStatuses(t *testing.T) {
 // alone, this read allocated the whole 8 MiB before any byte came.
 func TestRequestDeclaredLengthUnsent(t *testing.T) {
 	const limit = 8 << 20
-	r := httptest.NewRequest(http.MethodPost, "/", nil)
-	r.Body = http.MaxBytesReader(httptest.NewRecorder(), io.NopCloser(iotest.ErrReader(io.ErrUnexpectedEOF)), limit)
+	r := httptest.NewRequest(http.MethodPost, "/", io.NopCloser(iotest.ErrReader(io.ErrUnexpectedEOF)))
 	r.ContentLength = limit
+	rec := httptest.NewRecorder()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, status, _ := Request(r, limit)
+	Request(rec, r, limit)
 	runtime.ReadMemStats(&after)
-	if status != http.StatusBadRequest {
-		t.Errorf("status %d, want 400", status)
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("status %d, want 400", rec.Code)
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > firstRead+16<<10 {
 		t.Errorf("an unsent body declared at %d bytes allocated %d, want at most %d", limit, alloc, firstRead)
+	}
+}
+
+// TestRequestMetrics: a request counts under its endpoint and status
+// class, one to an endpoint not listed counts under "other", and Mean is
+// the mean latency over every endpoint.
+func TestRequestMetrics(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := NewRequestMetrics(reg, "t", "Requests.", "Latency.", "predict")
+	if d := m.Mean(); d != 0 {
+		t.Fatalf("mean %v before any request, want 0", d)
+	}
+	m.Observe("predict", http.StatusOK, 10*time.Millisecond)
+	m.Observe("predict", http.StatusServiceUnavailable, 30*time.Millisecond)
+	m.Observe("nowhere", 999, 20*time.Millisecond)
+	var text strings.Builder
+	reg.WriteText(&text)
+	for _, want := range []string{
+		`t_requests_total{endpoint="predict",class="2xx"} 1`,
+		`t_requests_total{endpoint="predict",class="5xx"} 1`,
+		`t_requests_total{endpoint="predict",class="4xx"} 0`,
+		`t_requests_total{endpoint="other",class="other"} 1`,
+		`t_request_duration_seconds_count{endpoint="predict"} 2`,
+		`t_request_duration_seconds_count{endpoint="other"} 1`,
+	} {
+		if !strings.Contains(text.String(), want+"\n") {
+			t.Errorf("exposition lacks %q:\n%s", want, text.String())
+		}
+	}
+	if d := m.Mean(); d < 19*time.Millisecond || d > 21*time.Millisecond {
+		t.Errorf("mean %v, want 20ms", d)
 	}
 }

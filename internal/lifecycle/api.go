@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"napel/internal/collectd"
+	"napel/internal/httpd"
 	"napel/internal/obs"
 )
 
@@ -42,7 +43,7 @@ func NewAPIHandler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{
+		httpd.WriteJSON(w, http.StatusOK, map[string]any{
 			"status":         "ok",
 			"jobs":           len(m.Jobs()),
 			"queue_depth":    m.QueueDepth(),
@@ -50,10 +51,7 @@ func NewAPIHandler(m *Manager) http.Handler {
 		})
 	})
 
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", obs.ContentType)
-		m.o.reg.WriteText(w)
-	})
+	mux.Handle("GET /metrics", m.o.reg.Handler())
 
 	obs.MountDebug(mux, m.o.tracer)
 
@@ -62,7 +60,7 @@ func NewAPIHandler(m *Manager) http.Handler {
 		dec := json.NewDecoder(io.LimitReader(r.Body, maxSpecBytes))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding job spec: %v", err))
+			httpd.WriteError(w, http.StatusBadRequest, fmt.Sprintf("decoding job spec: %v", err))
 			return
 		}
 		job, err := m.Submit(spec)
@@ -71,23 +69,23 @@ func NewAPIHandler(m *Manager) http.Handler {
 			if strings.Contains(err.Error(), "queue full") {
 				status = http.StatusServiceUnavailable
 			}
-			writeError(w, status, err.Error())
+			httpd.WriteError(w, status, err.Error())
 			return
 		}
-		writeJSON(w, http.StatusAccepted, job)
+		httpd.WriteJSON(w, http.StatusAccepted, job)
 	})
 
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"jobs": m.Jobs()})
+		httpd.WriteJSON(w, http.StatusOK, map[string]any{"jobs": m.Jobs()})
 	})
 
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		job, ok := m.Get(r.PathValue("id"))
 		if !ok {
-			writeError(w, http.StatusNotFound, "no such job")
+			httpd.WriteError(w, http.StatusNotFound, "no such job")
 			return
 		}
-		writeJSON(w, http.StatusOK, job)
+		httpd.WriteJSON(w, http.StatusOK, job)
 	})
 
 	mux.HandleFunc("POST /v1/jobs/{id}/cancel", func(w http.ResponseWriter, r *http.Request) {
@@ -97,22 +95,22 @@ func NewAPIHandler(m *Manager) http.Handler {
 			if strings.Contains(err.Error(), "no job") {
 				status = http.StatusNotFound
 			}
-			writeError(w, status, err.Error())
+			httpd.WriteError(w, status, err.Error())
 			return
 		}
 		job, _ := m.Get(id)
-		writeJSON(w, http.StatusOK, job)
+		httpd.WriteJSON(w, http.StatusOK, job)
 	})
 
 	mux.HandleFunc("GET /v1/store", func(w http.ResponseWriter, r *http.Request) {
 		manifests, err := m.store.List()
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
+			httpd.WriteError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
 		history, err := m.store.History()
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
+			httpd.WriteError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
 		resp := map[string]any{
@@ -127,10 +125,10 @@ func NewAPIHandler(m *Manager) http.Handler {
 		case errors.Is(err, ErrNoCurrent):
 			resp["current"] = nil
 		default:
-			writeError(w, http.StatusInternalServerError, err.Error())
+			httpd.WriteError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		httpd.WriteJSON(w, http.StatusOK, resp)
 	})
 
 	// The model-distribution routes replicas pull from (StoreSource).
@@ -151,21 +149,11 @@ func NewAPIHandler(m *Manager) http.Handler {
 			if errors.Is(err, ErrNoRollback) {
 				status = http.StatusConflict
 			}
-			writeError(w, status, err.Error())
+			httpd.WriteError(w, status, err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"current": manifest})
+		httpd.WriteJSON(w, http.StatusOK, map[string]any{"current": manifest})
 	})
 
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"regexp"
 
+	"napel/internal/httpd"
 	"napel/internal/obs"
 	"napel/internal/resilience/faultpoint"
 )
@@ -42,48 +43,39 @@ var (
 // injects — to the replica's "store.pull" trace, so one model
 // distribution reads as a single cross-process tree in /debug/fleet.
 func RegisterStoreAPI(mux *http.ServeMux, s *Store, tracer *obs.Tracer) {
-	traced := func(name string, h http.HandlerFunc) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			ctx := obs.ExtractHTTP(obs.WithTracer(r.Context(), tracer), r)
-			ctx, span := obs.StartSpan(ctx, name)
-			defer span.End()
-			h(w, r.WithContext(ctx))
-		}
-	}
-
-	mux.HandleFunc("GET /v1/store/current", traced("store.serve.current", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/store/current", obs.Traced(tracer, "store.serve.current", func(w http.ResponseWriter, r *http.Request) {
 		m, err := s.Current()
 		switch {
 		case errors.Is(err, ErrNoCurrent):
-			writeError(w, http.StatusNotFound, err.Error())
+			httpd.WriteError(w, http.StatusNotFound, err.Error())
 		case err != nil:
-			writeError(w, http.StatusInternalServerError, err.Error())
+			httpd.WriteError(w, http.StatusInternalServerError, err.Error())
 		default:
-			writeJSON(w, http.StatusOK, m)
+			httpd.WriteJSON(w, http.StatusOK, m)
 		}
 	}))
 
 	mux.HandleFunc("GET /v1/store/manifests/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
 		if !manifestIDRe.MatchString(id) {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("malformed manifest id %q", id))
+			httpd.WriteError(w, http.StatusBadRequest, fmt.Sprintf("malformed manifest id %q", id))
 			return
 		}
 		m, err := s.GetManifest(id)
 		switch {
 		case errors.Is(err, fs.ErrNotExist):
-			writeError(w, http.StatusNotFound, fmt.Sprintf("no manifest %s", id))
+			httpd.WriteError(w, http.StatusNotFound, fmt.Sprintf("no manifest %s", id))
 		case err != nil:
-			writeError(w, http.StatusInternalServerError, err.Error())
+			httpd.WriteError(w, http.StatusInternalServerError, err.Error())
 		default:
-			writeJSON(w, http.StatusOK, m)
+			httpd.WriteJSON(w, http.StatusOK, m)
 		}
 	})
 
-	mux.HandleFunc("GET /v1/store/blobs/{hash}", traced("store.serve.blob", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/store/blobs/{hash}", obs.Traced(tracer, "store.serve.blob", func(w http.ResponseWriter, r *http.Request) {
 		hash := r.PathValue("hash")
 		if !blobHashRe.MatchString(hash) {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("malformed blob address %q", hash))
+			httpd.WriteError(w, http.StatusBadRequest, fmt.Sprintf("malformed blob address %q", hash))
 			return
 		}
 		obs.SpanFromContext(r.Context()).SetAttr("blob", hash)
@@ -93,13 +85,13 @@ func RegisterStoreAPI(mux *http.ServeMux, s *Store, tracer *obs.Tracer) {
 			// The blob just moved to quarantine/; a republish of the same
 			// training run restores clean bytes under the same address,
 			// so this is retryable.
-			writeError(w, http.StatusServiceUnavailable, err.Error())
+			httpd.WriteError(w, http.StatusServiceUnavailable, err.Error())
 			return
 		case errors.Is(err, fs.ErrNotExist):
-			writeError(w, http.StatusNotFound, fmt.Sprintf("no blob %s", hash))
+			httpd.WriteError(w, http.StatusNotFound, fmt.Sprintf("no blob %s", hash))
 			return
 		case err != nil:
-			writeError(w, http.StatusInternalServerError, err.Error())
+			httpd.WriteError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")

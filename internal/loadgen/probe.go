@@ -2,7 +2,6 @@ package loadgen
 
 import (
 	"fmt"
-	"hash/fnv"
 	"os"
 	"sync"
 
@@ -33,7 +32,7 @@ type ModelProber struct {
 }
 
 // NewModelProber loads the model file and records its content version
-// (the same FNV-64a hash the serve registry stamps into responses), so
+// (serve.ContentVersion, which the serve registry stamps into responses), so
 // probes only judge responses computed under this exact generation. The
 // file is read once and both the version and the model come from that
 // one buffer: a second read could see a file promoted in between.
@@ -46,11 +45,9 @@ func NewModelProber(path string) (*ModelProber, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := fnv.New64a()
-	h.Write(data)
 	return &ModelProber{
 		pred:    pred,
-		version: fmt.Sprintf("%016x", h.Sum64()),
+		version: serve.ContentVersion(data),
 		memo:    map[*serve.PredictRequest]napel.Prediction{},
 	}, nil
 }

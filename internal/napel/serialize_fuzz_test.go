@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -402,19 +403,50 @@ func TestLoadedForestMatchesReferenceWalk(t *testing.T) {
 	}
 }
 
+// raceEnabled is set under -race (race_test.go).
+var raceEnabled bool
+
 // TestLoadPredictorAllocs pins the cost of a load to one allocation per
 // tree (its node arena) plus a constant, so a return to reflective
 // decoding, which allocates per node array and per value, fails here.
+// testing.AllocsPerRun counts at GOMAXPROCS 1, where the caller reads
+// every tree, so the load is also counted at GOMAXPROCS 2 and 4, where
+// rf.ReadForest reads on worker goroutines too; each of those may add
+// perWorker allocations (the goroutine and its tree scratch), and
+// nothing per tree.
 func TestLoadPredictorAllocs(t *testing.T) {
-	const treesPerTarget = 12
+	const treesPerTarget = 48
+	const perWorker = 2
 	data := savedBytes(t, synthPredictor(t, treesPerTarget, 40))
-	allocs := testing.AllocsPerRun(5, func() {
+	load := func() {
 		if _, err := LoadPredictor(data); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if limit := float64(2*treesPerTarget + 40); allocs > limit {
+	}
+	limit := float64(2*treesPerTarget + 40)
+	if allocs := testing.AllocsPerRun(5, load); allocs > limit {
 		t.Fatalf("LoadPredictor allocates %.0f/op for %d trees, want <= %.0f", allocs, 2*treesPerTarget, limit)
+	}
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	for _, procs := range []int{2, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			load()
+			const runs = 20
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				load()
+			}
+			runtime.ReadMemStats(&after)
+			allocs := float64(after.Mallocs-before.Mallocs) / runs
+			workers := 2 * (procs - 1) // per forest, beside the caller
+			if max := limit + float64(perWorker*workers); allocs > max {
+				t.Errorf("at GOMAXPROCS %d LoadPredictor allocates %.1f/op for %d trees, want <= %.0f", procs, allocs, 2*treesPerTarget, max)
+			}
+		}()
 	}
 }
 

@@ -123,6 +123,17 @@ func ExtractHTTP(ctx context.Context, r *http.Request) context.Context {
 	return ctx
 }
 
+// Traced wraps h so that each request runs under a span named name on
+// tracer, joined to the caller's trace when the request carries a
+// traceparent header. A nil tracer leaves the span a no-op.
+func Traced(tracer *Tracer, name string, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		ctx, span := StartSpan(ExtractHTTP(WithTracer(r.Context(), tracer), r), name)
+		defer span.End()
+		h(w, r.WithContext(ctx))
+	}
+}
+
 // SpanFromHeader is server middleware for muxes without bespoke
 // instrumentation: each request's context gains the caller's span
 // context before h runs, so handlers that StartSpan land in the

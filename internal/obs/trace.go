@@ -275,26 +275,40 @@ func (s *Span) End() {
 	if s == nil || !s.ended.CompareAndSwap(false, true) {
 		return
 	}
+	// The three IDs share one string, so a span costs one allocation
+	// for them, not three.
+	var b [48]byte
+	putID(b[0:16], s.traceID)
+	putID(b[16:32], s.spanID)
+	n := 32
+	if s.parentID != 0 {
+		putID(b[32:48], s.parentID)
+		n = 48
+	}
+	ids := string(b[:n])
 	rec := SpanRecord{
-		TraceID:         formatID(s.traceID),
-		SpanID:          formatID(s.spanID),
+		TraceID:         ids[0:16],
+		SpanID:          ids[16:32],
+		ParentID:        ids[32:],
 		Name:            s.name,
 		Start:           s.start,
 		DurationSeconds: time.Since(s.start).Seconds(),
 		Attrs:           s.attrs,
 	}
-	if s.parentID != 0 {
-		rec.ParentID = formatID(s.parentID)
-	}
 	s.tracer.export(rec)
 }
 
 func formatID(id uint64) string {
-	const hex = "0123456789abcdef"
 	var b [16]byte
+	putID(b[:], id)
+	return string(b[:])
+}
+
+// putID writes id into b as 16 lowercase hex digits.
+func putID(b []byte, id uint64) {
+	const hex = "0123456789abcdef"
 	for i := 15; i >= 0; i-- {
 		b[i] = hex[id&0xf]
 		id >>= 4
 	}
-	return string(b[:])
 }

@@ -1,12 +1,12 @@
 package obsd
 
 import (
-	"encoding/json"
 	"net/http"
 	"sort"
 	"strconv"
 	"time"
 
+	"napel/internal/httpd"
 	"napel/internal/obs"
 )
 
@@ -85,8 +85,7 @@ func (a *Aggregator) fleetHandler(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
+	httpd.WriteJSON(w, http.StatusOK, map[string]any{
 		"targets":     targets,
 		"slo":         a.sloView(scrapes),
 		"trace_count": len(traces),

@@ -20,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"napel/internal/httpd"
 	"napel/internal/obs"
 )
 
@@ -458,8 +459,7 @@ func (a *Aggregator) Handler() http.Handler {
 				up++
 			}
 		}
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"status":"ok","targets":%d,"up":%d}`+"\n", len(states), up)
+		httpd.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "targets": len(states), "up": up})
 	})
 
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {

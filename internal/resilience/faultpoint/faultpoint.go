@@ -110,8 +110,10 @@ func ParsePlan(seed uint64, spec string) (*Plan, error) {
 			r.prefix = true
 			r.pattern = strings.TrimSuffix(r.pattern, "*")
 		}
+		// Written so that NaN, which ParseFloat accepts and which fails
+		// every comparison, is rejected too: its rule would never fire.
 		prob, err := strconv.ParseFloat(parts[1], 64)
-		if err != nil || prob < 0 || prob > 1 {
+		if err != nil || !(prob >= 0 && prob <= 1) {
 			return nil, fmt.Errorf("faultpoint: clause %q: probability must be in [0, 1]", clause)
 		}
 		r.prob = prob

@@ -19,6 +19,9 @@ func TestParsePlanErrors(t *testing.T) {
 		"p:0.5:bogus",
 		"p:0.5:latency=xyz",
 		"p:0.5:latency=1ms:extra",
+		"p:NaN",
+		"p:nan",
+		"p:+Inf",
 	}
 	for _, spec := range bad {
 		if _, err := ParsePlan(1, spec); err == nil {
@@ -172,4 +175,36 @@ func TestFirstMatchingRuleWins(t *testing.T) {
 	if err := Inject(context.Background(), "a.c"); !errors.Is(err, ErrInjected) {
 		t.Fatalf("prefix rule not applied: %v", err)
 	}
+}
+
+// FuzzParsePlan: no spec panics ParsePlan, every rule it accepts has a
+// probability in [0, 1] and a latency of at least 0, and two plans from
+// the same seed and spec decide identically over the same arrivals.
+func FuzzParsePlan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, spec string) {
+		p, err := ParsePlan(seed, spec)
+		if err != nil {
+			return
+		}
+		names := []string{"serve.predict", "serve.reload", "fleet.forward", "store.blob", "atomicfile.write", ""}
+		for _, r := range p.rules {
+			if !(r.prob >= 0 && r.prob <= 1) || r.latency < 0 {
+				t.Fatalf("ParsePlan(%q) accepted %+v", spec, r)
+			}
+			names = append(names, r.pattern, r.pattern+".x")
+		}
+		q, err := ParsePlan(seed, spec)
+		if err != nil {
+			t.Fatalf("ParsePlan(%q) accepted once, then failed: %v", spec, err)
+		}
+		for i := 0; i < 4*len(names); i++ {
+			name := names[i%len(names)]
+			r1, fired1 := p.decide(name)
+			r2, fired2 := q.decide(name)
+			if fired1 != fired2 || r1 != r2 {
+				t.Fatalf("arrival %d at %q: plans from one seed and spec %q decided %v %+v and %v %+v",
+					i, name, spec, fired1, r1, fired2, r2)
+			}
+		}
+	})
 }

@@ -65,10 +65,10 @@ func TestReloadIfChanged(t *testing.T) {
 	}
 }
 
-// TestFollowInstallsPromotedModel drives the polling loop end to end:
-// an external writer atomically replaces the model file (exactly what
-// napel-traind's promotion does to current-model.json) and Follow
-// installs it without any reload call.
+// TestFollowInstallsPromotedModel drives the polling loop behind
+// -follow end to end: an external writer atomically replaces the model
+// file (exactly what napel-traind's promotion does to
+// current-model.json) and the loop installs it without any reload call.
 func TestFollowInstallsPromotedModel(t *testing.T) {
 	f := fixture(t)
 	s, modelPath := newTestServer(t, Config{})
@@ -80,7 +80,7 @@ func TestFollowInstallsPromotedModel(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		reg.Follow(ctx, time.Millisecond)
+		s.follow(ctx, time.Millisecond)
 	}()
 
 	data, err := os.ReadFile(f.modelB)
@@ -97,7 +97,7 @@ func TestFollowInstallsPromotedModel(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("Follow never installed the new model")
+			t.Fatal("follow never installed the new model")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -125,18 +125,8 @@ func TestReloadVsWriterRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Compute the two legal versions by publishing each once.
-	versions := map[string]bool{}
-	for _, d := range [][]byte{dataA, dataB} {
-		if err := atomicfile.WriteFileData(modelPath, d, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		m, err := loadModel("x", modelPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		versions[m.Version] = true
-	}
+	// The two legal versions: the content hashes of the two files.
+	versions := map[string]bool{ContentVersion(dataA): true, ContentVersion(dataB): true}
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -16,7 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"napel/internal/httpbody"
+	"napel/internal/httpd"
 	"napel/internal/napel"
 	"napel/internal/obs"
 	"napel/internal/resilience"
@@ -29,19 +28,8 @@ type apiError struct {
 	msg    string
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpd.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":         "ok",
 		"models":         len(s.registry.List()),
 		"uptime_seconds": time.Since(s.o.start).Seconds(),
@@ -78,22 +66,17 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		body["model_versions"] = versions
 	}
 	if ready {
-		writeJSON(w, http.StatusOK, body)
+		httpd.WriteJSON(w, http.StatusOK, body)
 		return
 	}
 	if draining {
 		setRetryAfter(w, s.retryAfterSeconds())
 	}
-	writeJSON(w, http.StatusServiceUnavailable, body)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", obs.ContentType)
-	s.o.reg.WriteText(w)
+	httpd.WriteJSON(w, http.StatusServiceUnavailable, body)
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"models": s.registry.List()})
+	httpd.WriteJSON(w, http.StatusOK, map[string]any{"models": s.registry.List()})
 }
 
 // handleReload re-reads every model file and atomically installs the
@@ -106,7 +89,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if err := s.reloadBreaker.Allow(); err != nil {
 		setRetryAfter(w, clampSeconds(s.reloadBreaker.RetryIn(), 1, 3600))
-		writeError(w, http.StatusServiceUnavailable, err.Error())
+		httpd.WriteError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
 	err := faultpoint.Inject(r.Context(), fpReload)
@@ -125,31 +108,26 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, faultpoint.ErrInjected):
 			status = http.StatusServiceUnavailable
 		}
-		writeError(w, status, err.Error())
+		httpd.WriteError(w, status, err.Error())
 		return
 	}
 	s.reloadBreaker.RecordSuccess()
-	writeJSON(w, http.StatusOK, map[string]any{"reloaded": true, "models": models})
+	httpd.WriteJSON(w, http.StatusOK, map[string]any{"reloaded": true, "models": models})
 }
 
-// readBody reads the whole request body into a buffer sized from its
-// Content-Length, answering 413 past the body limit and 400 on other
-// read errors; ok is false when it answered.
+// readBody reads the request body, timed as the read stage; ok is false
+// when httpd.Request has answered a failed read.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
 	t0 := time.Now()
-	body, status, err := httpbody.Request(r, s.cfg.MaxBodyBytes)
+	body, ok = httpd.Request(w, r, s.cfg.MaxBodyBytes)
 	s.o.stageRead.ObserveSince(t0)
-	if err != nil {
-		writeError(w, status, err.Error())
-		return nil, false
-	}
-	return body, true
+	return body, ok
 }
 
 // writeAnswer writes a 200 answer, timed as the encode stage.
 func (s *Server) writeAnswer(w http.ResponseWriter, v any) {
 	t0 := time.Now()
-	writeJSON(w, http.StatusOK, v)
+	httpd.WriteJSON(w, http.StatusOK, v)
 	s.o.stageEncode.ObserveSince(t0)
 }
 
@@ -164,11 +142,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.o.stageDecode.ObserveSince(t0)
 		switch {
 		case errors.Is(err, errBatchTooLarge):
-			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("batch exceeds limit %d", s.cfg.MaxBatch))
+			httpd.WriteError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("batch exceeds limit %d", s.cfg.MaxBatch))
 		case err != nil:
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding batch: %v", err))
+			httpd.WriteError(w, http.StatusBadRequest, fmt.Sprintf("decoding batch: %v", err))
 		case len(reqs) == 0:
-			writeError(w, http.StatusBadRequest, "empty batch")
+			httpd.WriteError(w, http.StatusBadRequest, "empty batch")
 		default:
 			s.predictBatch(w, r.Context(), reqs)
 		}
@@ -178,12 +156,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	err := decodeRequest(body, &req, nil)
 	s.o.stageDecode.ObserveSince(t0)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
+		httpd.WriteError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
 		return
 	}
 	resp, apiErr := s.predictOne(r.Context(), &req)
 	if apiErr != nil {
-		writeError(w, apiErr.status, apiErr.msg)
+		httpd.WriteError(w, apiErr.status, apiErr.msg)
 		return
 	}
 	s.writeAnswer(w, resp)
@@ -238,17 +216,17 @@ func (s *Server) handleSuitability(w http.ResponseWriter, r *http.Request) {
 	err := decodeRequest(body, &req, &host)
 	s.o.stageDecode.ObserveSince(t0)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
+		httpd.WriteError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
 		return
 	}
 	hostEDP, err := host.edp()
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err.Error())
+		httpd.WriteError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
 	nmc, apiErr := s.predictOne(r.Context(), &req)
 	if apiErr != nil {
-		writeError(w, apiErr.status, apiErr.msg)
+		httpd.WriteError(w, apiErr.status, apiErr.msg)
 		return
 	}
 	// Mirror the Section 3.4 verdict: offload when the predicted NMC

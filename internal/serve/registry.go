@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -190,37 +189,8 @@ func (r *Registry) ReloadIfChanged() (changed bool, err error) {
 	return true, nil
 }
 
-// Follow polls the model sources every interval until ctx ends,
-// installing new generations via ReloadIfChanged. A failed poll (e.g.
-// the publisher mid-flip, a model briefly missing, or a store
-// unreachable) keeps the current generation serving and is retried next
-// tick; failures are counted for the metrics endpoint.
-func (r *Registry) Follow(ctx context.Context, interval time.Duration) {
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			if _, err := r.ReloadIfChanged(); err != nil {
-				r.followFailures.Add(1)
-			}
-		}
-	}
-}
-
-// FollowFailures returns how many Follow polls have failed since start.
+// FollowFailures returns how many follow polls have failed since start.
 func (r *Registry) FollowFailures() uint64 { return r.followFailures.Load() }
-
-func loadModel(name, path string) (*Model, error) {
-	src := &FileSource{Path: path}
-	data, version, err := src.Load()
-	if err != nil {
-		return nil, err
-	}
-	return modelFromBytes(name, path, data, version)
-}
 
 // modelFromBytes parses one model generation out of its serialized
 // bytes. path is the source's Describe() string — purely descriptive.
@@ -230,7 +200,7 @@ func modelFromBytes(name, path string, data []byte, version string) (*Model, err
 	var hashed chan string
 	if version == "" {
 		hashed = make(chan string, 1)
-		go func() { hashed <- contentVersion(data) }()
+		go func() { hashed <- ContentVersion(data) }()
 	}
 	pred, err := napel.LoadPredictor(data)
 	if hashed != nil {

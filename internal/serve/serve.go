@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"napel/internal/cache"
+	"napel/internal/httpd"
 	"napel/internal/napel"
 	"napel/internal/obs"
 	"napel/internal/resilience"
@@ -197,7 +198,7 @@ func New(cfg Config) (*Server, error) {
 		sources[name] = src
 	}
 	o := newServeObs(obs.NewTracer(cfg.TraceRing, cfg.TraceSink),
-		"predict", "suitability", "models", "reload", "healthz", "readyz", "metrics", "other")
+		"predict", "suitability", "models", "reload", "healthz", "readyz", "metrics")
 	reg, err := newRegistrySources(sources, cfg.LazyLoad, o.loadFetch, o.loadDecode)
 	if err != nil {
 		return nil, err
@@ -287,43 +288,19 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/healthz", s.instrument("healthz", http.MethodGet, s.handleHealthz))
 	mux.Handle("/readyz", s.instrument("readyz", http.MethodGet, s.handleReadyz))
-	mux.Handle("/metrics", s.instrument("metrics", http.MethodGet, s.handleMetrics))
+	mux.Handle("/metrics", s.instrument("metrics", http.MethodGet, s.o.reg.Handler().ServeHTTP))
 	mux.Handle("/v1/predict", s.instrument("predict", http.MethodPost, s.handlePredict))
 	mux.Handle("/v1/suitability", s.instrument("suitability", http.MethodPost, s.handleSuitability))
 	mux.Handle("/v1/models", s.instrument("models", http.MethodGet, s.handleModels))
 	mux.Handle("/v1/models/reload", s.instrument("reload", http.MethodPost, s.handleReload))
 	mux.Handle("/", s.instrument("other", "", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("no route %s", r.URL.Path))
+		httpd.WriteError(w, http.StatusNotFound, fmt.Sprintf("no route %s", r.URL.Path))
 	}))
 	// Runtime introspection rides on the same mux: span traces, pprof
 	// and the goroutine/GC/heap snapshot. These skip instrument's
 	// limiter so a saturated server can still be debugged.
 	obs.MountDebug(mux, s.o.tracer)
 	return mux
-}
-
-// statusRecorder captures the response status and size for metrics and
-// the access log.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-	bytes  int64
-}
-
-func (sr *statusRecorder) WriteHeader(code int) {
-	if sr.status == 0 {
-		sr.status = code
-	}
-	sr.ResponseWriter.WriteHeader(code)
-}
-
-func (sr *statusRecorder) Write(p []byte) (int, error) {
-	if sr.status == 0 {
-		sr.status = http.StatusOK
-	}
-	n, err := sr.ResponseWriter.Write(p)
-	sr.bytes += int64(n)
-	return n, err
 }
 
 // retryAfterSeconds estimates when a refused request is worth retrying,
@@ -336,7 +313,7 @@ func (s *Server) retryAfterSeconds() int {
 		rem := s.cfg.DrainTimeout - time.Since(time.Unix(0, s.drainStart.Load()))
 		return clampSeconds(rem, 1, int(math.Ceil(s.cfg.DrainTimeout.Seconds())))
 	}
-	avg := s.o.avgDuration()
+	avg := s.o.requests.Mean()
 	if avg <= 0 {
 		avg = 50 * time.Millisecond
 	}
@@ -360,8 +337,8 @@ func setRetryAfter(w http.ResponseWriter, secs int) {
 }
 
 // instrument wraps a handler with the serving plumbing: method check,
-// drain refusal, concurrency limiting with 429 backpressure, body size
-// limits, per-endpoint deadline budgets, a per-request root span,
+// drain refusal, concurrency limiting with 429 backpressure,
+// per-endpoint deadline budgets, a per-request root span,
 // per-endpoint metrics and structured access logging correlated to the
 // span. Probe endpoints (healthz, readyz) bypass the drain refusal and
 // the limiter: an orchestrator must be able to observe the drain, and a
@@ -374,7 +351,7 @@ func (s *Server) instrument(endpoint, method string, h http.HandlerFunc) http.Ha
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w}
+		rec := &httpd.Recorder{ResponseWriter: w}
 		ctx, span := obs.StartSpan(obs.ExtractHTTP(obs.WithTracer(r.Context(), s.o.tracer), r), "http."+endpoint)
 		span.SetAttr("method", r.Method)
 		span.SetAttr("path", r.URL.Path)
@@ -382,17 +359,16 @@ func (s *Server) instrument(endpoint, method string, h http.HandlerFunc) http.Ha
 
 		switch {
 		case method != "" && r.Method != method:
-			writeError(rec, http.StatusMethodNotAllowed, fmt.Sprintf("%s requires %s", r.URL.Path, method))
+			httpd.WriteError(rec, http.StatusMethodNotAllowed, fmt.Sprintf("%s requires %s", r.URL.Path, method))
 		case probe:
 			h(rec, r)
 		case s.draining.Load():
 			setRetryAfter(rec, s.retryAfterSeconds())
-			writeError(rec, http.StatusServiceUnavailable, "server is draining")
+			httpd.WriteError(rec, http.StatusServiceUnavailable, "server is draining")
 		default:
 			switch err := s.limiter.Acquire(ctx); {
 			case err == nil:
 				s.o.inflight.Inc()
-				r.Body = http.MaxBytesReader(rec, r.Body, s.cfg.MaxBodyBytes)
 				if budget > 0 {
 					bctx, cancel := resilience.WithBudget(ctx, budget)
 					h(rec, r.WithContext(bctx))
@@ -405,32 +381,32 @@ func (s *Server) instrument(endpoint, method string, h http.HandlerFunc) http.Ha
 			case errors.Is(err, resilience.ErrSaturated):
 				s.o.rejected.Inc()
 				setRetryAfter(rec, s.retryAfterSeconds())
-				writeError(rec, http.StatusTooManyRequests,
+				httpd.WriteError(rec, http.StatusTooManyRequests,
 					fmt.Sprintf("over %d requests in flight", s.cfg.MaxInFlight))
 			default:
 				// The client's context ended while queued.
-				writeError(rec, http.StatusServiceUnavailable, "request canceled while queued")
+				httpd.WriteError(rec, http.StatusServiceUnavailable, "request canceled while queued")
 			}
 		}
 
 		dur := time.Since(start)
-		span.SetAttrInt("status", int64(rec.status))
+		span.SetAttrInt("status", int64(rec.Status))
 		span.End()
-		s.o.observe(endpoint, rec.status, dur)
+		s.o.requests.Observe(endpoint, rec.Status, dur)
 		s.logAccess(ctx, r, rec, dur)
 	})
 }
 
-func (s *Server) logAccess(ctx context.Context, r *http.Request, rec *statusRecorder, dur time.Duration) {
+func (s *Server) logAccess(ctx context.Context, r *http.Request, rec *httpd.Recorder, dur time.Duration) {
 	if s.logger == nil {
 		return
 	}
 	s.logger.LogAttrs(ctx, slog.LevelInfo, "request",
 		slog.String("method", r.Method),
 		slog.String("path", r.URL.Path),
-		slog.Int("status", rec.status),
+		slog.Int("status", rec.Status),
 		slog.Int64("dur_us", dur.Microseconds()),
-		slog.Int64("bytes", rec.bytes),
+		slog.Int64("bytes", rec.Bytes),
 		slog.String("remote", r.RemoteAddr))
 }
 
@@ -445,50 +421,16 @@ func (s *Server) Run(ctx context.Context, addr string) error {
 	return s.serve(ctx, ln)
 }
 
-// readTimeout bounds how long a client may take to send one request,
-// body included. A client that declares a body and then stalls would
-// otherwise hold a goroutine, its read buffer and one of the MaxInFlight
-// slots, which instrument takes before the body is read. net/http clears
-// the read deadline once the body reaches EOF, so a slow handler, such
-// as a reload, is not cut short. Tests shorten it.
-var readTimeout = 30 * time.Second
-
-// idleTimeout closes unused keep-alive connections. It stays well above
-// a 10 s benchmark round, and above napel-gate's upstream
-// IdleConnTimeout, so the gate never reuses a connection a replica is
-// closing: net/http does not replay a POST it has already written.
-const idleTimeout = 2 * time.Minute
-
 func (s *Server) serve(ctx context.Context, ln net.Listener) error {
-	srv := &http.Server{
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       readTimeout,
-		IdleTimeout:       idleTimeout,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
 	if s.cfg.FollowInterval > 0 {
 		followCtx, stopFollow := context.WithCancel(ctx)
 		defer stopFollow()
 		go s.follow(followCtx, s.cfg.FollowInterval)
 	}
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	s.drainStart.Store(time.Now().UnixNano())
-	s.draining.Store(true)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("serve: drain incomplete after %s: %w", s.cfg.DrainTimeout, err)
-	}
-	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
+	return httpd.Serve(ctx, ln, s.Handler(), s.cfg.DrainTimeout, func() {
+		s.drainStart.Store(time.Now().UnixNano())
+		s.draining.Store(true)
+	})
 }
 
 // follow is the breaker-guarded polling loop behind -follow: while the

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"napel/internal/httpd"
 	"napel/internal/napel"
 	"napel/internal/nmcsim"
 )
@@ -538,10 +539,10 @@ func TestServerGracefulDrain(t *testing.T) {
 
 // TestServerStalledBodyTimesOut: a client that sends a predict's
 // headers, declaring a body, and then goes silent is cut off after
-// readTimeout, and the MaxInFlight slot its request took comes free.
+// httpd.ReadTimeout, and the MaxInFlight slot its request took comes free.
 func TestServerStalledBodyTimesOut(t *testing.T) {
-	defer func(d time.Duration) { readTimeout = d }(readTimeout)
-	readTimeout = 200 * time.Millisecond
+	defer func(d time.Duration) { httpd.ReadTimeout = d }(httpd.ReadTimeout)
+	httpd.ReadTimeout = 200 * time.Millisecond
 	s, _ := newTestServer(t, Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -47,9 +47,10 @@ type ModelSource interface {
 // generation.
 var ErrCorruptModelPull = errors.New("serve: pulled model blob corrupt")
 
-// contentVersion is the serving identity of a model: FNV-64a over the
-// serialized bytes, formatted as 16 hex digits.
-func contentVersion(data []byte) string {
+// ContentVersion is the serving identity of a model: FNV-64a over the
+// serialized bytes, formatted as 16 hex digits. Responses carry it as
+// model_version.
+func ContentVersion(data []byte) string {
 	h := fnv.New64a()
 	h.Write(data)
 	return fmt.Sprintf("%016x", h.Sum64())
@@ -77,7 +78,7 @@ func (f *FileSource) Poll(prev string) ([]byte, string, bool, error) {
 	if err != nil {
 		return nil, "", false, err
 	}
-	version := contentVersion(data)
+	version := ContentVersion(data)
 	if version == prev {
 		return nil, prev, false, nil
 	}
@@ -220,7 +221,7 @@ func (s *StoreSource) fetch(hash string) ([]byte, string, error) {
 	if got := "sha256-" + hex.EncodeToString(sum[:]); got != hash {
 		return nil, "", fmt.Errorf("%w: %s read back as %s from %s", ErrCorruptModelPull, hash, got, s.Describe())
 	}
-	version := contentVersion(data)
+	version := ContentVersion(data)
 	s.mu.Lock()
 	s.contentHash, s.version = hash, version
 	s.mu.Unlock()

@@ -51,7 +51,7 @@ func fileVersion(t *testing.T, path string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return contentVersion(data)
+	return ContentVersion(data)
 }
 
 // TestFileVersionHashedBesideDecode: a file-backed registry hashes the

@@ -169,12 +169,12 @@ go test ./...
 echo "== go test -race (concurrent packages) =="
 # The race detector slows the full internal/exp table/figure drivers past
 # the per-package test timeout, so the race pass targets the packages
-# that actually share state across goroutines: the HTTP service, the LRU
-# response cache, the predictor it serves concurrently, the model file
-# decoder that reads a forest's trees in parallel, the trace fan-out
-# layer, and the parallel collection engine. internal/exp joins with its
-# dedicated micro-settings parallel-pipeline tests.
-go test -race -count=1 ./internal/serve/... ./internal/fleet/... ./internal/member/... ./internal/cache/... ./internal/napel/... ./internal/ml/rf/... ./internal/jsonread/... ./internal/trace/... ./internal/lifecycle/... ./internal/collectd/... ./internal/obs/... ./internal/obsd/... ./internal/resilience/...
+# that actually share state across goroutines: the HTTP shell and
+# service, the LRU response cache, the predictor it serves concurrently,
+# the model file decoder that reads a forest's trees in parallel, the
+# trace fan-out layer, and the parallel collection engine. internal/exp
+# joins with its dedicated micro-settings parallel-pipeline tests.
+go test -race -count=1 ./internal/httpd/... ./internal/serve/... ./internal/fleet/... ./internal/member/... ./internal/cache/... ./internal/napel/... ./internal/ml/rf/... ./internal/jsonread/... ./internal/trace/... ./internal/lifecycle/... ./internal/collectd/... ./internal/obs/... ./internal/obsd/... ./internal/resilience/...
 go test -race -count=1 -run 'Parallel' ./internal/exp/...
 
 echo "== run each decode-path benchmark once =="
@@ -217,6 +217,11 @@ echo "== fuzz the collection journal replay (10 s) =="
 # A restarted napel-traind replays whatever bytes a crash or a damaged
 # disk left in its -collect-journal; only a torn tail is expected.
 go test -run '^$' -fuzz FuzzJournalReplay -fuzztime 10s ./internal/collectd
+
+echo "== fuzz the fault-plan grammar (10 s) =="
+# Every binary parses its -chaos-spec with faultpoint.ParsePlan; a rule
+# it accepts must be able to fire, and a seed must replay its faults.
+go test -run '^$' -fuzz FuzzParsePlan -fuzztime 10s ./internal/resilience/faultpoint
 
 echo "== napel-serve smoke test =="
 go build -o "$tmp/" ./cmd/napel ./cmd/napel-serve ./cmd/napel-traind \
