@@ -1,11 +1,11 @@
 // Command napel-gate fronts a fleet of napel-serve replicas: it
 // consistent-hashes every request on its own bytes so each replica's
 // response cache sees a disjoint slice of the keyspace, turning N small
-// LRUs into one large one. Batched predicts are split per item, fanned
-// out per shard, and their answers spliced back in request order, all
-// without decoding a request or an answer; single predicts are hedged
-// against a slow primary and failed over along the ring when a replica
-// misbehaves, with a circuit breaker per replica.
+// LRUs into one large one. Every body, a batch too, is forwarded whole
+// to the replica its bytes route to and the answer copied back, neither
+// decoded; requests fail over along the ring when a replica misbehaves,
+// with a circuit breaker per replica, and all but batches are hedged
+// against a slow primary.
 //
 //	napel-serve -model model.json -addr :9191 &
 //	napel-serve -model model.json -addr :9192 &
@@ -54,10 +54,9 @@ func main() {
 	replicas := flag.String("replicas", "", "comma-separated napel-serve base URLs seeding the fleet (empty = replicas self-announce via POST /v1/fleet/join)")
 	evictAfter := flag.Int("evict-after", 0, "consecutive failed /readyz probes that evict a replica from the ring (0 = default 3)")
 	vnodes := flag.Int("vnodes", 0, "virtual nodes per replica on the hash ring (0 = default 128)")
-	hedgeAfter := flag.Duration("hedge-after", 0, "hedge a single predict to the next replica after this wait (0 = default 30ms, negative disables)")
+	hedgeAfter := flag.Duration("hedge-after", 0, "hedge a request other than a batch to the next replica after this wait (0 = default 30ms, negative disables)")
 	healthInterval := flag.Duration("health-interval", 0, "replica /readyz probe period (0 = default 500ms)")
 	budget := flag.Duration("budget", 0, "per-request deadline budget, split across failover attempts (0 = none)")
-	maxBatch := flag.Int("max-batch", 0, "max items per batched predict (0 = default 256)")
 	maxBody := flag.Int64("max-body-bytes", 0, "max request body bytes (0 = default 8 MiB)")
 	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive failures that trip a replica breaker (0 = default 3)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "how long a tripped replica is bypassed (0 = default 2s)")
@@ -98,7 +97,6 @@ func main() {
 		HedgeAfter:       *hedgeAfter,
 		HealthInterval:   *healthInterval,
 		Budget:           *budget,
-		MaxBatch:         *maxBatch,
 		MaxBodyBytes:     *maxBody,
 		BreakerThreshold: *breakerThreshold,
 		BreakerCooldown:  *breakerCooldown,

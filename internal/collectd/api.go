@@ -1,10 +1,10 @@
 package collectd
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"napel/internal/httpd"
@@ -75,8 +75,7 @@ func RegisterAPI(mux *http.ServeMux, c *Coordinator) {
 	tracer := c.Tracer()
 	mux.HandleFunc("POST /v1/lease", obs.Traced(tracer, "collectd.lease", func(w http.ResponseWriter, r *http.Request) {
 		var req leaseRequest
-		if err := decodeBody(r, &req); err != nil {
-			httpd.WriteError(w, http.StatusBadRequest, err.Error())
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		if req.Worker == "" {
@@ -98,8 +97,7 @@ func RegisterAPI(mux *http.ServeMux, c *Coordinator) {
 
 	mux.HandleFunc("POST /v1/heartbeat", obs.Traced(tracer, "collectd.heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		var req heartbeatRequest
-		if err := decodeBody(r, &req); err != nil {
-			httpd.WriteError(w, http.StatusBadRequest, err.Error())
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		if req.Worker == "" {
@@ -113,8 +111,7 @@ func RegisterAPI(mux *http.ServeMux, c *Coordinator) {
 
 	mux.HandleFunc("POST /v1/complete", obs.Traced(tracer, "collectd.complete", func(w http.ResponseWriter, r *http.Request) {
 		var req completeRequest
-		if err := decodeBody(r, &req); err != nil {
-			httpd.WriteError(w, http.StatusBadRequest, err.Error())
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		if req.Worker == "" || req.Lease == "" {
@@ -149,11 +146,19 @@ func RegisterAPI(mux *http.ServeMux, c *Coordinator) {
 	})
 }
 
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxCompleteBytes))
+// decodeBody reads a request body of at most maxCompleteBytes into v,
+// refusing unknown fields. When it fails it answers the request itself,
+// 413 past the limit and 400 otherwise, and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	body, ok := httpd.Request(w, r, maxCompleteBytes)
+	if !ok {
+		return false
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("decoding request: %w", err)
+		httpd.WriteError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
+		return false
 	}
-	return nil
+	return true
 }

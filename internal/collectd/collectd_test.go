@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -335,4 +336,33 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("condition not reached in time")
+}
+
+// TestAPIBodyStatuses: a worker-protocol body past maxCompleteBytes is
+// refused 413, not cut short and answered 400 as a decode error, and an
+// unknown field is still a 400.
+func TestAPIBodyStatuses(t *testing.T) {
+	mux := http.NewServeMux()
+	RegisterAPI(mux, NewCoordinator(Config{}))
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+
+	for _, c := range []struct {
+		name, path, body string
+		status           int
+	}{
+		{"complete past the limit", "/v1/complete",
+			`{"worker":"w","lease":"l","error":"` + strings.Repeat("x", maxCompleteBytes) + `"}`,
+			http.StatusRequestEntityTooLarge},
+		{"unknown field", "/v1/lease", `{"worker":"w","bogus":1}`, http.StatusBadRequest},
+	} {
+		resp, err := http.Post(srv.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.status {
+			t.Errorf("%s: HTTP %d, want %d", c.name, resp.StatusCode, c.status)
+		}
+	}
 }

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"napel/internal/httpd"
-	"napel/internal/jsonread"
 	"napel/internal/member"
 	"napel/internal/obs"
 	"napel/internal/resilience"
@@ -47,8 +46,8 @@ type Config struct {
 	// VNodes is the per-replica virtual-node count on the ring (default
 	// DefaultVNodes).
 	VNodes int
-	// HedgeAfter is how long a single predict waits on its primary
-	// before launching a hedge to the next ring successor; first
+	// HedgeAfter is how long a request other than a batch waits on its
+	// primary before launching a hedge to the next ring successor; first
 	// response wins and the loser is cancelled (default 30ms; negative
 	// disables hedging).
 	HedgeAfter time.Duration
@@ -60,8 +59,6 @@ type Config struct {
 	Budget time.Duration
 	// MaxBodyBytes bounds request bodies (default 8 MiB).
 	MaxBodyBytes int64
-	// MaxBatch bounds items in one batched predict (default 256).
-	MaxBatch int
 	// BreakerThreshold is how many consecutive upstream failures trip a
 	// replica's breaker (default 3).
 	BreakerThreshold int
@@ -92,9 +89,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
 	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3
@@ -222,10 +216,11 @@ func New(cfg Config) (*Gate, error) {
 		},
 	})
 	for _, raw := range cfg.Replicas {
-		rep, created, err := g.addReplica(raw)
+		u, err := replicaURL(raw)
 		if err != nil {
 			return nil, err
 		}
+		rep, created := g.addReplica(u)
 		if !created {
 			return nil, fmt.Errorf("fleet: duplicate replica %q", raw)
 		}
@@ -244,22 +239,47 @@ func New(cfg Config) (*Gate, error) {
 	return g, nil
 }
 
-// addReplica validates url and returns its replica struct, creating it
-// on first sight. Replica structs are never removed: an evicted URL
-// that rejoins keeps its breaker and upstream counters.
-func (g *Gate) addReplica(raw string) (rep *replica, created bool, err error) {
-	u := strings.TrimSuffix(strings.TrimSpace(raw), "/")
-	if u == "" {
-		return nil, false, fmt.Errorf("fleet: empty replica URL")
+// replicaURL checks a replica base URL and returns it as the gate
+// stores it, scheme://host[:port] lower-cased, so that every spelling
+// of one server names one member. The gate appends its own paths to it,
+// so a URL with a path beyond slashes, a query, a fragment or user info
+// is refused.
+func replicaURL(raw string) (string, error) {
+	raw = strings.TrimSpace(raw)
+	if raw == "" {
+		return "", errors.New("fleet: empty replica URL")
 	}
-	parsed, err := url.Parse(u)
-	if err != nil || (parsed.Scheme != "http" && parsed.Scheme != "https") || parsed.Host == "" {
-		return nil, false, fmt.Errorf("fleet: replica URL %q must be absolute http(s)", raw)
+	u, err := url.Parse(raw)
+	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+		return "", fmt.Errorf("fleet: replica URL %q must be absolute http(s)", raw)
 	}
+	if u.User != nil || strings.Trim(u.EscapedPath(), "/") != "" || strings.ContainsAny(raw, "?#") {
+		return "", fmt.Errorf("fleet: replica URL %q must be scheme://host[:port] alone", raw)
+	}
+	return strings.ToLower((&url.URL{Scheme: u.Scheme, Host: u.Host}).String()), nil
+}
+
+// joinURL decodes a POST /v1/fleet/join body and checks the URL it
+// names with replicaURL.
+func joinURL(body []byte) (string, error) {
+	var req struct {
+		URL string `json:"url"`
+	}
+	if err := json.Unmarshal(body, &req); err != nil || req.URL == "" {
+		return "", errors.New(`fleet: join body must be {"url": "http://host:port"}`)
+	}
+	return replicaURL(req.URL)
+}
+
+// addReplica returns the replica struct of u, a URL replicaURL
+// returned, creating it on first sight. Replica structs are never
+// removed: an evicted URL that rejoins keeps its breaker and upstream
+// counters.
+func (g *Gate) addReplica(u string) (rep *replica, created bool) {
 	g.repMu.Lock()
 	defer g.repMu.Unlock()
 	if rep, ok := g.byURL[u]; ok {
-		return rep, false, nil
+		return rep, false
 	}
 	rep = &replica{
 		url: u,
@@ -277,7 +297,7 @@ func (g *Gate) addReplica(raw string) (rep *replica, created bool, err error) {
 	rep.breaker.Register(g.o.reg)
 	g.byURL[u] = rep
 	g.all = append(g.all, rep)
-	return rep, true, nil
+	return rep, true
 }
 
 // replicaList copies the replica collection for iteration outside the
@@ -507,8 +527,8 @@ func (g *Gate) attempt(ctx context.Context, rep *replica, path string, body []by
 var errLostRace = errors.New("fleet: attempt lost the first-response race")
 
 // forward routes one request body to the replica owning key, with
-// breaker-aware failover along the ring successor order and (for single
-// predicts) a hedge to the next successor when the primary is slow.
+// breaker-aware failover along the ring successor order and (when hedge
+// is set) a hedge to the next successor when the primary is slow.
 // First response wins; losers are cancelled.
 func (g *Gate) forward(ctx context.Context, key uint64, path string, body []byte, hedge bool) upstream {
 	rt := g.routing.Load()
@@ -627,143 +647,18 @@ func (g *Gate) writeUpstream(w http.ResponseWriter, u upstream) {
 	w.Write(u.body)
 }
 
-// handlePredict splits a non-empty JSON array per shard, and answers 413
-// as soon as an array passes MaxBatch items. Any other body — a single
-// predict, malformed JSON, an empty array — goes whole to the replica
-// its bytes route to, which answers it as a direct hit would.
-func (g *Gate) handlePredict(w http.ResponseWriter, r *http.Request) {
+// handleForward forwards a /v1/predict or /v1/suitability body whole —
+// a single, a batch or bytes no replica can decode — to the same path
+// on the replica its bytes route to, and copies that replica's answer
+// back. A batch is not hedged: a second replica would decode and answer
+// every item again.
+func (g *Gate) handleForward(w http.ResponseWriter, r *http.Request) {
 	body, ok := httpd.Request(w, r, g.cfg.MaxBodyBytes)
 	if !ok {
 		return
 	}
-	items, err := jsonread.Elements(body, g.cfg.MaxBatch)
-	switch {
-	case errors.Is(err, jsonread.ErrTooMany):
-		httpd.WriteError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("batch exceeds limit %d", g.cfg.MaxBatch))
-	case err == nil && len(items) > 0:
-		g.predictBatch(w, r.Context(), items)
-	default:
-		g.writeUpstream(w, g.forward(r.Context(), routeKey(body), "/v1/predict", body, true))
-	}
-}
-
-// predictBatch routes every item on its own bytes, forwards each
-// shard's items as one sub-array concurrently, and splices the shards'
-// answer elements back in request order. Items travel as the bytes the
-// client sent and answers as the bytes the replicas wrote: the gate
-// decodes neither.
-func (g *Gate) predictBatch(w http.ResponseWriter, ctx context.Context, items [][]byte) {
-	rt := g.routing.Load()
-	if rt == nil || rt.ring.Len() == 0 {
-		g.writeUpstream(w, synth(http.StatusServiceUnavailable, "fleet: no ready replicas", 1))
-		return
-	}
-	keys := make([]uint64, len(items))
-	byShard := make([][]int, rt.ring.Len())
-	for i, item := range items {
-		keys[i] = routeKey(item)
-		shard := rt.ring.Shard(keys[i])
-		byShard[shard] = append(byShard[shard], i)
-	}
-	var groups [][]int
-	for _, idxs := range byShard {
-		if len(idxs) > 0 {
-			groups = append(groups, idxs)
-		}
-	}
-	g.o.fanout.Observe(float64(len(groups)))
-	if len(groups) > 1 {
-		g.o.batchSplit.Inc()
-	}
-
-	answers := make([]upstream, len(groups))
-	var wg sync.WaitGroup
-	for gi, idxs := range groups {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sub := make([][]byte, len(idxs))
-			for j, idx := range idxs {
-				sub[j] = items[idx]
-			}
-			answers[gi] = g.forward(ctx, keys[idxs[0]], "/v1/predict", jsonArray(sub), false)
-		}()
-	}
-	wg.Wait()
-
-	out := make([][]byte, len(items))
-	for gi, u := range answers {
-		// A replica answers 400 when it cannot decode its items, and it
-		// would fail the whole batch the same way: answer as a direct
-		// hit would.
-		if u.status == http.StatusBadRequest {
-			g.writeUpstream(w, u)
-			return
-		}
-		fillGroup(out, groups[gi], u)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(append(jsonArray(out), '\n'))
-}
-
-// jsonArray joins JSON values into one array the way encoding/json
-// writes a slice, in one allocation with a byte to spare.
-func jsonArray(elems [][]byte) []byte {
-	n := 2
-	for _, e := range elems {
-		n += len(e) + 1
-	}
-	buf := append(make([]byte, 0, n), '[')
-	for i, e := range elems {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = append(buf, e...)
-	}
-	return append(buf, ']')
-}
-
-// fillGroup places one shard's answer elements at its items' request
-// positions. A failed shard degrades to inline {"error": ...} items —
-// the same contract replicas use for bad items, so one dead shard
-// cannot fail the batch.
-func fillGroup(out [][]byte, idxs []int, u upstream) {
-	var elems [][]byte
-	var msg string
-	switch {
-	case u.synth != "":
-		msg = u.synth
-	case u.err != nil:
-		msg = "fleet: upstream: " + u.err.Error()
-	case u.status != http.StatusOK:
-		msg = fmt.Sprintf("fleet: shard answered HTTP %d: %s", u.status, truncate(u.body, 200))
-	default:
-		var err error
-		if elems, err = jsonread.Elements(u.body, len(u.body)); err != nil {
-			msg = "fleet: reading shard response: " + err.Error()
-		} else if len(elems) != len(idxs) {
-			msg = fmt.Sprintf("fleet: shard returned %d items for %d requests", len(elems), len(idxs))
-		}
-	}
-	if msg != "" {
-		item, _ := json.Marshal(map[string]string{"error": msg})
-		for _, idx := range idxs {
-			out[idx] = item
-		}
-		return
-	}
-	for j, idx := range idxs {
-		out[idx] = elems[j]
-	}
-}
-
-func (g *Gate) handleSuitability(w http.ResponseWriter, r *http.Request) {
-	body, ok := httpd.Request(w, r, g.cfg.MaxBodyBytes)
-	if !ok {
-		return
-	}
-	g.writeUpstream(w, g.forward(r.Context(), routeKey(body), "/v1/suitability", body, true))
+	batch := bytes.HasPrefix(bytes.TrimLeft(body, " \t\r\n"), []byte("["))
+	g.writeUpstream(w, g.forward(r.Context(), routeKey(body), r.URL.Path, body, !batch))
 }
 
 // replicaView is the per-replica block of the /v1/fleet status body.
@@ -823,18 +718,12 @@ func (g *Gate) handleJoin(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req struct {
-		URL string `json:"url"`
-	}
-	if err := json.Unmarshal(body, &req); err != nil || req.URL == "" {
-		httpd.WriteError(w, http.StatusBadRequest, `fleet: join body must be {"url": "http://host:port"}`)
-		return
-	}
-	rep, created, err := g.addReplica(req.URL)
+	u, err := joinURL(body)
 	if err != nil {
 		httpd.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	rep, created := g.addReplica(u)
 	g.members.Join(rep.url, nil)
 	g.probe(r.Context(), rep)
 	g.rebuild()
@@ -886,8 +775,8 @@ func (g *Gate) Handler() http.Handler {
 	mux.Handle("/healthz", g.instrument("healthz", http.MethodGet, g.handleHealthz))
 	mux.Handle("/readyz", g.instrument("readyz", http.MethodGet, g.handleReadyz))
 	mux.Handle("/metrics", g.instrument("metrics", http.MethodGet, g.o.reg.Handler().ServeHTTP))
-	mux.Handle("/v1/predict", g.instrument("predict", http.MethodPost, g.handlePredict))
-	mux.Handle("/v1/suitability", g.instrument("suitability", http.MethodPost, g.handleSuitability))
+	mux.Handle("/v1/predict", g.instrument("predict", http.MethodPost, g.handleForward))
+	mux.Handle("/v1/suitability", g.instrument("suitability", http.MethodPost, g.handleForward))
 	mux.Handle("/v1/fleet", g.instrument("fleet", http.MethodGet, g.handleFleet))
 	mux.Handle("/v1/fleet/join", g.instrument("join", http.MethodPost, g.handleJoin))
 	mux.Handle("/v1/fleet/reload", g.instrument("reload", http.MethodPost, g.handleReload))

@@ -13,7 +13,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -313,18 +312,34 @@ func TestGateIdentityAndStableRouting(t *testing.T) {
 	}
 }
 
-// TestGateBatchSplitReassembly: a batched body is split per shard,
-// fanned out, and reassembled in request order with per-item answers
-// identical to single predicts.
-func TestGateBatchSplitReassembly(t *testing.T) {
+// TestGateBatchRoutesWhole: a batched body goes whole to the one
+// replica its bytes route to, and its answers come back in request
+// order, each equal to a single predict of its item.
+func TestGateBatchRoutesWhole(t *testing.T) {
 	f := fixture(t)
 	tf := newTestFleet(t, 3, nil)
 
 	reqs := requests(f, 24)
-	resp, body := postJSON(t, tf.ts.URL+"/v1/predict", reqs)
+	raw, err := json.Marshal(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := tf.gate.routing.Load()
+	owner := rt.reps[rt.ring.Shard(routeKey(raw))].url
+	resp, body := postRaw(t, tf.ts.URL+"/v1/predict", raw)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: HTTP %d: %s", resp.StatusCode, body)
 	}
+	for i, rep := range tf.replicas {
+		want := int64(0)
+		if rep.ts.URL == owner {
+			want = 1
+		}
+		if got := rep.predicts.Load(); got != want {
+			t.Errorf("replica %d saw %d predicts, want %d (owner %s)", i, got, want, owner)
+		}
+	}
+
 	var got []serve.PredictResponse
 	if err := json.Unmarshal(body, &got); err != nil {
 		t.Fatal(err)
@@ -349,28 +364,10 @@ func TestGateBatchSplitReassembly(t *testing.T) {
 			t.Fatalf("item %d out of order: got %+v want %+v", i, got[i], want)
 		}
 	}
-
-	// The batch genuinely fanned out.
-	served := 0
-	for _, rep := range tf.replicas {
-		if rep.predicts.Load() > 0 {
-			served++
-		}
-	}
-	if served < 2 {
-		t.Fatalf("batch of 24 touched %d replicas, want >= 2", served)
-	}
-	var buf bytes.Buffer
-	tf.gate.Obs().WriteText(&buf)
-	if !bytes.Contains(buf.Bytes(), []byte("napel_fleet_batches_split_total 1")) {
-		t.Fatalf("batches_split_total not incremented:\n%s",
-			grepMetric(buf.String(), "napel_fleet_batches_split_total"))
-	}
 }
 
-// TestGateBatchBytesMatchDirect: a warm batch split across shards comes
-// back from the gate byte for byte as one replica answers it directly —
-// the splice adds, drops and reorders nothing.
+// TestGateBatchBytesMatchDirect: a warm batch comes back from the gate
+// byte for byte as one replica answers it directly.
 func TestGateBatchBytesMatchDirect(t *testing.T) {
 	f := fixture(t)
 	tf := newTestFleet(t, 3, nil)
@@ -394,17 +391,12 @@ func TestGateBatchBytesMatchDirect(t *testing.T) {
 	if !bytes.Equal(gateBody, directBody) {
 		t.Fatalf("gate batch differs from the direct answer:\n  gate: %s\ndirect: %s", gateBody, directBody)
 	}
-	var buf bytes.Buffer
-	tf.gate.Obs().WriteText(&buf)
-	if !bytes.Contains(buf.Bytes(), []byte("napel_fleet_batches_split_total 2")) {
-		t.Fatalf("batches were not split:\n%s", grepMetric(buf.String(), "napel_fleet_batches_split_total"))
-	}
 }
 
-// TestGateBatchMalformedPassthrough: a body a replica cannot decode
-// reaches the client as the replica's own 400, whether the gate can
-// split it or not — a bad item in a batch spread across shards fails
-// the whole batch, exactly as a direct hit does.
+// TestGateBatchMalformedPassthrough: a body a replica refuses reaches
+// the client as the replica's own answer, byte for byte as a direct hit
+// gets it: 400 for what it cannot decode, a bad item failing the whole
+// batch, and 413 for a batch past the replica's item limit.
 func TestGateBatchMalformedPassthrough(t *testing.T) {
 	f := fixture(t)
 	tf := newTestFleet(t, 2, nil)
@@ -420,80 +412,31 @@ func TestGateBatchMalformedPassthrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var items []json.RawMessage
-	if err := json.Unmarshal(mixedBody, &items); err != nil {
-		t.Fatal(err)
-	}
-	rt := tf.gate.routing.Load()
-	shards := map[int]bool{}
-	for _, item := range items {
-		shards[rt.ring.Shard(routeKey(item))] = true
-	}
-	if len(shards) < 2 {
-		t.Fatal("mixed batch routes to one shard; it must span several")
-	}
 
-	for name, body := range map[string][]byte{
-		"malformed batch":  []byte(`[{"threads": "not-a-number"}]`),
-		"malformed single": []byte(`{not json`),
-		"mixed batch":      mixedBody,
-	} {
-		resp, got := postRaw(t, tf.ts.URL+"/v1/predict", body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: HTTP %d: %s", name, resp.StatusCode, got)
-		}
-		if _, want := postRaw(t, tf.replicas[0].ts.URL+"/v1/predict", body); !bytes.Equal(got, want) {
-			t.Fatalf("%s: gate answered %s, a direct hit %s", name, got, want)
-		}
-	}
-}
-
-// TestGateBatchOverLimitStopsEarly: the gate refuses a batch of more
-// than MaxBatch items with 413 as soon as its splitter passes the
-// limit. Read with io.ReadAll and split whole before the count was
-// checked, this 4 MB body of 1.33 M empty items allocated 181 MB.
-func TestGateBatchOverLimitStopsEarly(t *testing.T) {
-	g, err := New(Config{Replicas: []string{"http://127.0.0.1:1"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := []byte("[" + strings.Repeat("{},", 1_333_332) + "{}]")
-	h := g.Handler()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)))
-	runtime.ReadMemStats(&after)
-	if rec.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status %d, want 413: %s", rec.Code, rec.Body)
-	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 16<<20 {
-		t.Fatalf("refusing a %d-byte batch allocated %d bytes", len(body), alloc)
-	}
-}
-
-// TestFillGroupCountMismatch: a shard answer with fewer or more items
-// than the shard was sent degrades each of its items to an inline error
-// that gives both counts.
-func TestFillGroupCountMismatch(t *testing.T) {
 	for _, c := range []struct {
-		body  string
-		items int
-	}{{`[{}]`, 1}, {`[{},{},{}]`, 3}} {
-		out := make([][]byte, 2)
-		fillGroup(out, []int{0, 1}, upstream{status: http.StatusOK, body: []byte(c.body)})
-		want := fmt.Sprintf(`{"error":"fleet: shard returned %d items for 2 requests"}`, c.items)
-		for i, item := range out {
-			if string(item) != want {
-				t.Errorf("answer %s: item %d is %s, want %s", c.body, i, item, want)
-			}
+		name   string
+		body   []byte
+		status int
+	}{
+		{"malformed batch", []byte(`[{"threads": "not-a-number"}]`), http.StatusBadRequest},
+		{"malformed single", []byte(`{not json`), http.StatusBadRequest},
+		{"mixed batch", mixedBody, http.StatusBadRequest},
+		{"batch of 257", []byte("[" + strings.Repeat("{},", 256) + "{}]"), http.StatusRequestEntityTooLarge},
+	} {
+		resp, got := postRaw(t, tf.ts.URL+"/v1/predict", c.body)
+		if resp.StatusCode != c.status {
+			t.Fatalf("%s: HTTP %d, want %d: %s", c.name, resp.StatusCode, c.status, got)
+		}
+		if _, want := postRaw(t, tf.replicas[0].ts.URL+"/v1/predict", c.body); !bytes.Equal(got, want) {
+			t.Fatalf("%s: gate answered %s, a direct hit %s", c.name, got, want)
 		}
 	}
 }
 
-// TestFleetBuildsWithoutServe pins the byte router's decoupling: no
-// package internal/fleet builds from, directly or not, knows the predict
-// wire format, so changing that format never edits the gate.
+// TestFleetBuildsWithoutServe pins the byte forwarder: no package
+// internal/fleet builds from, directly or not, knows the predict wire
+// format, so changing that format never edits the gate, and none reads
+// JSON bodies apart, so the gate cannot split a batch.
 func TestFleetBuildsWithoutServe(t *testing.T) {
 	importer := map[string]string{} // repository package -> one package importing it
 	queue := []string{"napel/internal/fleet"}
@@ -512,7 +455,8 @@ func TestFleetBuildsWithoutServe(t *testing.T) {
 		}
 	}
 	for dep, from := range importer {
-		for _, banned := range []string{"napel/internal/serve", "napel/internal/napel", "napel/internal/pisa", "napel/internal/ml"} {
+		for _, banned := range []string{"napel/internal/serve", "napel/internal/napel", "napel/internal/pisa", "napel/internal/ml",
+			"napel/internal/jsonread"} {
 			if dep == banned || strings.HasPrefix(dep, banned+"/") {
 				t.Errorf("%s imports %s", from, dep)
 			}

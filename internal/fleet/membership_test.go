@@ -8,6 +8,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -52,7 +54,8 @@ func (f *fakeReplica) handler() http.Handler {
 		}
 		fmt.Fprintf(w, `{"ready":true,"model_version":"v1"}`)
 	})
-	mux.HandleFunc("/v1/predict", func(w http.ResponseWriter, r *http.Request) {
+	// POST only, as napel-serve: a redirect replayed as a GET gets 405.
+	mux.HandleFunc("POST /v1/predict", func(w http.ResponseWriter, r *http.Request) {
 		f.predicts.Add(1)
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `{"ipc":0.5,"replica":%q}`, f.url)
@@ -219,9 +222,10 @@ func TestGateDynamicMembership(t *testing.T) {
 }
 
 // TestGateJoinValidationAndIdempotence: malformed join bodies and URLs
-// are refused, a duplicate join is a no-op refresh, and an unready
-// replica is registered but held out of the ring until it passes a
-// probe.
+// are refused, every spelling of a replica's URL names one member that
+// the gate forwards to, a duplicate join is a no-op refresh, and an
+// unready replica is registered but held out of the ring until it
+// passes a probe.
 func TestGateJoinValidationAndIdempotence(t *testing.T) {
 	g, err := New(Config{HedgeAfter: -1})
 	if err != nil {
@@ -231,25 +235,33 @@ func TestGateJoinValidationAndIdempotence(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	for _, bad := range []string{`{}`, `{"url":""}`, `{"url":"not-a-url"}`, `{"url":"ftp://x"}`, `garbage`,
-		`{"url":"http://127.0.0.1:9"} garbage`} {
+		`{"url":"http://127.0.0.1:9"} garbage`, `{"url":"http://127.0.0.1:9/v1"}`, `{"url":"http://127.0.0.1:9/?a=1"}`,
+		`{"url":"http://127.0.0.1:9#f"}`, `{"url":"http://u:p@127.0.0.1:9"}`} {
 		resp, _ := postRaw(t, ts.URL+"/v1/fleet/join", []byte(bad))
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("join %q: HTTP %d, want 400", bad, resp.StatusCode)
 		}
 	}
 
+	// Kept with a trailing slash, this URL would probe ready through a
+	// redirect while every forwarded POST is redirected into a 405.
 	rep := newFakeReplica(t)
-	first := joinReplica(t, ts.URL, rep.url)
-	if first["new"] != true || first["membership"] != "alive" {
-		t.Fatalf("first join: %+v", first)
+	first := joinReplica(t, ts.URL, rep.url+"//")
+	if first["new"] != true || first["membership"] != "alive" || first["url"] != rep.url {
+		t.Fatalf("first join: %+v, want new alive member %s", first, rep.url)
+	}
+	if resp, body := postRaw(t, ts.URL+"/v1/predict", []byte(`{}`)); resp.StatusCode != http.StatusOK || rep.predicts.Load() != 1 {
+		t.Fatalf("predict through the joined replica: HTTP %d, %d predicts: %s", resp.StatusCode, rep.predicts.Load(), body)
 	}
 	epoch := g.Epoch()
-	again := joinReplica(t, ts.URL, rep.url+"/") // trailing slash normalizes away
-	if again["new"] != false {
-		t.Fatalf("re-join created a new member: %+v", again)
-	}
-	if g.Epoch() != epoch {
-		t.Fatalf("re-join of an alive replica moved the epoch %d -> %d", epoch, g.Epoch())
+	for _, again := range []string{rep.url, rep.url + "/", rep.url + "//", strings.ToUpper(rep.url)} {
+		res := joinReplica(t, ts.URL, again)
+		if res["new"] != false {
+			t.Fatalf("re-join as %s created a new member: %+v", again, res)
+		}
+		if g.Epoch() != epoch {
+			t.Fatalf("re-join as %s of an alive replica moved the epoch %d -> %d", again, epoch, g.Epoch())
+		}
 	}
 
 	// An unready replica joins the roster but not the ring.
@@ -291,4 +303,24 @@ func TestGateUnreadyEvictsImmediately(t *testing.T) {
 		t.Fatalf("self-reported unready replica still in ring (len=%d epoch %d->%d)",
 			rt.ring.Len(), epoch, rt.epoch)
 	}
+}
+
+// FuzzJoinBody: no /v1/fleet/join body panics its decode, an accepted
+// URL parses with an http(s) scheme, a host and nothing after it, and
+// checking an accepted URL again returns it unchanged.
+func FuzzJoinBody(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		u, err := joinURL(body)
+		if err != nil {
+			return
+		}
+		p, err := url.Parse(u)
+		if err != nil || (p.Scheme != "http" && p.Scheme != "https") || p.Host == "" ||
+			p.Opaque != "" || p.User != nil || p.Path != "" || p.RawQuery != "" || p.Fragment != "" {
+			t.Fatalf("accepted %q, which parses as %#v (%v)", u, p, err)
+		}
+		if again, err := replicaURL(u); err != nil || again != u {
+			t.Fatalf("accepted %q, then checked again: %q (%v)", u, again, err)
+		}
+	})
 }

@@ -25,10 +25,8 @@ type fleetObs struct {
 	hedges      *obs.Counter
 	hedgeWins   *obs.Counter
 	failovers   *obs.Counter
-	fanout      *obs.Histogram
 	ready       *obs.Gauge
 	rollouts    *obs.Counter
-	batchSplit  *obs.Counter
 	ringChanges *obs.CounterVec
 }
 
@@ -41,7 +39,7 @@ func newFleetObs(tracer *obs.Tracer, endpoints ...string) *fleetObs {
 		start:  time.Now(),
 		gateRequests: httpd.NewRequestMetrics(reg, "napel_fleet_gate",
 			"Requests completed at the gate by endpoint and status class.",
-			"Gate request latency by endpoint, fanout and reassembly included.", endpoints...),
+			"Gate request latency by endpoint, upstream attempts included.", endpoints...),
 	}
 	o.upstream = reg.CounterVec("napel_fleet_requests_total",
 		"Upstream attempts by replica and outcome (ok, client_error, error, canceled).",
@@ -55,15 +53,10 @@ func newFleetObs(tracer *obs.Tracer, endpoints ...string) *fleetObs {
 		"Hedged requests answered by a non-primary replica first.")
 	o.failovers = reg.Counter("napel_fleet_failovers_total",
 		"Attempts re-routed to a ring successor after an upstream failure.")
-	o.fanout = reg.Histogram("napel_fleet_fanout_width",
-		"Distinct replicas one batched request was split across.",
-		[]float64{1, 2, 3, 4, 6, 8, 12, 16})
 	o.ready = reg.Gauge("napel_fleet_replicas_ready",
 		"Replicas currently passing their /readyz probe.")
 	o.rollouts = reg.Counter("napel_fleet_rolling_reloads_total",
 		"Completed fleet-wide rolling reloads.")
-	o.batchSplit = reg.Counter("napel_fleet_batches_split_total",
-		"Batched predict requests split across shards.")
 	o.ringChanges = reg.CounterVec("napel_fleet_ring_changes_total",
 		"Ring membership changes by kind (join, evict, readmit, expire, leave).",
 		"change")

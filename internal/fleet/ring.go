@@ -2,10 +2,10 @@
 // into one logical service: a consistent-hash ring keyed on each
 // request's bytes shards requests so each replica's LRU cache sees a
 // disjoint keyspace — N caches become one cache N× the size — while
-// per-replica circuit breakers, hedged single predicts and budget-split
-// batch fan-out keep one slow or failing replica from dragging the
-// fleet down. The gate never decodes a predict, so only internal/serve
-// and its clients know the wire format. cmd/napel-gate is the binary
+// per-replica circuit breakers, budget-split failover and hedged
+// requests keep one slow or failing replica from dragging the fleet
+// down. The gate forwards every body whole and never decodes one, so
+// only internal/serve and its clients know the wire format. cmd/napel-gate is the binary
 // front end; RollingReload drives fleet-wide hot-installs gated per
 // replica by /readyz.
 package fleet
@@ -86,7 +86,7 @@ func NewRing(replicas []string, vnodes int) *Ring {
 	return r
 }
 
-// routeKey is the gate's ring key for one request body or batch item:
+// routeKey is the gate's ring key for one request body, a batch too:
 // FNV-64a over its bytes, trimmed of surrounding whitespace, finalized
 // like the ring's tokens. No model version enters it: a promotion keeps
 // every key's owner, and each replica's cache tells versions apart.

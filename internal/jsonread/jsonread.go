@@ -3,10 +3,8 @@
 // It exists for the model file (internal/napel's envelope around
 // internal/ml/rf's forests), where encoding/json's reflection and its
 // repeated scans of the forest bytes dominated load time, and for
-// internal/fleet's gate, which splits batched request bodies with
-// Elements without decoding them, and for napel-serve's request
-// decoder, which reads every predict body straight into a feature
-// vector.
+// napel-serve's request decoder, which reads every predict body
+// straight into a feature vector.
 //
 // Each value is read once, left to right, by the method for the type
 // the caller expects, and Floats and Ints read a whole array of numbers
@@ -35,7 +33,6 @@ package jsonread
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -813,37 +810,4 @@ func (r *Reader) End() error {
 		return r.errorf("unexpected data after the top-level value")
 	}
 	return nil
-}
-
-// ErrTooMany is Elements' answer to an array of more than its maximum
-// number of elements.
-var ErrTooMany = errors.New("jsonread: too many array elements")
-
-// Elements checks that data is one well-formed JSON array and returns
-// the exact bytes of each element, without the whitespace around them:
-// what encoding/json yields as []json.RawMessage, aliasing data. It
-// stops with ErrTooMany at element max+1, before reading it, so a huge
-// array costs no more than max elements.
-func Elements(data []byte, max int) ([][]byte, error) {
-	r := New(data)
-	var elems [][]byte
-	err := r.Array(func() error {
-		if len(elems) == max {
-			return ErrTooMany
-		}
-		r.ws()
-		start := r.pos
-		if err := r.Skip(); err != nil {
-			return err
-		}
-		elems = append(elems, data[start:r.pos])
-		return nil
-	})
-	if err == nil {
-		err = r.End()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return elems, nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -83,26 +82,6 @@ func TestNestingLimit(t *testing.T) {
 	}
 }
 
-func TestElementsStopsPastMax(t *testing.T) {
-	for _, c := range []struct {
-		doc  string
-		max  int
-		want error
-	}{
-		{`[1,2,3]`, 3, nil},
-		{`[1,2,3]`, 2, ErrTooMany},
-		{`[]`, 0, nil},
-		{`[1]`, 0, ErrTooMany},
-		// The limit is met before the malformed element is read.
-		{`[1,2,3,}`, 3, ErrTooMany},
-	} {
-		_, err := Elements([]byte(c.doc), c.max)
-		if !errors.Is(err, c.want) {
-			t.Errorf("Elements(%s, %d) = %v, want %v", c.doc, c.max, err, c.want)
-		}
-	}
-}
-
 func TestArrayLen(t *testing.T) {
 	for doc, want := range map[string]int{`[]`: 0, `[ ]`: 0, `[1]`: 1, `[1, -2.5e3 ,0]`: 3, `null`: 0} {
 		if got := New([]byte(doc)).ArrayLen(); got != want {
@@ -132,16 +111,13 @@ func TestPlainWord(t *testing.T) {
 
 // FuzzReader checks the reader against encoding/json on arbitrary bytes:
 // Skip accepts exactly the documents json.Valid accepts, a string or
-// number the reader accepts decodes to what encoding/json decodes, Int
-// accepts and rejects what encoding/json does for int64 and int32, and
-// Elements accepts exactly the valid documents that are arrays, whose
-// elements are then encoding/json's []json.RawMessage byte for byte,
-// and refuses them with ErrTooMany under a maximum one short. On a
-// number literal, Float accepts and rejects what strconv.ParseFloat
-// does, and agrees with it bit for bit. It also
-// checks Span against Skip: a value Skip accepts whole is exactly its
-// span and reads back from it, and on any bytes, skipping from the
-// span gives the error, or the end, that skipping in place gives.
+// number the reader accepts decodes to what encoding/json decodes, and
+// Int accepts and rejects what encoding/json does for int64 and int32.
+// On a number literal, Float accepts and rejects what strconv.ParseFloat
+// does, and agrees with it bit for bit. It also checks Span against
+// Skip: a value Skip accepts whole is exactly its span and reads back
+// from it, and on any bytes, skipping from the span gives the error, or
+// the end, that skipping in place gives.
 func FuzzReader(f *testing.F) {
 	for _, s := range []string{
 		`{"a":[1,2.5e-3,-0,true,false,null,"x"]}`, `"😀\ud800A\/\b\f\n\r\t\"\\"`,
@@ -179,27 +155,6 @@ func FuzzReader(f *testing.F) {
 		if lit := bytes.Trim(data, " \t\r\n"); json.Valid(lit) && (lit[0] == '-' || '0' <= lit[0] && lit[0] <= '9') {
 			if msg := floatMismatch(lit); msg != "" {
 				t.Fatal(msg)
-			}
-		}
-		elems, err := Elements(data, len(data))
-		isArray := json.Valid(data) && bytes.TrimLeft(data, " \t\r\n")[0] == '['
-		if (err == nil) != isArray {
-			t.Fatalf("Elements accepted=%v (%v), valid array=%v", err == nil, err, isArray)
-		}
-		if err == nil && len(elems) > 0 {
-			if _, err := Elements(data, len(elems)-1); !errors.Is(err, ErrTooMany) {
-				t.Fatalf("Elements with a maximum of %d of %d elements: %v", len(elems)-1, len(elems), err)
-			}
-		}
-		if err == nil {
-			var want []json.RawMessage
-			if err := json.Unmarshal(data, &want); err != nil || len(elems) != len(want) {
-				t.Fatalf("Elements found %d elements, encoding/json %d (%v)", len(elems), len(want), err)
-			}
-			for i := range want {
-				if !bytes.Equal(elems[i], want[i]) {
-					t.Fatalf("element %d = %q, encoding/json %q", i, elems[i], want[i])
-				}
 			}
 		}
 	})

@@ -1,10 +1,10 @@
 package lifecycle
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -56,8 +56,12 @@ func NewAPIHandler(m *Manager) http.Handler {
 	obs.MountDebug(mux, m.o.tracer)
 
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		body, ok := httpd.Request(w, r, maxSpecBytes)
+		if !ok {
+			return
+		}
 		var spec JobSpec
-		dec := json.NewDecoder(io.LimitReader(r.Body, maxSpecBytes))
+		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
 			httpd.WriteError(w, http.StatusBadRequest, fmt.Sprintf("decoding job spec: %v", err))

@@ -62,6 +62,9 @@ func TestAPI(t *testing.T) {
 	if code := apiPost(t, srv.URL+"/v1/jobs", `{}`, nil); code != http.StatusBadRequest {
 		t.Fatalf("empty spec -> %d", code)
 	}
+	if code := apiPost(t, srv.URL+"/v1/jobs", `{"kernels":["`+strings.Repeat("a", maxSpecBytes)+`"]}`, nil); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("spec past %d bytes -> %d", maxSpecBytes, code)
+	}
 
 	// Submit the quick job and drive it to promotion via the API alone.
 	specJSON, _ := json.Marshal(quickSpec())

@@ -133,13 +133,3 @@ func Traced(tracer *Tracer, name string, h http.HandlerFunc) http.HandlerFunc {
 		h(w, r.WithContext(ctx))
 	}
 }
-
-// SpanFromHeader is server middleware for muxes without bespoke
-// instrumentation: each request's context gains the caller's span
-// context before h runs, so handlers that StartSpan land in the
-// caller's trace automatically.
-func SpanFromHeader(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		h.ServeHTTP(w, r.WithContext(ExtractHTTP(r.Context(), r)))
-	})
-}

@@ -137,13 +137,11 @@ func TestInjectHTTPPassesRemoteThrough(t *testing.T) {
 	}
 }
 
+// TestSpanFromHeaderMiddleware: a handler wrapped by Traced runs under
+// one span that joins the trace of the caller's traceparent header.
 func TestSpanFromHeaderMiddleware(t *testing.T) {
 	tr := NewTracer(8, nil)
-	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, span := StartSpan(WithTracer(r.Context(), tr), "handler.op")
-		span.End()
-	})
-	srv := httptest.NewServer(SpanFromHeader(inner))
+	srv := httptest.NewServer(Traced(tr, "handler.op", func(w http.ResponseWriter, r *http.Request) {}))
 	defer srv.Close()
 
 	req, _ := http.NewRequest(http.MethodGet, srv.URL, nil)

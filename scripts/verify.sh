@@ -200,11 +200,16 @@ echo "== fuzz the scrape and traceparent parsers (10 s each) =="
 go test -run '^$' -fuzz FuzzParseExposition -fuzztime 10s ./internal/obs
 go test -run '^$' -fuzz FuzzParseTraceParent -fuzztime 10s ./internal/obs
 
-echo "== fuzz the JSON reader and batch splitter (10 s) =="
-# napel-gate splits every batch body any client sends with
-# jsonread.Elements; FuzzReader checks it and the model decoder's reader
-# against encoding/json, and Float's conversion against strconv.
+echo "== fuzz the JSON reader (10 s) =="
+# Model files and every predict body are read with jsonread; FuzzReader
+# checks the reader against encoding/json, Span against reading in
+# place, and Float's conversion against strconv.
 go test -run '^$' -fuzz FuzzReader -fuzztime 10s ./internal/jsonread
+
+echo "== fuzz the fleet join body (10 s) =="
+# Any client can POST /v1/fleet/join; an accepted URL must be a bare
+# http(s) scheme://host[:port] that the gate can append its paths to.
+go test -run '^$' -fuzz FuzzJoinBody -fuzztime 10s ./internal/fleet
 
 echo "== fuzz the request decoder (10 s) =="
 # napel-serve decodes every predict, batch and suitability body with its
