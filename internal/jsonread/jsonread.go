@@ -596,6 +596,10 @@ func (r *Reader) str() ([]byte, error) {
 	start := r.pos + 1
 	i := start
 	for i < len(d) {
+		if i+8 <= len(d) && plainString(binary.LittleEndian.Uint64(d[i:])) {
+			i += 8
+			continue
+		}
 		c := d[i]
 		if c == '"' {
 			r.pos = i + 1
@@ -790,18 +794,43 @@ func plainWord(x uint64) bool {
 	return (below|above)&highs == 0
 }
 
+// plainString reports whether none of x's 8 bytes ends a run of string
+// bytes str copies as they are: no '"', '\\', control byte or non-ASCII
+// byte. A model file is mostly base64 strings, and testing 8 bytes at
+// once keeps reading them off its critical path.
+func plainString(x uint64) bool {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	// (v - ones) &^ v has a high bit set iff some byte of v is 0, and
+	// (x - ones*' ') &^ x iff some byte of x is below ' '; x's own high
+	// bits mark non-ASCII bytes.
+	quote, backslash := x^ones*'"', x^ones*'\\'
+	stop := (quote-ones)&^quote | (backslash-ones)&^backslash | (x-ones*' ')&^x | x
+	return stop&highs == 0
+}
+
 // stringEnd returns the index just past the closing quote of the string
-// starting at d[i] (a '"'), or len(d) if it is unterminated.
+// starting at d[i] (a '"'), or len(d) if it is unterminated. It jumps to
+// each candidate quote, then past the escapes before it, so it reads
+// every byte at most twice, each time through bytes.IndexByte.
 func stringEnd(d []byte, i int) int {
-	for i++; i < len(d); i++ {
-		switch d[i] {
-		case '\\':
-			i++
-		case '"':
-			return i + 1
+	i++
+	for {
+		q := bytes.IndexByte(d[i:], '"')
+		if q < 0 {
+			return len(d)
+		}
+		q += i
+		for {
+			b := bytes.IndexByte(d[i:q], '\\')
+			if b < 0 {
+				return q + 1
+			}
+			i += b + 2 // past the backslash and the byte it escapes
+			if i > q {
+				break // the escaped byte was the quote at q
+			}
 		}
 	}
-	return len(d)
 }
 
 // End checks that only whitespace follows the value just read.

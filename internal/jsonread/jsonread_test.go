@@ -109,6 +109,37 @@ func TestPlainWord(t *testing.T) {
 	}
 }
 
+// TestPlainString checks str's 8-byte test against testing each byte,
+// as TestPlainWord checks Span's.
+func TestPlainString(t *testing.T) {
+	plain := func(c byte) bool { return c >= ' ' && c < 0x80 && c != '"' && c != '\\' }
+	for _, at := range [][2]int{{0, 1}, {3, 4}, {6, 7}, {0, 7}} {
+		for a := range 256 {
+			for b := range 256 {
+				w := []byte("abcdefgh")
+				w[at[0]], w[at[1]] = byte(a), byte(b)
+				if got, want := plainString(binary.LittleEndian.Uint64(w)), plain(byte(a)) && plain(byte(b)); got != want {
+					t.Fatalf("plainString(%q) = %v, want %v", w, got, want)
+				}
+			}
+		}
+	}
+}
+
+// stringSeeds returns strings with a byte that ends str's plain run, or
+// an escape Span must step over, at every offset mod 8 from the opening
+// quote, alone and as an array element.
+func stringSeeds() []string {
+	var seeds []string
+	for _, special := range []string{`"`, `\"`, `\\`, `\u0041`, "\x1f", "é", "\xff"} {
+		for off := range 8 {
+			s := `"` + strings.Repeat("A", off) + special + strings.Repeat("b", 9) + `"`
+			seeds = append(seeds, s, `[`+s+`,1]`)
+		}
+	}
+	return seeds
+}
+
 // FuzzReader checks the reader against encoding/json on arbitrary bytes:
 // Skip accepts exactly the documents json.Valid accepts, a string or
 // number the reader accepts decodes to what encoding/json decodes, and
@@ -129,6 +160,9 @@ func FuzzReader(f *testing.F) {
 		`{"k\"]}":[1,{"a":"]}\\"}],"b":[0.25,12345678,-3]}`, `[1,[2,{"a":3]}`, `[1.,2]`, `{"a":1}}`, `"a\`,
 		strings.Repeat("[", maxDepth+1) + strings.Repeat("]", maxDepth+1),
 	} {
+		f.Add([]byte(s))
+	}
+	for _, s := range stringSeeds() {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

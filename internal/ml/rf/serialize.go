@@ -1,9 +1,12 @@
 package rf
 
 import (
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"strconv"
@@ -13,75 +16,74 @@ import (
 	"napel/internal/jsonread"
 )
 
-// forestJSON is the stable on-disk representation of a Forest: five
-// node arrays per tree, one entry per node in arena order.
+// forestJSON is the on-disk form of a Forest: one node image per tree,
+// which encoding/json writes as a standard base64 string.
 type forestJSON struct {
-	Params     Params     `json:"params"`
-	Importance []float64  `json:"importance"`
-	Trees      []treeJSON `json:"trees"`
+	Params     Params    `json:"params"`
+	Importance []float64 `json:"importance"`
+	Nodes      [][]byte  `json:"nodes"`
 }
 
-type treeJSON struct {
-	Feature []int     `json:"feature"`
-	Thresh  []float64 `json:"thresh"`
-	Left    []int32   `json:"left"`
-	Right   []int32   `json:"right"`
-	Value   []float64 `json:"value"`
-}
+// nodeSize is the length of one node in a node image: v as float64
+// bits, then feature and right as int32s, all little-endian. A leaf's
+// feature is -1 and its right 0; a split's left child is the next node.
+// This is the resident node layout, so an image is a tree's arena.
+const nodeSize = 16
 
-// MarshalJSON implements json.Marshaler. Fields no walk reads are
-// written as 0: a split's value and a leaf's thresh, left and right.
+// MarshalJSON implements json.Marshaler, writing each tree as its node
+// image. Like encoding/json, it refuses a NaN or infinite value, which
+// no reader accepts.
 func (f *Forest) MarshalJSON() ([]byte, error) {
 	out := forestJSON{
 		Params:     f.params,
 		Importance: f.importance,
-		Trees:      make([]treeJSON, len(f.trees)),
+		Nodes:      make([][]byte, len(f.trees)),
 	}
 	for ti := range f.trees {
 		nodes := f.trees[ti].nodes
-		tj := treeJSON{
-			Feature: make([]int, len(nodes)),
-			Thresh:  make([]float64, len(nodes)),
-			Left:    make([]int32, len(nodes)),
-			Right:   make([]int32, len(nodes)),
-			Value:   make([]float64, len(nodes)),
-		}
+		img := make([]byte, nodeSize*len(nodes))
 		for ni, n := range nodes {
-			tj.Feature[ni] = int(n.feature)
-			if n.feature < 0 {
-				tj.Value[ni] = n.v
-				continue
+			if math.IsNaN(n.v) || math.IsInf(n.v, 0) {
+				return nil, fmt.Errorf("rf: tree %d node %d holds %v", ti, ni, n.v)
 			}
-			tj.Thresh[ni] = n.v
-			tj.Left[ni] = int32(ni + 1)
-			tj.Right[ni] = n.right
+			rec := img[nodeSize*ni:]
+			binary.LittleEndian.PutUint64(rec, math.Float64bits(n.v))
+			binary.LittleEndian.PutUint32(rec[8:], uint32(n.feature))
+			binary.LittleEndian.PutUint32(rec[12:], uint32(n.right))
 		}
-		out.Trees[ti] = tj
+		out.Nodes[ti] = img
 	}
 	return json.Marshal(out)
 }
 
-// Field names of the MarshalJSON form: the JSON names of forestJSON,
-// Params and treeJSON.
+// Field names of the forms ReadForest reads: the JSON names of
+// forestJSON with version 1's "trees" beside "nodes", of Params, and of
+// a version 1 tree's five node arrays.
 var (
-	forestFields = []string{"params", "importance", "trees"}
+	forestFields = []string{"params", "importance", "trees", "nodes"}
 	paramsFields = []string{"Trees", "MaxDepth", "MinLeaf", "MTry", "SampleFrac"}
 	treeFields   = []string{"feature", "thresh", "left", "right", "value"}
 )
 
-// ReadForest reads a forest over numFeatures features in its MarshalJSON
-// form from r, building each tree's node arena from its node arrays. It
-// accepts what jsonread accepts and checks what walking the trees relies
-// on: at least one tree, no empty tree, equal-length node arrays, and
-// every split on a feature below numFeatures with its
-// left child the next node and its right child after it in its tree, as
-// Train lays trees out, so a walk can neither index out of range nor
-// loop. Fields no walk reads are dropped (see MarshalJSON).
+// ReadForest reads a forest over numFeatures features from r, in its
+// MarshalJSON form or in version 1's, whose "trees" hold five node
+// arrays per tree in place of "nodes"; a forest holding both is refused.
+// It builds each tree's node arena from its image or arrays, accepts
+// what jsonread accepts and checks what walking the trees relies on: at
+// least one tree, no empty tree, and every split on a feature below
+// numFeatures with its left child the next node and its right child
+// after it in its tree, as Train lays trees out, so a walk can neither
+// index out of range nor loop. An image must hold whole nodes and
+// finite values; a tree's arrays must be of equal length. Fields no
+// walk reads are dropped: a leaf's feature reads back as -1 and its
+// right child as 0, and in the five arrays a split's value and a leaf's
+// thresh, left and right are ignored.
 //
 // The trees are read on up to GOMAXPROCS goroutines (see readTrees), yet
 // ReadForest accepts, returns and fails exactly as a serial read would.
 func ReadForest(r *jsonread.Reader, numFeatures int) (*Forest, error) {
 	f := &Forest{}
+	layout := ""
 	err := r.Fields(forestFields, func(field string) error {
 		switch field {
 		case "params":
@@ -93,21 +95,29 @@ func ReadForest(r *jsonread.Reader, numFeatures int) (*Forest, error) {
 			var err error
 			f.importance, err = r.Floats(make([]float64, 0, r.ArrayLen()))
 			return err
-		default: // "trees"
-			var spans []jsonread.Reader
-			err := r.Array(func() error {
-				spans = append(spans, r.Span())
-				return nil
-			})
-			// A defective tree lies before anything Array rejects, so a
-			// serial read would have failed on the tree first.
-			trees, terr := readTrees(spans, numFeatures)
-			if terr != nil {
-				return terr
-			}
-			f.trees = trees
-			return err
 		}
+		// "trees" or "nodes"
+		if layout != "" {
+			return fmt.Errorf("rf: forest holds both %q and %q", layout, field)
+		}
+		layout = field
+		read := readTree
+		if field == "nodes" {
+			read = readImage
+		}
+		var spans []jsonread.Reader
+		err := r.Array(func() error {
+			spans = append(spans, r.Span())
+			return nil
+		})
+		// A defective tree lies before anything Array rejects, so a
+		// serial read would have failed on the tree first.
+		trees, terr := readTrees(spans, numFeatures, read)
+		if terr != nil {
+			return terr
+		}
+		f.trees = trees
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -118,13 +128,17 @@ func ReadForest(r *jsonread.Reader, numFeatures int) (*Forest, error) {
 	return f, nil
 }
 
-// readTrees reads one tree from each span, and nothing after it, on
-// min(GOMAXPROCS, len(spans)) goroutines that each keep their own
-// scratch. Spans give every tree the offsets and depths of a serial
+// treeReader reads tree ti from r into a new node arena, using s for
+// scratch.
+type treeReader func(r *jsonread.Reader, ti, numFeatures int, s *treeScratch) ([]node, error)
+
+// readTrees reads one tree from each span with read, and nothing after
+// it, on min(GOMAXPROCS, len(spans)) goroutines that each keep their
+// own scratch. Spans give every tree the offsets and depths of a serial
 // read, so the error returned, that of the lowest-index tree that
 // fails, is the error a serial read stops at; a syntax error, which
 // carries only its offset, gains the tree's index.
-func readTrees(spans []jsonread.Reader, numFeatures int) ([]tree, error) {
+func readTrees(spans []jsonread.Reader, numFeatures int, read treeReader) ([]tree, error) {
 	trees := make([]tree, len(spans))
 	errs := make([]error, len(spans))
 	var next atomic.Int64
@@ -137,7 +151,7 @@ func readTrees(spans []jsonread.Reader, numFeatures int) ([]tree, error) {
 				return
 			}
 			r := &spans[ti]
-			nodes, err := readTree(r, ti, numFeatures, s)
+			nodes, err := read(r, ti, numFeatures, s)
 			if err == nil {
 				err = r.End()
 			}
@@ -189,12 +203,14 @@ func readParams(r *jsonread.Reader, p *Params) error {
 	})
 }
 
-// treeScratch holds the five node arrays of a tree while it is read.
-// One scratch serves every tree one goroutine reads. Its arrays are
-// carved from two blocks, one per element type, which reserve sizes to
-// twice the tree that outgrows them, so the trees of one forest, which
-// differ in size far less than twofold, seldom allocate.
+// treeScratch holds a tree's decoded node image, or its five node
+// arrays, while it is read. One scratch serves every tree one goroutine
+// reads. The image, and the arrays, which are carved from two blocks,
+// one per element type, are sized to twice the tree that outgrows them,
+// so the trees of one forest, which differ in size far less than
+// twofold, seldom allocate.
 type treeScratch struct {
+	image                []byte
 	feature, left, right []int64
 	thresh, value        []float64
 	size                 int // capacity each array was given
@@ -281,4 +297,50 @@ func readTree(r *jsonread.Reader, ti, numFeatures int, s *treeScratch) ([]node, 
 
 func inconsistentTree(ti int) error {
 	return fmt.Errorf("rf: tree %d has inconsistent node arrays", ti)
+}
+
+// readImage reads tree ti as a node image: a base64 string, decoded as
+// encoding/json decodes a []byte, into s, then the nodes from it in one
+// pass that checks each.
+func readImage(r *jsonread.Reader, ti, numFeatures int, s *treeScratch) ([]node, error) {
+	b, err := r.StringBytes()
+	if err != nil {
+		return nil, err
+	}
+	if need := base64.StdEncoding.DecodedLen(len(b)); cap(s.image) < need {
+		s.image = make([]byte, 2*need)
+	}
+	size, err := base64.StdEncoding.Decode(s.image[:cap(s.image)], b)
+	if err != nil {
+		return nil, fmt.Errorf("rf: tree %d: node image: %w", ti, err)
+	}
+	img := s.image[:size]
+	if len(img)%nodeSize != 0 {
+		return nil, fmt.Errorf("rf: tree %d: node image of %d bytes is not whole %d-byte nodes", ti, len(img), nodeSize)
+	}
+	n := len(img) / nodeSize
+	if n == 0 {
+		return nil, fmt.Errorf("rf: tree %d is empty", ti)
+	}
+	nodes := make([]node, n)
+	for i := range nodes {
+		rec := img[nodeSize*i : nodeSize*(i+1)]
+		bits := binary.LittleEndian.Uint64(rec)
+		feat := int32(binary.LittleEndian.Uint32(rec[8:]))
+		right := int32(binary.LittleEndian.Uint32(rec[12:]))
+		nd := &nodes[i]
+		switch {
+		case bits>>52&0x7ff == 0x7ff: // NaN or ±Inf
+			return nil, fmt.Errorf("rf: tree %d node %d holds %v", ti, i, math.Float64frombits(bits))
+		case int(feat) >= numFeatures:
+			return nil, fmt.Errorf("rf: tree %d node %d splits on feature %d of %d", ti, i, feat, numFeatures)
+		case feat < 0:
+			nd.feature, nd.v = -1, math.Float64frombits(bits)
+		case int(right) <= i || int(right) >= n:
+			return nil, fmt.Errorf("rf: tree %d node %d has an out-of-range right child", ti, i)
+		default:
+			nd.feature, nd.v, nd.right = feat, math.Float64frombits(bits), right
+		}
+	}
+	return nodes, nil
 }

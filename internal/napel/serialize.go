@@ -38,8 +38,15 @@ type savedModel struct {
 	Forest *rf.Forest `json:"forest"`
 }
 
-// savedVersion is bumped on incompatible format changes.
-const savedVersion = 1
+// Format versions, bumped on incompatible changes. A predictor file of
+// version 2 stores each tree as a node image (see rf.Forest.MarshalJSON);
+// version 1 stored five node arrays per tree and still loads. Training
+// data files are unchanged since version 1.
+const (
+	predictorVersion    = 2
+	oldPredictorVersion = 1 // the oldest LoadPredictor reads
+	trainingDataVersion = 1
+)
 
 // ErrBadModelVersion reports a predictor file whose format version this
 // build cannot read. It is a sentinel (match with errors.Is) so that
@@ -47,8 +54,10 @@ const savedVersion = 1
 // corruption — napel-serve maps it to HTTP 422 instead of 500.
 var ErrBadModelVersion = errors.New("napel: unsupported predictor format version")
 
-// Save serializes the predictor as JSON. It fails if the models are not
-// log-target random forests (the only configuration Train produces).
+// Save serializes the predictor as JSON, in format version 2: each tree
+// a base64 string of its nodes' resident 16-byte layout. It fails if the
+// models are not log-target random forests (the only configuration Train
+// produces).
 func (p *Predictor) Save(w io.Writer) error {
 	ipc, err := saveModel(p.IPC)
 	if err != nil {
@@ -64,7 +73,7 @@ func (p *Predictor) Save(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(savedPredictor{
-		Version:   savedVersion,
+		Version:   predictorVersion,
 		Names:     p.Names,
 		Chosen:    chosen,
 		TrainTime: p.TrainTime,
@@ -120,10 +129,12 @@ var (
 	modelFields     = []string{"log_lo", "log_hi", "forest"}
 )
 
-// LoadPredictor parses a predictor written by Save. It reads data in one
-// pass and accepts a subset of what encoding/json would (see
-// internal/jsonread): in particular only whitespace may follow the
-// predictor object.
+// LoadPredictor parses a predictor written by Save, in format version 2,
+// or by an older build in version 1, whose trees are five node arrays;
+// any other version fails with ErrBadModelVersion. It reads data in one
+// pass, the trees of each forest in parallel, and accepts a subset of
+// what encoding/json would (see internal/jsonread): in particular only
+// whitespace may follow the predictor object.
 func LoadPredictor(data []byte) (*Predictor, error) {
 	p := &Predictor{Chosen: map[Target]string{}}
 	version := 0
@@ -157,8 +168,8 @@ func LoadPredictor(data []byte) (*Predictor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("napel: decoding predictor: %w", err)
 	}
-	if version != savedVersion {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrBadModelVersion, version, savedVersion)
+	if version != predictorVersion && version != oldPredictorVersion {
+		return nil, fmt.Errorf("%w: got %d, want %d or %d", ErrBadModelVersion, version, oldPredictorVersion, predictorVersion)
 	}
 	if ipc.Forest == nil || epi.Forest == nil {
 		return nil, fmt.Errorf("napel: predictor file is missing a model")
@@ -258,7 +269,7 @@ type savedSample struct {
 // wall-clock measurement is included.
 func SaveTrainingData(w io.Writer, td *TrainingData) error {
 	out := savedTrainingData{
-		Version:    savedVersion,
+		Version:    trainingDataVersion,
 		Names:      td.Names,
 		DoEConfigs: td.DoEConfigs,
 		Samples:    make([]savedSample, len(td.Samples)),
@@ -325,8 +336,8 @@ func LoadTrainingData(r io.Reader) (*TrainingData, error) {
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
 		return nil, fmt.Errorf("napel: decoding training data: %w", err)
 	}
-	if in.Version != savedVersion {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrBadModelVersion, in.Version, savedVersion)
+	if in.Version != trainingDataVersion {
+		return nil, fmt.Errorf("%w: got %d, want %d", ErrBadModelVersion, in.Version, trainingDataVersion)
 	}
 	td := &TrainingData{
 		Names:       in.Names,

@@ -2,6 +2,7 @@ package napel
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -82,12 +83,15 @@ type refModel struct {
 	Forest *refForest `json:"forest"`
 }
 
-// refForest has the field order of rf's MarshalJSON form, so marshaling
-// it reproduces what a Forest with the same contents marshals to.
+// refForest has the field order of both forms of rf's forest: with
+// Trees alone, marshaling its canonical form reproduces what a version 1
+// file held. A version 2 forest's Nodes, which encoding/json decodes
+// from base64 itself, are node images that expand turns into Trees.
 type refForest struct {
 	Params     rf.Params `json:"params"`
 	Importance []float64 `json:"importance"`
-	Trees      []refTree `json:"trees"`
+	Trees      []refTree `json:"trees,omitempty"`
+	Nodes      [][]byte  `json:"nodes,omitempty"`
 }
 
 type refTree struct {
@@ -115,6 +119,44 @@ func (f *refForest) predict(x []float64) float64 {
 		s += t.Value[i]
 	}
 	return s / float64(len(f.Trees))
+}
+
+// expand moves each node image of f into five node arrays, read as
+// rf's MarshalJSON writes a node: v as float64 bits, then feature and
+// right as int32s, all little-endian, with a split's left child the next
+// node. It rejects a forest holding both layouts, an image of partial
+// nodes and a value no version 1 file can hold, NaN or ±Inf.
+func (f *refForest) expand() error {
+	if f.Nodes == nil {
+		return nil
+	}
+	if f.Trees != nil {
+		return fmt.Errorf("both trees and nodes")
+	}
+	for ti, im := range f.Nodes {
+		if len(im)%16 != 0 {
+			return fmt.Errorf("tree %d: image of %d bytes", ti, len(im))
+		}
+		var t refTree
+		for ni := 0; ni < len(im)/16; ni++ {
+			rec := im[16*ni:]
+			v := math.Float64frombits(binary.LittleEndian.Uint64(rec))
+			feat := int32(binary.LittleEndian.Uint32(rec[8:]))
+			right := int32(binary.LittleEndian.Uint32(rec[12:]))
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("tree %d node %d holds %v", ti, ni, v)
+			}
+			t.Feature = append(t.Feature, int(feat))
+			if feat < 0 {
+				t.Thresh, t.Left, t.Right, t.Value = append(t.Thresh, 0), append(t.Left, 0), append(t.Right, 0), append(t.Value, v)
+			} else {
+				t.Thresh, t.Left, t.Right, t.Value = append(t.Thresh, v), append(t.Left, int32(ni+1)), append(t.Right, right), append(t.Value, 0)
+			}
+		}
+		f.Trees = append(f.Trees, t)
+	}
+	f.Nodes = nil
+	return nil
 }
 
 // canonical returns a copy of f with the fields no walk reads in the
@@ -182,7 +224,7 @@ func refLoad(data []byte) (*refPredictor, error) {
 	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&in); err != nil {
 		return nil, err
 	}
-	if in.Version != savedVersion {
+	if in.Version != 1 && in.Version != 2 {
 		return nil, fmt.Errorf("version %d", in.Version)
 	}
 	if in.IPC.Forest == nil || in.EPI.Forest == nil {
@@ -192,6 +234,9 @@ func refLoad(data []byte) (*refPredictor, error) {
 		return nil, err
 	}
 	for _, f := range []*refForest{in.IPC.Forest, in.EPI.Forest} {
+		if err := f.expand(); err != nil {
+			return nil, err
+		}
 		if len(f.Trees) == 0 {
 			return nil, fmt.Errorf("no trees")
 		}
@@ -215,11 +260,12 @@ func refLoad(data []byte) (*refPredictor, error) {
 }
 
 // sameAsRef reports how p differs from the reference decode of the same
-// bytes. Forests are compared through their JSON form after the
-// reference's unread fields are made canonical: float64s encode in
-// shortest round-trip form (keeping -0) and nil slices as null, so equal
-// bytes mean bit-identical forests. Each forest must also predict what
-// a walk over the reference's arrays predicts, bit for bit.
+// bytes. Forests are compared in one form, the canonical five arrays: a
+// loaded forest's node images are expanded as the reference expands a
+// file's, and both are marshaled, so that float64s encode in shortest
+// round-trip form (keeping -0) and nil slices as null, and equal bytes
+// mean bit-identical forests. Each forest must also predict what a walk
+// over the reference's arrays predicts, bit for bit.
 func sameAsRef(p *Predictor, ref *refPredictor) error {
 	if !reflect.DeepEqual(p.Names, ref.Names) {
 		return fmt.Errorf("names differ")
@@ -247,7 +293,7 @@ func sameAsRef(p *Predictor, ref *refPredictor) error {
 		if math.Float64bits(lo) != math.Float64bits(m.ref.Lo) || math.Float64bits(hi) != math.Float64bits(m.ref.Hi) {
 			return fmt.Errorf("clamp [%g, %g], reference [%g, %g]", lo, hi, m.ref.Lo, m.ref.Hi)
 		}
-		got, err := json.Marshal(inner)
+		got, err := canonicalJSON(inner)
 		if err != nil {
 			return err
 		}
@@ -263,6 +309,42 @@ func sameAsRef(p *Predictor, ref *refPredictor) error {
 		}
 	}
 	return nil
+}
+
+// canonicalJSON marshals a loaded forest in the reference's canonical
+// five-array form.
+func canonicalJSON(forest ml.Model) ([]byte, error) {
+	images, err := json.Marshal(forest)
+	if err != nil {
+		return nil, err
+	}
+	var f refForest
+	if err := json.Unmarshal(images, &f); err != nil {
+		return nil, err
+	}
+	if err := f.expand(); err != nil {
+		return nil, err
+	}
+	return json.Marshal(f.canonical())
+}
+
+// savedBytesV1 writes p in format version 1, five node arrays per tree,
+// byte for byte as Save wrote it before node images: the reference
+// decode of p's version 2 bytes, in canonical form, marshaled as Save
+// encoded it.
+func savedBytesV1(tb testing.TB, p *Predictor) []byte {
+	tb.Helper()
+	ref, err := refLoad(savedBytes(tb, p))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ref.Version = 1
+	ref.IPC.Forest, ref.EPI.Forest = ref.IPC.Forest.canonical(), ref.EPI.Forest.canonical()
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(ref); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // FuzzLoadPredictor checks LoadPredictor against the encoding/json
@@ -373,6 +455,92 @@ func TestLoadPredictorTreeSpanSeeds(t *testing.T) {
 	}
 }
 
+// TestLoadPredictorImageSeeds pins the verdicts of the corpus seeds
+// aimed at node images: each defect fails with its own error, and an
+// image spelled with escapes, which both decoders unescape and whose
+// newlines base64 skips, loads as the reference decodes it.
+func TestLoadPredictorImageSeeds(t *testing.T) {
+	for name, want := range map[string]string{
+		"v2-model":           "",
+		"v2-escaped-base64":  "",
+		"v2-bad-base64":      "rf: tree 0: node image: illegal base64 data at input byte 6",
+		"v2-partial-node":    "rf: tree 0: node image of 77 bytes is not whole 16-byte nodes",
+		"v2-empty-image":     "rf: tree 0 is empty",
+		"v2-feature-405":     "rf: tree 0 node 0 splits on feature 405 of 405",
+		"v2-right-not-after": "rf: tree 0 node 0 has an out-of-range right child",
+		"v2-right-past-tree": "rf: tree 0 node 0 has an out-of-range right child",
+		"v2-nan":             "rf: tree 0 node 4 holds NaN",
+		"v2-inf":             "rf: tree 0 node 4 holds -Inf",
+		"v2-trees-and-nodes": `rf: forest holds both "trees" and "nodes"`,
+	} {
+		data := corpusSeed(t, name)
+		p, err := LoadPredictor(data)
+		if want != "" {
+			if err == nil || !strings.HasSuffix(err.Error(), want) {
+				t.Errorf("%s: error %v, want one ending %q", name, err, want)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ref, err := refLoad(data)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		if err := sameAsRef(p, ref); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestVersion1SeedsResaveAsVersion2: every version 1 corpus seed that
+// loads saves as version 2, with node images and no node arrays, and
+// the re-saved model predicts bit for bit what the version 1 file's
+// reference walk predicts, on probeRows.
+func TestVersion1SeedsResaveAsVersion2(t *testing.T) {
+	entries, err := os.ReadDir(filepath.Join("testdata", "fuzz", "FuzzLoadPredictor"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resaved := 0
+	for _, e := range entries {
+		data := corpusSeed(t, e.Name())
+		p, err := LoadPredictor(data)
+		if err != nil {
+			continue
+		}
+		ref, err := refLoad(data)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", e.Name(), err)
+		}
+		if ref.Version != 1 {
+			continue
+		}
+		v2 := savedBytes(t, p)
+		if !bytes.HasPrefix(v2, []byte(`{"version":2,`)) || !bytes.Contains(v2, []byte(`"nodes":["`)) || bytes.Contains(v2, []byte(`"trees"`)) {
+			t.Fatalf("%s: re-saved as %.60q..., not version 2 with node images", e.Name(), v2)
+		}
+		again, err := LoadPredictor(v2)
+		if err != nil {
+			t.Fatalf("%s: re-saved model: %v", e.Name(), err)
+		}
+		for _, m := range []struct {
+			model ml.Model
+			ref   *refForest
+		}{{again.IPC, ref.IPC.Forest}, {again.EPI, ref.EPI.Forest}} {
+			inner, _, _, _ := ml.UnwrapLogModel(m.model)
+			if err := samePredictions(inner, m.ref, probeRows(m.ref, 200, 3)); err != nil {
+				t.Fatalf("%s: %v", e.Name(), err)
+			}
+		}
+		resaved++
+	}
+	if resaved < 5 {
+		t.Fatalf("only %d version 1 seeds load", resaved)
+	}
+}
+
 // TestLoadedForestMatchesReferenceWalk is the differential test of the
 // 16-byte node layout on a model shaped like a trained NAPEL predictor:
 // the trained forests and their Save→LoadPredictor copies predict, bit
@@ -406,60 +574,72 @@ func TestLoadedForestMatchesReferenceWalk(t *testing.T) {
 // raceEnabled is set under -race (race_test.go).
 var raceEnabled bool
 
-// TestLoadPredictorAllocs pins the cost of a load to one allocation per
-// tree (its node arena) plus a constant, so a return to reflective
-// decoding, which allocates per node array and per value, fails here.
-// testing.AllocsPerRun counts at GOMAXPROCS 1, where the caller reads
-// every tree, so the load is also counted at GOMAXPROCS 2 and 4, where
-// rf.ReadForest reads on worker goroutines too; each of those may add
-// perWorker allocations (the goroutine and its tree scratch), and
-// nothing per tree.
+// TestLoadPredictorAllocs pins the cost of a load, of either format
+// version, to one allocation per tree (its node arena) plus a constant,
+// so a return to reflective decoding, which allocates per node array and
+// per value, fails here. testing.AllocsPerRun counts at GOMAXPROCS 1,
+// where the caller reads every tree, so the load is also counted at
+// GOMAXPROCS 2 and 4, where rf.ReadForest reads on worker goroutines
+// too; each of those may add perWorker allocations (the goroutine and
+// its tree scratch), and nothing per tree.
 func TestLoadPredictorAllocs(t *testing.T) {
 	const treesPerTarget = 48
 	const perWorker = 2
-	data := savedBytes(t, synthPredictor(t, treesPerTarget, 40))
-	load := func() {
-		if _, err := LoadPredictor(data); err != nil {
-			t.Fatal(err)
+	p := synthPredictor(t, treesPerTarget, 40)
+	for _, v := range []struct {
+		name string
+		data []byte
+	}{{"v1", savedBytesV1(t, p)}, {"v2", savedBytes(t, p)}} {
+		load := func() {
+			if _, err := LoadPredictor(v.data); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	limit := float64(2*treesPerTarget + 40)
-	if allocs := testing.AllocsPerRun(5, load); allocs > limit {
-		t.Fatalf("LoadPredictor allocates %.0f/op for %d trees, want <= %.0f", allocs, 2*treesPerTarget, limit)
-	}
-	if raceEnabled {
-		t.Skip("the race detector changes allocation counts")
-	}
-	for _, procs := range []int{2, 4} {
-		func() {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			load()
-			const runs = 20
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for range runs {
+		limit := float64(2*treesPerTarget + 40)
+		if allocs := testing.AllocsPerRun(5, load); allocs > limit {
+			t.Fatalf("%s: LoadPredictor allocates %.0f/op for %d trees, want <= %.0f", v.name, allocs, 2*treesPerTarget, limit)
+		}
+		if raceEnabled {
+			continue // the race detector changes allocation counts
+		}
+		for _, procs := range []int{2, 4} {
+			func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				load()
-			}
-			runtime.ReadMemStats(&after)
-			allocs := float64(after.Mallocs-before.Mallocs) / runs
-			workers := 2 * (procs - 1) // per forest, beside the caller
-			if max := limit + float64(perWorker*workers); allocs > max {
-				t.Errorf("at GOMAXPROCS %d LoadPredictor allocates %.1f/op for %d trees, want <= %.0f", procs, allocs, 2*treesPerTarget, max)
-			}
-		}()
+				const runs = 20
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for range runs {
+					load()
+				}
+				runtime.ReadMemStats(&after)
+				allocs := float64(after.Mallocs-before.Mallocs) / runs
+				workers := 2 * (procs - 1) // per forest, beside the caller
+				if max := limit + float64(perWorker*workers); allocs > max {
+					t.Errorf("%s: at GOMAXPROCS %d LoadPredictor allocates %.1f/op for %d trees, want <= %.0f", v.name, procs, allocs, 2*treesPerTarget, max)
+				}
+			}()
+		}
 	}
 }
 
 // BenchmarkLoadPredictor loads a model shaped like a trained NAPEL
-// predictor: 80 trees per target of roughly 470 nodes each.
+// predictor, 80 trees per target of roughly 470 nodes each, in format
+// version 1 (five node arrays per tree) and version 2 (node images).
 func BenchmarkLoadPredictor(b *testing.B) {
-	data := savedBytes(b, synthPredictor(b, 80, 370))
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := LoadPredictor(data); err != nil {
-			b.Fatal(err)
-		}
+	p := synthPredictor(b, 80, 370)
+	for _, v := range []struct {
+		name string
+		data []byte
+	}{{"v1", savedBytesV1(b, p)}, {"v2", savedBytes(b, p)}} {
+		b.Run(v.name, func(b *testing.B) {
+			b.SetBytes(int64(len(v.data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := LoadPredictor(v.data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

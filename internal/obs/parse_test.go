@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 // The parser must read back exactly what WriteText writes: every kind of
@@ -210,6 +211,7 @@ func TestRegisterRuntimeMetrics(t *testing.T) {
 		"napel_process_gc_pause_seconds_total",
 		"napel_process_heap_alloc_bytes",
 		"napel_process_goroutines",
+		"napel_process_cpu_seconds_total",
 	} {
 		if !snap.Has(series) {
 			t.Errorf("missing %s in exposition:\n%s", series, buf.String())
@@ -221,4 +223,31 @@ func TestRegisterRuntimeMetrics(t *testing.T) {
 	if snap.Value("napel_process_goroutines") < 1 {
 		t.Error("goroutine gauge must be at least 1")
 	}
+	// CPU time grows across a busy loop; the deadline only bounds a
+	// broken counter.
+	cpu := func() float64 {
+		var b bytes.Buffer
+		if err := r.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		s, err := ParseText(&b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.Value("napel_process_cpu_seconds_total")
+	}
+	before, x := cpu(), uint64(1)
+	for deadline := time.Now().Add(5 * time.Second); cpu() < before+0.02; {
+		if time.Now().After(deadline) {
+			t.Fatalf("process CPU stayed at %g s through 5 s of busy loop", before)
+		}
+		for i := 0; i < 1e6; i++ {
+			x = x*6364136223846793005 + 1442695040888963407
+		}
+	}
+	spinSink = x
 }
+
+// spinSink keeps TestRegisterRuntimeMetrics's busy loop from being
+// compiled away.
+var spinSink uint64

@@ -3,6 +3,7 @@ package obs
 import (
 	"runtime"
 	"sync"
+	"syscall"
 	"time"
 )
 
@@ -30,7 +31,8 @@ func (m *memReader) read() runtime.MemStats {
 }
 
 // RegisterRuntimeMetrics exposes the Go runtime's allocation, GC and
-// scheduler numbers as napel_process_* series on r. These are the
+// scheduler numbers, and the process's CPU time, as napel_process_*
+// series on r. These are the
 // denominators of performance attribution: napel-loadgen scrapes them
 // before and after a run and divides the deltas by the requests it
 // issued, turning "the server allocates too much" into a per-request
@@ -55,4 +57,18 @@ func RegisterRuntimeMetrics(r *Registry) {
 	r.GaugeFunc("napel_process_goroutines",
 		"Goroutines currently live.",
 		func() float64 { return float64(runtime.NumGoroutine()) })
+	r.CounterFunc("napel_process_cpu_seconds_total",
+		"User plus system CPU time the process has used (getrusage RUSAGE_SELF).",
+		processCPUSeconds)
+}
+
+// processCPUSeconds returns the user plus system CPU time the process
+// has used, or 0 if getrusage fails, which it does only for an invalid
+// argument.
+func processCPUSeconds() float64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return float64(ru.Utime.Nano()+ru.Stime.Nano()) / 1e9
 }

@@ -35,6 +35,7 @@ type serveObs struct {
 	stageEncode   *obs.Histogram
 
 	loadFetch  *obs.Histogram
+	loadHash   *obs.Histogram
 	loadDecode *obs.Histogram
 }
 
@@ -69,9 +70,10 @@ func newServeObs(tracer *obs.Tracer, endpoints ...string) *serveObs {
 	o.stagePredict = stage.With("predict")
 	o.stageEncode = stage.With("encode")
 	load := reg.HistogramVec("napel_serve_model_load_seconds",
-		"Time to install a model generation, at start-up, reload or follow, by stage: fetch (read, pull and verify, or a follow poll's read and hash) and decode (with a read file's content hash beside it).",
+		"Time to install a model generation, at start-up, reload or follow, by stage: fetch (read, pull and verify, or a follow poll's read and hash), decode, and hash (a read file's content hash, which runs beside the decode, so the two overlap).",
 		nil, "stage")
 	o.loadFetch = load.With("fetch")
+	o.loadHash = load.With("hash")
 	o.loadDecode = load.With("decode")
 	return o
 }

@@ -229,35 +229,37 @@ func TestTraceSinkJSONL(t *testing.T) {
 }
 
 // TestModelLoadStagesObserved: napel_serve_model_load_seconds counts
-// each stage once for the start-up load and once more for each
+// fetch and decode once for the start-up load and once more for each
 // generation installed later, by reload or by a follow poll; a poll
-// that finds nothing new installs nothing and counts nothing.
+// that finds nothing new installs nothing and counts nothing. The hash
+// stage counts only the installs whose content hash the registry ran
+// beside the decode: a follow poll hashes in its fetch.
 func TestModelLoadStagesObserved(t *testing.T) {
 	s, modelPath := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	counts := func(want float64) {
+	counts := func(want, wantHash float64) {
 		t.Helper()
 		_, metrics := getBody(t, ts.URL+"/metrics")
-		for _, stage := range []string{"fetch", "decode"} {
+		for stage, want := range map[string]float64{"fetch": want, "decode": want, "hash": wantHash} {
 			if n := metricValue(t, metrics, `napel_serve_model_load_seconds_count{stage="`+stage+`"}`); n != want {
 				t.Fatalf("stage %s counted %g installs, want %g", stage, n, want)
 			}
-		}
-		if sum := metricValue(t, metrics, `napel_serve_model_load_seconds_sum{stage="decode"}`); sum <= 0 {
-			t.Fatalf("decode took %g s in all", sum)
+			if sum := metricValue(t, metrics, `napel_serve_model_load_seconds_sum{stage="`+stage+`"}`); sum <= 0 && stage != "fetch" {
+				t.Fatalf("stage %s took %g s in all", stage, sum)
+			}
 		}
 	}
-	counts(1)
+	counts(1, 1)
 	if resp, body := postJSON(t, ts.URL+"/v1/models/reload", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("reload: status %d: %s", resp.StatusCode, body)
 	}
-	counts(2)
+	counts(2, 2)
 	if changed, err := s.Registry().ReloadIfChanged(); err != nil || changed {
 		t.Fatalf("follow poll of an unchanged model: changed=%v err=%v", changed, err)
 	}
-	counts(2)
+	counts(2, 2)
 	modelB, err := os.ReadFile(fixture(t).modelB)
 	if err != nil {
 		t.Fatal(err)
@@ -268,5 +270,5 @@ func TestModelLoadStagesObserved(t *testing.T) {
 	if changed, err := s.Registry().ReloadIfChanged(); err != nil || !changed {
 		t.Fatalf("follow poll of a rewritten model: changed=%v err=%v", changed, err)
 	}
-	counts(3)
+	counts(3, 2)
 }

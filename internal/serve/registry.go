@@ -42,9 +42,10 @@ type Registry struct {
 	reloads        atomic.Uint64
 	followFailures atomic.Uint64
 
-	// loadFetch and loadDecode, when set, time each installed
-	// generation's source reads and its model decodes.
-	loadFetch, loadDecode *obs.Histogram
+	// loadFetch, loadHash and loadDecode, when set, time each
+	// installed generation's source reads, the content hashes the
+	// registry runs beside the decodes, and the decodes.
+	loadFetch, loadHash, loadDecode *obs.Histogram
 }
 
 // NewRegistry builds a registry over the given name→file-path mapping
@@ -59,23 +60,24 @@ func newRegistry(paths map[string]string, lazy bool) (*Registry, error) {
 	for name, path := range paths {
 		sources[name] = &FileSource{Path: path}
 	}
-	return newRegistrySources(sources, lazy, nil, nil)
+	return newRegistrySources(sources, lazy, nil, nil, nil)
 }
 
 // NewRegistrySources builds a registry over arbitrary model sources
 // (mixing file- and store-backed entries is fine) and performs the
 // initial load.
 func NewRegistrySources(sources map[string]ModelSource) (*Registry, error) {
-	return newRegistrySources(sources, false, nil, nil)
+	return newRegistrySources(sources, false, nil, nil, nil)
 }
 
 // newRegistrySources builds a registry whose installs, the initial load
-// included, are timed into loadFetch and loadDecode when they are set.
-func newRegistrySources(sources map[string]ModelSource, lazy bool, loadFetch, loadDecode *obs.Histogram) (*Registry, error) {
+// included, are timed into loadFetch, loadHash and loadDecode when they
+// are set.
+func newRegistrySources(sources map[string]ModelSource, lazy bool, loadFetch, loadHash, loadDecode *obs.Histogram) (*Registry, error) {
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("serve: no models configured")
 	}
-	r := &Registry{sources: sources, loadFetch: loadFetch, loadDecode: loadDecode}
+	r := &Registry{sources: sources, loadFetch: loadFetch, loadHash: loadHash, loadDecode: loadDecode}
 	empty := map[string]*Model{}
 	r.models.Store(&empty)
 	if _, err := r.Reload(); err != nil {
@@ -104,34 +106,43 @@ func (r *Registry) Reload() ([]*Model, error) {
 	r.reloadMu.Lock()
 	defer r.reloadMu.Unlock()
 	next := make(map[string]*Model, len(r.sources))
-	var fetch, decode time.Duration
+	var took loadTimes
 	for name, src := range r.sources {
 		t0 := time.Now()
 		data, version, err := src.Load()
 		if err != nil {
 			return nil, fmt.Errorf("serve: model %q: %w", name, err)
 		}
-		t1 := time.Now()
-		fetch += t1.Sub(t0)
-		m, err := modelFromBytes(name, src.Describe(), data, version)
+		took.fetch += time.Since(t0)
+		m, err := modelFromBytes(name, src.Describe(), data, version, &took)
 		if err != nil {
 			return nil, fmt.Errorf("serve: model %q: %w", name, err)
 		}
-		decode += time.Since(t1)
 		next[name] = m
 	}
 	r.models.Store(&next)
 	r.reloads.Add(1)
-	r.observeLoad(fetch, decode)
+	r.observeLoad(took)
 	return sortedModels(next), nil
 }
 
+// loadTimes sums, over one generation's models, how long their fetches,
+// the content hashes the registry ran and their decodes took. A hash
+// runs beside its decode, so the two overlap.
+type loadTimes struct {
+	fetch, hash, decode time.Duration
+	hashed              bool // whether the registry hashed any model
+}
+
 // observeLoad records how long an installed generation took to fetch
-// and to decode, summed over its models.
-func (r *Registry) observeLoad(fetch, decode time.Duration) {
+// and to decode, and to hash if the registry hashed it.
+func (r *Registry) observeLoad(took loadTimes) {
 	if r.loadFetch != nil {
-		r.loadFetch.Observe(fetch.Seconds())
-		r.loadDecode.Observe(decode.Seconds())
+		r.loadFetch.Observe(took.fetch.Seconds())
+		r.loadDecode.Observe(took.decode.Seconds())
+		if took.hashed {
+			r.loadHash.Observe(took.hash.Seconds())
+		}
 	}
 }
 
@@ -148,7 +159,7 @@ func (r *Registry) ReloadIfChanged() (changed bool, err error) {
 	defer r.reloadMu.Unlock()
 	cur := *r.models.Load()
 	next := make(map[string]*Model, len(r.sources))
-	var fetch, decode time.Duration
+	var took loadTimes
 	for name, src := range r.sources {
 		prev := ""
 		old, installed := cur[name]
@@ -160,8 +171,7 @@ func (r *Registry) ReloadIfChanged() (changed bool, err error) {
 		if err != nil {
 			return false, fmt.Errorf("serve: model %q: %w", name, err)
 		}
-		t1 := time.Now()
-		fetch += t1.Sub(t0)
+		took.fetch += time.Since(t0)
 		if !chg {
 			if !installed {
 				// A source cannot report "unchanged" against nothing
@@ -172,11 +182,10 @@ func (r *Registry) ReloadIfChanged() (changed bool, err error) {
 			next[name] = old
 			continue
 		}
-		m, err := modelFromBytes(name, src.Describe(), data, version)
+		m, err := modelFromBytes(name, src.Describe(), data, version, &took)
 		if err != nil {
 			return false, fmt.Errorf("serve: model %q: %w", name, err)
 		}
-		decode += time.Since(t1)
 		next[name] = m
 		changed = true
 	}
@@ -185,7 +194,7 @@ func (r *Registry) ReloadIfChanged() (changed bool, err error) {
 	}
 	r.models.Store(&next)
 	r.reloads.Add(1)
-	r.observeLoad(fetch, decode)
+	r.observeLoad(took)
 	return true, nil
 }
 
@@ -193,18 +202,31 @@ func (r *Registry) ReloadIfChanged() (changed bool, err error) {
 func (r *Registry) FollowFailures() uint64 { return r.followFailures.Load() }
 
 // modelFromBytes parses one model generation out of its serialized
-// bytes. path is the source's Describe() string — purely descriptive.
-// An empty version is the bytes' content version, hashed on a goroutine
-// while the model decodes.
-func modelFromBytes(name, path string, data []byte, version string) (*Model, error) {
-	var hashed chan string
-	if version == "" {
-		hashed = make(chan string, 1)
-		go func() { hashed <- ContentVersion(data) }()
+// bytes, adding how long it took to took. path is the source's
+// Describe() string — purely descriptive. An empty version is the
+// bytes' content version, hashed on a goroutine while the model decodes.
+func modelFromBytes(name, path string, data []byte, version string, took *loadTimes) (*Model, error) {
+	type hash struct {
+		version string
+		took    time.Duration
 	}
+	var hashed chan hash
+	if version == "" {
+		hashed = make(chan hash, 1)
+		go func() {
+			t0 := time.Now()
+			v := ContentVersion(data)
+			hashed <- hash{v, time.Since(t0)}
+		}()
+	}
+	t0 := time.Now()
 	pred, err := napel.LoadPredictor(data)
+	took.decode += time.Since(t0)
 	if hashed != nil {
-		version = <-hashed
+		h := <-hashed
+		version = h.version
+		took.hash += h.took
+		took.hashed = true
 	}
 	if err != nil {
 		return nil, err

@@ -1,9 +1,15 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"napel/internal/napel"
@@ -128,5 +134,89 @@ func mustCopy(t *testing.T, from, to string) {
 	}
 	if err := os.WriteFile(to, data, 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// version1Model returns a model file in format version 1, five node
+// arrays per tree, as builds before node images wrote it: the model
+// seed of internal/napel's FuzzLoadPredictor corpus.
+func version1Model(t *testing.T) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("..", "napel", "testdata", "fuzz", "FuzzLoadPredictor", "model"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(string(raw), "[]byte(")
+	data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimSpace(lit), ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(data, `{"version":1,`) {
+		t.Fatalf("model seed is not version 1: %.40q", data)
+	}
+	return []byte(data)
+}
+
+// TestVersion1AndItsResaveServeAlike: a version 1 model file and its
+// version 2 re-save, each installed through the registry, answer the
+// same /v1/predict with the same bytes but for model_version.
+func TestVersion1AndItsResaveServeAlike(t *testing.T) {
+	f := fixture(t)
+	v1 := version1Model(t)
+	p, err := napel.LoadPredictor(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v2 bytes.Buffer
+	if err := p.Save(&v2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(v2.Bytes(), []byte(`{"version":2,`)) {
+		t.Fatalf("re-save is not version 2: %.40q", v2.Bytes())
+	}
+	path := filepath.Join(t.TempDir(), "model.json")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{ModelPaths: map[string]string{DefaultModelName: path}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	req := makeRequest(f, WireArch{}, f.threads)
+	answer := func() (rest []byte, version string) {
+		t.Helper()
+		resp, body := postJSON(t, ts.URL+"/v1/predict", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(body, &fields); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(fields["model_version"], &version); err != nil {
+			t.Fatal(err)
+		}
+		delete(fields, "model_version")
+		rest, err := json.Marshal(fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rest, version
+	}
+	fromV1, versionV1 := answer()
+	if err := os.WriteFile(path, v2.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/models/reload", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("reload: status %d: %s", resp.StatusCode, body)
+	}
+	fromV2, versionV2 := answer()
+	if versionV1 == versionV2 || versionV1 != ContentVersion(v1) || versionV2 != ContentVersion(v2.Bytes()) {
+		t.Fatalf("model versions %s and %s, want the two files' content versions", versionV1, versionV2)
+	}
+	if !bytes.Equal(fromV1, fromV2) {
+		t.Fatalf("answers differ:\nversion 1: %s\nversion 2: %s", fromV1, fromV2)
 	}
 }

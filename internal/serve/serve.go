@@ -199,7 +199,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	o := newServeObs(obs.NewTracer(cfg.TraceRing, cfg.TraceSink),
 		"predict", "suitability", "models", "reload", "healthz", "readyz", "metrics")
-	reg, err := newRegistrySources(sources, cfg.LazyLoad, o.loadFetch, o.loadDecode)
+	reg, err := newRegistrySources(sources, cfg.LazyLoad, o.loadFetch, o.loadHash, o.loadDecode)
 	if err != nil {
 		return nil, err
 	}

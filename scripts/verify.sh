@@ -237,6 +237,10 @@ go build -o "$tmp/" ./cmd/napel ./cmd/napel-serve ./cmd/napel-traind \
 "$tmp/napel" train -kernels atax -train-scale 32 \
     -train-sim-budget 20000 -train-profile-budget 20000 \
     -out "$tmp/model.json" >/dev/null
+# Saved models are format version 2, each tree a base64 node image, so
+# every later stage runs on that layout.
+jq -e '.version == 2 and ([.ipc.forest, .epi.forest]
+    | all(has("nodes") and (has("trees") | not)))' "$tmp/model.json" >/dev/null     || fail "model.json is not version 2 with node images: $(head -c 200 "$tmp/model.json")"
 "$tmp/napel" export-profile -kernel atax -scale 32 -max-iters 1 \
     -budget 20000 -out "$tmp/req.json"
 
