@@ -178,6 +178,10 @@ func TestLoadTrainingDataTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
+	// Training data keeps format version 1 while predictor files move on.
+	if !bytes.HasPrefix(full, []byte(`{"version":1,`)) {
+		t.Fatalf("training data saved as %.40q, want version 1", full)
+	}
 	for _, cut := range []int{0, 1, len(full) / 4, len(full) / 2, len(full) - 2} {
 		_, err := LoadTrainingData(bytes.NewReader(full[:cut]))
 		if err == nil {
