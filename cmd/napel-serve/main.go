@@ -107,7 +107,6 @@ func main() {
 	joinInterval := flag.Duration("join-interval", 2*time.Second, "re-announce period while -join is set")
 	queueWait := flag.Duration("queue-wait", 0, "how long a request may wait for a concurrency slot before 429 (0 = reject immediately)")
 	predictBudget := flag.Duration("predict-budget", 0, "per-request deadline budget for predict/suitability (0 = none)")
-	degradedEntries := flag.Int("degraded-entries", 0, "last-good answer cache capacity for degraded serving (0 = default 1024, negative disables)")
 	chaosSeed := flag.Uint64("chaos-seed", 1, "seed of the deterministic fault-injection plan")
 	chaosSpec := flag.String("chaos-spec", "", "fault-injection plan, e.g. 'serve.predict:0.1' (empty = chaos off)")
 	quiet := flag.Bool("quiet", false, "disable the access log")
@@ -146,19 +145,18 @@ func main() {
 		sources[name] = &serve.StoreSource{URL: strings.TrimSuffix(url, "/")}
 	}
 	cfg := serve.Config{
-		ModelPaths:      models,
-		ModelSources:    sources,
-		CacheEntries:    *cacheEntries,
-		MaxBatch:        *maxBatch,
-		MaxBodyBytes:    *maxBody,
-		MaxInFlight:     *maxInFlight,
-		Workers:         *workers,
-		DrainTimeout:    *drain,
-		FollowInterval:  *follow,
-		LazyLoad:        *lazy,
-		QueueWait:       *queueWait,
-		PredictBudget:   *predictBudget,
-		DegradedEntries: *degradedEntries,
+		ModelPaths:     models,
+		ModelSources:   sources,
+		CacheEntries:   *cacheEntries,
+		MaxBatch:       *maxBatch,
+		MaxBodyBytes:   *maxBody,
+		MaxInFlight:    *maxInFlight,
+		Workers:        *workers,
+		DrainTimeout:   *drain,
+		FollowInterval: *follow,
+		LazyLoad:       *lazy,
+		QueueWait:      *queueWait,
+		PredictBudget:  *predictBudget,
 	}
 	if !*quiet {
 		cfg.AccessLog = os.Stderr

@@ -71,8 +71,6 @@ type Config struct {
 	// Client overrides the upstream HTTP client (default: 30s timeout,
 	// generous keep-alive pool sized for the fleet).
 	Client *http.Client
-	// TraceRing bounds the in-memory span ring at /debug/traces.
-	TraceRing int
 	// TraceSink, when non-nil, receives every completed span as JSONL.
 	TraceSink io.Writer
 }
@@ -199,7 +197,7 @@ func New(cfg Config) (*Gate, error) {
 	cfg = cfg.withDefaults()
 	g := &Gate{
 		cfg: cfg,
-		o: newFleetObs(obs.NewTracer(cfg.TraceRing, cfg.TraceSink),
+		o: newFleetObs(obs.NewTracer(0, cfg.TraceSink),
 			"predict", "suitability", "fleet", "join", "reload", "healthz", "readyz", "metrics"),
 		client: cfg.Client,
 		byURL:  map[string]*replica{},
@@ -240,11 +238,13 @@ func New(cfg Config) (*Gate, error) {
 }
 
 // replicaURL checks a replica base URL and returns it as the gate
-// stores it, scheme://host[:port] lower-cased, without an empty port or
+// stores it, scheme://host[:port] lower-cased, with the port written as
+// a decimal number without leading zeros, and without an empty port or
 // the scheme's default one (80 for http, 443 for https), so that every
 // spelling of one server names one member. The gate appends its own
 // paths to it, so a URL without a host name, or with a path beyond
-// slashes, a query, a fragment or user info, is refused.
+// slashes, a query, a fragment or user info, is refused, and so is a
+// port no dial can reach: 0 or above 65535.
 func replicaURL(raw string) (string, error) {
 	raw = strings.TrimSpace(raw)
 	if raw == "" {
@@ -257,9 +257,20 @@ func replicaURL(raw string) (string, error) {
 	if u.User != nil || strings.Trim(u.EscapedPath(), "/") != "" || strings.ContainsAny(raw, "?#") {
 		return "", fmt.Errorf("fleet: replica URL %q must be scheme://host[:port] alone", raw)
 	}
-	host := u.Host
-	if port := u.Port(); port == "" || port == defaultPorts[u.Scheme] {
-		host = strings.TrimSuffix(strings.TrimSuffix(host, port), ":")
+	// Outside brackets, a colon in the host name would read as a port's.
+	if strings.Contains(u.Hostname(), ":") && !strings.HasPrefix(u.Host, "[") {
+		return "", fmt.Errorf("fleet: replica URL %q has a colon in its host name", raw)
+	}
+	// url.Parse leaves the port as written, digits only.
+	host := strings.TrimSuffix(strings.TrimSuffix(u.Host, u.Port()), ":")
+	if u.Port() != "" {
+		n, err := strconv.ParseUint(u.Port(), 10, 16)
+		if err != nil || n == 0 {
+			return "", fmt.Errorf("fleet: replica URL %q must have a port in 1-65535", raw)
+		}
+		if port := strconv.FormatUint(n, 10); port != defaultPorts[u.Scheme] {
+			host += ":" + port
+		}
 	}
 	return strings.ToLower((&url.URL{Scheme: u.Scheme, Host: host}).String()), nil
 }

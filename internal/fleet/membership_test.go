@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -236,7 +237,9 @@ func TestGateJoinValidationAndIdempotence(t *testing.T) {
 
 	for _, bad := range []string{`{}`, `{"url":""}`, `{"url":"not-a-url"}`, `{"url":"ftp://x"}`, `garbage`,
 		`{"url":"http://127.0.0.1:9"} garbage`, `{"url":"http://127.0.0.1:9/v1"}`, `{"url":"http://127.0.0.1:9/?a=1"}`,
-		`{"url":"http://127.0.0.1:9#f"}`, `{"url":"http://u:p@127.0.0.1:9"}`, `{"url":"http://:"}`, `{"url":"http://:80"}`} {
+		`{"url":"http://127.0.0.1:9#f"}`, `{"url":"http://u:p@127.0.0.1:9"}`, `{"url":"http://:"}`, `{"url":"http://:80"}`,
+		`{"url":"http://127.0.0.1:0"}`, `{"url":"http://127.0.0.1:00"}`, `{"url":"http://127.0.0.1:65536"}`,
+		`{"url":"http://127.0.0.1:99999999999999999999"}`, `{"url":"http://h::80"}`} {
 		resp, _ := postRaw(t, ts.URL+"/v1/fleet/join", []byte(bad))
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("join %q: HTTP %d, want 400", bad, resp.StatusCode)
@@ -254,7 +257,12 @@ func TestGateJoinValidationAndIdempotence(t *testing.T) {
 		t.Fatalf("predict through the joined replica: HTTP %d, %d predicts: %s", resp.StatusCode, rep.predicts.Load(), body)
 	}
 	epoch := g.Epoch()
-	for _, again := range []string{rep.url, rep.url + "/", rep.url + "//", strings.ToUpper(rep.url)} {
+	ru, err := url.Parse(rep.url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := ru.Scheme + "://" + ru.Hostname() + ":00" + ru.Port()
+	for _, again := range []string{rep.url, rep.url + "/", rep.url + "//", strings.ToUpper(rep.url), padded} {
 		res := joinReplica(t, ts.URL, again)
 		if res["new"] != false {
 			t.Fatalf("re-join as %s created a new member: %+v", again, res)
@@ -265,14 +273,15 @@ func TestGateJoinValidationAndIdempotence(t *testing.T) {
 	}
 
 	// A URL without a port, with an empty one and with the scheme's
-	// default one name one member too. Nothing serves these loopback
-	// URLs, so each member is down, and re-joins leave the epoch alone.
+	// default one, in any number of digits, name one member too. Nothing
+	// serves these loopback URLs, so each member is down, and re-joins
+	// leave the epoch alone.
 	for _, c := range []struct {
 		member    string
 		spellings []string
 	}{
-		{"http://127.0.0.1", []string{"http://127.0.0.1:80", "http://127.0.0.1", "http://127.0.0.1:", "HTTP://127.0.0.1:80/"}},
-		{"https://127.0.0.1", []string{"https://127.0.0.1:443", "https://127.0.0.1", "https://127.0.0.1:"}},
+		{"http://127.0.0.1", []string{"http://127.0.0.1:80", "http://127.0.0.1", "http://127.0.0.1:", "HTTP://127.0.0.1:80/", "http://127.0.0.1:080"}},
+		{"https://127.0.0.1", []string{"https://127.0.0.1:443", "https://127.0.0.1", "https://127.0.0.1:", "https://127.0.0.1:0443"}},
 		{"http://[::1]", []string{"http://[::1]:80", "http://[::1]", "http://[::1]:"}},
 	} {
 		for i, spelling := range c.spellings {
@@ -329,8 +338,9 @@ func TestGateUnreadyEvictsImmediately(t *testing.T) {
 }
 
 // FuzzJoinBody: no /v1/fleet/join body panics its decode, an accepted
-// URL parses with an http(s) scheme, a host and nothing after it, and
-// checking an accepted URL again returns it unchanged.
+// URL parses with an http(s) scheme, a host and nothing after it, its
+// port, if any, lies in 1-65535 without leading zeros, and checking an
+// accepted URL again returns it unchanged.
 func FuzzJoinBody(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		u, err := joinURL(body)
@@ -344,6 +354,11 @@ func FuzzJoinBody(f *testing.F) {
 		}
 		if strings.HasSuffix(p.Host, ":") || p.Port() == defaultPorts[p.Scheme] {
 			t.Fatalf("accepted %q, which keeps an empty or default port", u)
+		}
+		if port := p.Port(); port != "" {
+			if n, err := strconv.Atoi(port); err != nil || n < 1 || n > 65535 || port[0] == '0' {
+				t.Fatalf("accepted %q, whose port is not a number in 1-65535 without leading zeros", u)
+			}
 		}
 		if again, err := replicaURL(u); err != nil || again != u {
 			t.Fatalf("accepted %q, then checked again: %q (%v)", u, again, err)

@@ -73,9 +73,6 @@ type ManagerConfig struct {
 	PromoteCooldown time.Duration
 	// Logf receives progress lines; nil discards them.
 	Logf func(format string, args ...any)
-	// TraceRing bounds the in-memory span ring served at /debug/traces
-	// (default obs.DefaultRingSize).
-	TraceRing int
 	// TraceSink, when non-nil, additionally receives every completed
 	// span as one JSON line (JSONL).
 	TraceSink io.Writer
@@ -158,7 +155,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		jobs:   map[string]*Job{},
 		cancel: map[string]context.CancelFunc{},
 	}
-	m.o = newTraindObs(m, obs.NewTracer(cfg.TraceRing, cfg.TraceSink))
+	m.o = newTraindObs(m, obs.NewTracer(0, cfg.TraceSink))
 	m.promoteBreaker = resilience.NewBreaker(resilience.BreakerConfig{
 		Name:             "traind.promote",
 		FailureThreshold: cfg.PromoteFailureThreshold,

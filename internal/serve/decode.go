@@ -76,8 +76,7 @@ var errBatchTooLarge = errors.New("batch too large")
 // decodeError is a body the decoder cannot read: malformed JSON or a
 // value of the wrong type. Its message names the field but not the byte
 // offset or the batch item, so one bad item reads the same in any batch
-// that holds it, which is what lets napel-gate pass a shard's 400 on as
-// the whole batch's.
+// that holds it.
 type decodeError struct {
 	field string // dotted path from the request object; empty at the top
 	msg   string

@@ -20,9 +20,9 @@ func TestReloadIfChanged(t *testing.T) {
 	before, _ := reg.Get("")
 
 	// Unchanged file: no new generation, same predictor identity.
-	changed, err := reg.ReloadIfChanged()
-	if err != nil || changed {
-		t.Fatalf("unchanged poll: changed=%v err=%v", changed, err)
+	installed, _, err := reg.install(false)
+	if err != nil || installed != nil {
+		t.Fatalf("unchanged poll: installed=%v err=%v", installed, err)
 	}
 	if reg.Reloads() != base {
 		t.Fatalf("no-op poll bumped reloads to %d", reg.Reloads())
@@ -40,9 +40,9 @@ func TestReloadIfChanged(t *testing.T) {
 	if err := atomicfile.WriteFileData(modelPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	changed, err = reg.ReloadIfChanged()
-	if err != nil || !changed {
-		t.Fatalf("changed poll: changed=%v err=%v", changed, err)
+	installed, _, err = reg.install(false)
+	if err != nil || installed == nil {
+		t.Fatalf("changed poll: installed=%v err=%v", installed, err)
 	}
 	if reg.Reloads() != base+1 {
 		t.Fatalf("reloads %d, want %d", reg.Reloads(), base+1)
@@ -56,7 +56,7 @@ func TestReloadIfChanged(t *testing.T) {
 	if err := os.Remove(modelPath); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.ReloadIfChanged(); err == nil {
+	if _, _, err := reg.install(false); err == nil {
 		t.Fatal("poll of missing file succeeded")
 	}
 	still, ok := reg.Get("")
@@ -107,8 +107,9 @@ func TestFollowInstallsPromotedModel(t *testing.T) {
 
 // TestReloadVsWriterRace is the satellite regression test for the
 // promotion path: one goroutine atomically republishes the model file
-// as fast as it can, while readers hammer ReloadIfChanged/Reload and
-// predict through whatever generation is installed. Run under -race.
+// as fast as it can, while readers hammer follow polls and full
+// reloads, and predict through whatever generation is installed. Run
+// under -race.
 // The invariant: every poll either loads a complete valid model or
 // fails cleanly leaving the old generation — a torn read would surface
 // as a decode error or a version that matches neither publication.
@@ -148,12 +149,12 @@ func TestReloadVsWriterRace(t *testing.T) {
 		}
 	}()
 
-	// Poller: ReloadIfChanged must never fail or install a torn model.
+	// Poller: a follow poll must never fail or install a torn model.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for !stop.Load() {
-			if _, err := reg.ReloadIfChanged(); err != nil {
+			if _, _, err := reg.install(false); err != nil {
 				errs <- err
 				return
 			}
@@ -170,7 +171,7 @@ func TestReloadVsWriterRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for !stop.Load() {
-			if _, err := reg.Reload(); err != nil {
+			if _, _, err := reg.install(true); err != nil {
 				errs <- err
 				return
 			}

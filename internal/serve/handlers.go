@@ -79,28 +79,21 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	httpd.WriteJSON(w, http.StatusOK, map[string]any{"models": s.registry.List()})
 }
 
-// handleReload re-reads every model file and atomically installs the
-// new generation, guarded by the reload circuit breaker: after enough
-// consecutive failures the endpoint answers 503 with a Retry-After
-// matching the breaker's cool-down instead of re-parsing a broken file
-// on every request. The response cache needs no flush: keys embed the
-// model content hash, so entries for replaced weights simply stop being
-// referenced and age out of the LRU.
+// handleReload re-reads every model source and atomically installs the
+// new generation through reload: while the reload breaker is open the
+// endpoint answers 503 with a Retry-After matching the breaker's
+// cool-down instead of re-parsing a broken file on every request. The
+// response cache needs no flush: keys embed the model content hash, so
+// entries for replaced weights simply stop being referenced and age out
+// of the LRU.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	if err := s.reloadBreaker.Allow(); err != nil {
-		setRetryAfter(w, clampSeconds(s.reloadBreaker.RetryIn(), 1, 3600))
-		httpd.WriteError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	}
-	err := faultpoint.Inject(r.Context(), fpReload)
-	var models []*Model
-	if err == nil {
-		models, err = s.registry.Reload()
-	}
+	models, err := s.reload(r.Context(), true)
 	if err != nil {
-		s.reloadBreaker.RecordFailure()
 		status := http.StatusInternalServerError
 		switch {
+		case errors.Is(err, resilience.ErrBreakerOpen):
+			setRetryAfter(w, clampSeconds(s.reloadBreaker.RetryIn(), 1, 3600))
+			status = http.StatusServiceUnavailable
 		case errors.Is(err, napel.ErrBadModelVersion), errors.Is(err, napel.ErrFeatureLayout):
 			status = http.StatusUnprocessableEntity
 		case errors.Is(err, fs.ErrNotExist):
@@ -111,7 +104,6 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		httpd.WriteError(w, status, err.Error())
 		return
 	}
-	s.reloadBreaker.RecordSuccess()
 	httpd.WriteJSON(w, http.StatusOK, map[string]any{"reloaded": true, "models": models})
 }
 
@@ -312,9 +304,7 @@ func (s *Server) predictOne(ctx context.Context, req *input) (PredictResponse, *
 	pspan.End()
 	s.o.stagePredict.ObserveSince(t0)
 	s.cache.Put(key, pred)
-	if s.degraded != nil {
-		s.degraded.Put(degradedKey{model: model.Name, hash: featHash}, pred)
-	}
+	s.degraded.Put(degradedKey{model: model.Name, hash: featHash}, pred)
 	return makeResponse(model, pred, false), nil
 }
 
@@ -323,9 +313,6 @@ func (s *Server) predictOne(ctx context.Context, req *input) (PredictResponse, *
 // been computed under any generation of that model — that staleness is
 // exactly what the Degraded flag discloses to the client.
 func (s *Server) degradedAnswer(model string, featHash uint64) (PredictResponse, bool) {
-	if s.degraded == nil {
-		return PredictResponse{}, false
-	}
 	pred, ok := s.degraded.Get(degradedKey{model: model, hash: featHash})
 	if !ok {
 		return PredictResponse{}, false

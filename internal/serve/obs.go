@@ -26,6 +26,7 @@ type serveObs struct {
 	predictions       *obs.Counter
 	degradedServed    *obs.Counter
 	deadlineExhausted *obs.Counter
+	followFailures    *obs.Counter
 
 	stageRead     *obs.Histogram
 	stageDecode   *obs.Histogram
@@ -60,6 +61,8 @@ func newServeObs(tracer *obs.Tracer, endpoints ...string) *serveObs {
 		"Predictions answered from the last-good cache because the normal path failed.")
 	o.deadlineExhausted = reg.Counter("napel_serve_deadline_exhausted_total",
 		"Predictions refused because the request budget was already spent.")
+	o.followFailures = reg.Counter("napel_serve_follow_failures_total",
+		"Failed follow-mode reload attempts.")
 	stage := reg.HistogramVec("napel_serve_predict_stage_seconds",
 		"Per-stage request latency: body read, body decode, feature assembly, cache lookup, model predict, answer encode and write.",
 		nil, "stage")

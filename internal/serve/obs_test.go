@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -256,8 +257,8 @@ func TestModelLoadStagesObserved(t *testing.T) {
 		t.Fatalf("reload: status %d: %s", resp.StatusCode, body)
 	}
 	counts(2, 2)
-	if changed, err := s.Registry().ReloadIfChanged(); err != nil || changed {
-		t.Fatalf("follow poll of an unchanged model: changed=%v err=%v", changed, err)
+	if installed, err := s.reload(context.Background(), false); err != nil || installed != nil {
+		t.Fatalf("follow poll of an unchanged model: installed=%v err=%v", installed, err)
 	}
 	counts(2, 2)
 	modelB, err := os.ReadFile(fixture(t).modelB)
@@ -267,8 +268,8 @@ func TestModelLoadStagesObserved(t *testing.T) {
 	if err := os.WriteFile(modelPath, modelB, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if changed, err := s.Registry().ReloadIfChanged(); err != nil || !changed {
-		t.Fatalf("follow poll of a rewritten model: changed=%v err=%v", changed, err)
+	if installed, err := s.reload(context.Background(), false); err != nil || installed == nil {
+		t.Fatalf("follow poll of a rewritten model: installed=%v err=%v", installed, err)
 	}
 	counts(3, 2)
 }

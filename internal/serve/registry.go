@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"napel/internal/napel"
-	"napel/internal/obs"
 )
 
 // DefaultModelName is the registry entry selected when a request names
@@ -37,93 +36,103 @@ type Registry struct {
 
 	// reloadMu serializes writers; readers go through the atomic
 	// pointer without locking.
-	reloadMu       sync.Mutex
-	models         atomic.Pointer[map[string]*Model]
-	reloads        atomic.Uint64
-	followFailures atomic.Uint64
-
-	// loadFetch, loadHash and loadDecode, when set, time each
-	// installed generation's source reads, the content hashes the
-	// registry runs beside the decodes, and the decodes.
-	loadFetch, loadHash, loadDecode *obs.Histogram
+	reloadMu sync.Mutex
+	models   atomic.Pointer[map[string]*Model]
+	reloads  atomic.Uint64
 }
 
 // NewRegistry builds a registry over the given name→file-path mapping
 // and performs the initial load; it fails if any model cannot be
 // loaded.
 func NewRegistry(paths map[string]string) (*Registry, error) {
-	return newRegistry(paths, false)
-}
-
-func newRegistry(paths map[string]string, lazy bool) (*Registry, error) {
 	sources := make(map[string]ModelSource, len(paths))
 	for name, path := range paths {
 		sources[name] = &FileSource{Path: path}
 	}
-	return newRegistrySources(sources, lazy, nil, nil, nil)
+	r, err := emptyRegistry(sources)
+	if err != nil {
+		return nil, err
+	}
+	if _, _, err := r.install(true); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
-// NewRegistrySources builds a registry over arbitrary model sources
-// (mixing file- and store-backed entries is fine) and performs the
-// initial load.
-func NewRegistrySources(sources map[string]ModelSource) (*Registry, error) {
-	return newRegistrySources(sources, false, nil, nil, nil)
-}
-
-// newRegistrySources builds a registry whose installs, the initial load
-// included, are timed into loadFetch, loadHash and loadDecode when they
-// are set.
-func newRegistrySources(sources map[string]ModelSource, lazy bool, loadFetch, loadHash, loadDecode *obs.Histogram) (*Registry, error) {
+// emptyRegistry builds a registry over sources with no generation
+// installed yet.
+func emptyRegistry(sources map[string]ModelSource) (*Registry, error) {
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("serve: no models configured")
 	}
-	r := &Registry{sources: sources, loadFetch: loadFetch, loadHash: loadHash, loadDecode: loadDecode}
+	r := &Registry{sources: sources}
 	empty := map[string]*Model{}
 	r.models.Store(&empty)
-	if _, err := r.Reload(); err != nil {
-		// Lazy mode tolerates an empty start: the file may not exist yet,
-		// or the store may have no promoted lineage (napel-traind has not
-		// promoted a first model). Ready() stays false and /readyz
-		// answers 503 until a follow poll or explicit reload installs the
-		// first generation.
-		if !lazy {
-			return nil, err
-		}
-	}
 	return r, nil
 }
 
 // Ready reports whether at least one model generation is installed.
 func (r *Registry) Ready() bool { return len(*r.models.Load()) > 0 }
 
-// Reload re-fetches every configured model source and atomically
-// replaces the serving set with the new generation. On any failure the
-// previous generation stays in place and the error is returned
-// (wrapping napel.ErrBadModelVersion when the file's format version is
-// unsupported, or napel.ErrFeatureLayout when its features are not this
-// build's, so HTTP handlers can answer 422).
-func (r *Registry) Reload() ([]*Model, error) {
+// install polls every model source and atomically installs a new
+// generation. With force (start-up and POST /v1/models/reload) every
+// source fetches unconditionally and every model is decoded afresh;
+// without it (a follow poll) each source is checked against its serving
+// version, unchanged models keep their loaded predictor (and LoadedAt),
+// and a generation is installed only when at least one changed, so a
+// no-op poll costs one file read and hash (or one small manifest GET
+// against a store) per model and never bumps Reloads(). That is what
+// lets napel-serve follow napel-traind's promotion pointer — filesystem
+// symlink or HTTP current-lineage endpoint — without reparsing forests
+// on every tick.
+//
+// install returns the installed generation sorted by name, or nil when
+// nothing changed, and how long the fetches, hashes and decodes took.
+// On any failure the previous generation stays in place and the error
+// is returned (wrapping napel.ErrBadModelVersion when the file's format
+// version is unsupported, or napel.ErrFeatureLayout when its features
+// are not this build's, so HTTP handlers can answer 422).
+func (r *Registry) install(force bool) ([]*Model, loadTimes, error) {
 	r.reloadMu.Lock()
 	defer r.reloadMu.Unlock()
+	cur := *r.models.Load()
 	next := make(map[string]*Model, len(r.sources))
 	var took loadTimes
+	changed := false
 	for name, src := range r.sources {
+		prev := ""
+		if old, ok := cur[name]; ok && !force {
+			prev = old.Version
+		}
 		t0 := time.Now()
-		data, version, err := src.Load()
+		data, version, chg, err := src.Poll(prev)
 		if err != nil {
-			return nil, fmt.Errorf("serve: model %q: %w", name, err)
+			return nil, took, fmt.Errorf("serve: model %q: %w", name, err)
 		}
 		took.fetch += time.Since(t0)
+		if !chg {
+			if prev == "" {
+				// Poll("") must fetch; a source reporting "unchanged"
+				// against no version is treated as a failed poll rather
+				// than silently serving no model.
+				return nil, took, fmt.Errorf("serve: model %q: source reported no change against no version", name)
+			}
+			next[name] = cur[name]
+			continue
+		}
 		m, err := modelFromBytes(name, src.Describe(), data, version, &took)
 		if err != nil {
-			return nil, fmt.Errorf("serve: model %q: %w", name, err)
+			return nil, took, fmt.Errorf("serve: model %q: %w", name, err)
 		}
 		next[name] = m
+		changed = true
+	}
+	if !changed {
+		return nil, took, nil
 	}
 	r.models.Store(&next)
 	r.reloads.Add(1)
-	r.observeLoad(took)
-	return sortedModels(next), nil
+	return sortedModels(next), took, nil
 }
 
 // loadTimes sums, over one generation's models, how long their fetches,
@@ -133,73 +142,6 @@ type loadTimes struct {
 	fetch, hash, decode time.Duration
 	hashed              bool // whether the registry hashed any model
 }
-
-// observeLoad records how long an installed generation took to fetch
-// and to decode, and to hash if the registry hashed it.
-func (r *Registry) observeLoad(took loadTimes) {
-	if r.loadFetch != nil {
-		r.loadFetch.Observe(took.fetch.Seconds())
-		r.loadDecode.Observe(took.decode.Seconds())
-		if took.hashed {
-			r.loadHash.Observe(took.hash.Seconds())
-		}
-	}
-}
-
-// ReloadIfChanged is the polling variant of Reload: it polls every
-// model source but installs a new generation only when at least one
-// source's content changed versus the serving version. Unchanged models
-// keep their loaded predictor (and LoadedAt), so a no-op poll costs one
-// file read (or one small manifest GET against a store) per model and
-// never bumps Reloads(). This is what lets the registry follow
-// napel-traind's promotion pointer — filesystem symlink or HTTP
-// current-lineage endpoint — without reparsing forests on every tick.
-func (r *Registry) ReloadIfChanged() (changed bool, err error) {
-	r.reloadMu.Lock()
-	defer r.reloadMu.Unlock()
-	cur := *r.models.Load()
-	next := make(map[string]*Model, len(r.sources))
-	var took loadTimes
-	for name, src := range r.sources {
-		prev := ""
-		old, installed := cur[name]
-		if installed {
-			prev = old.Version
-		}
-		t0 := time.Now()
-		data, version, chg, err := src.Poll(prev)
-		if err != nil {
-			return false, fmt.Errorf("serve: model %q: %w", name, err)
-		}
-		took.fetch += time.Since(t0)
-		if !chg {
-			if !installed {
-				// A source cannot report "unchanged" against nothing
-				// installed; treat it as a failed poll rather than
-				// silently serving no model.
-				return false, fmt.Errorf("serve: model %q: source reported no change with no generation installed", name)
-			}
-			next[name] = old
-			continue
-		}
-		m, err := modelFromBytes(name, src.Describe(), data, version, &took)
-		if err != nil {
-			return false, fmt.Errorf("serve: model %q: %w", name, err)
-		}
-		next[name] = m
-		changed = true
-	}
-	if !changed {
-		return false, nil
-	}
-	r.models.Store(&next)
-	r.reloads.Add(1)
-	r.observeLoad(took)
-	return true, nil
-}
-
-// FollowFailures returns how many follow polls have failed since start.
-func (r *Registry) FollowFailures() uint64 { return r.followFailures.Load() }
 
 // modelFromBytes parses one model generation out of its serialized
 // bytes, adding how long it took to took. path is the source's

@@ -73,7 +73,7 @@ func TestRegistryReloadSwapsVersion(t *testing.T) {
 	v1, _ := reg.Get("")
 
 	mustCopy(t, f.modelB, path)
-	if _, err := reg.Reload(); err != nil {
+	if _, _, err := reg.install(true); err != nil {
 		t.Fatal(err)
 	}
 	v2, _ := reg.Get("")
@@ -97,7 +97,7 @@ func TestRegistryFailedReloadKeepsServing(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"version":99}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = reg.Reload()
+	_, _, err = reg.install(true)
 	if !errors.Is(err, napel.ErrBadModelVersion) {
 		t.Fatalf("reload error %v does not wrap ErrBadModelVersion", err)
 	}
@@ -109,7 +109,7 @@ func TestRegistryFailedReloadKeepsServing(t *testing.T) {
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Reload(); err == nil {
+	if _, _, err := reg.install(true); err == nil {
 		t.Fatal("reload of missing file succeeded")
 	}
 	if _, ok := reg.Get(""); !ok {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -132,6 +133,86 @@ func TestReloadBreakerFailureStorm(t *testing.T) {
 		if !containsMetricLine(metrics, want) {
 			t.Fatalf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestFollowSharesReloadBreaker: follow polls run behind the breaker
+// that guards POST /v1/models/reload. With the watched file corrupted,
+// two failed polls trip it; later polls short-circuit without counting
+// as follow failures, the endpoint answers 503 with a Retry-After, and
+// /v1/predict keeps serving the old generation.
+func TestFollowSharesReloadBreaker(t *testing.T) {
+	f := fixture(t)
+	s, modelPath := newTestServer(t, Config{
+		ReloadFailureThreshold: 2,
+		ReloadCooldown:         time.Hour, // stays open for the whole test
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	before, _ := s.Registry().Get("")
+
+	if err := os.WriteFile(modelPath, []byte("{not a model"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	stop := func() { cancel(); <-done }
+	defer stop()
+	go func() {
+		defer close(done)
+		s.follow(ctx, time.Millisecond)
+	}()
+	const (
+		failures      = "napel_serve_follow_failures_total"
+		shortCircuits = `napel_resilience_breaker_short_circuits_total{name="serve.reload"}`
+	)
+	// waitFor scrapes /metrics until the named series reaches at least
+	// min, and returns the scrape.
+	waitFor := func(name string, min float64) string {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			_, metrics := getBody(t, ts.URL+"/metrics")
+			if metricValue(t, metrics, name) >= min {
+				return metrics
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never reached %g:\n%s", name, min, metrics)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	tripped := metricValue(t, waitFor(failures, 2), shortCircuits)
+	metrics := waitFor(shortCircuits, tripped+3)
+	stop()
+	for name, want := range map[string]float64{
+		failures: 2,
+		`napel_resilience_breaker_state{name="serve.reload"}`:       1,
+		`napel_resilience_breaker_opens_total{name="serve.reload"}`: 1,
+	} {
+		if v := metricValue(t, metrics, name); v != want {
+			t.Fatalf("%s = %g, want %g", name, v, want)
+		}
+	}
+
+	resp, body := postJSON(t, ts.URL+"/v1/models/reload", struct{}{})
+	if resp.StatusCode != 503 {
+		t.Fatalf("reload with the breaker follow polls opened = %d: %s", resp.StatusCode, body)
+	}
+	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
+		t.Fatalf("open-breaker Retry-After = %q", resp.Header.Get("Retry-After"))
+	}
+
+	resp, body = postJSON(t, ts.URL+"/v1/predict", makeRequest(f, WireArch{}, f.threads))
+	if resp.StatusCode != 200 {
+		t.Fatalf("predict after failed follow polls = %d: %s", resp.StatusCode, body)
+	}
+	var answer PredictResponse
+	if err := json.Unmarshal(body, &answer); err != nil {
+		t.Fatal(err)
+	}
+	if answer.ModelVersion != before.Version {
+		t.Fatalf("predict served version %s, want the old generation's %s", answer.ModelVersion, before.Version)
 	}
 }
 

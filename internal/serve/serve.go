@@ -31,6 +31,10 @@ const (
 	fpReload  = "serve.reload"
 )
 
+// degradedEntries bounds the last-good answer cache used for
+// degraded-mode serving.
+const degradedEntries = 1024
+
 // Config tunes the service. Zero fields take the documented defaults.
 type Config struct {
 	// ModelPaths maps model names to predictor files written by
@@ -66,12 +70,6 @@ type Config struct {
 	// installs the first generation. Pair with FollowInterval to come up
 	// before napel-traind's first promotion.
 	LazyLoad bool
-	// DegradedEntries bounds the last-good answer cache used for
-	// degraded-mode serving (default 1024). Keyed by model name and
-	// feature hash — not model version — so an answer computed under any
-	// generation of the same model can stand in when prediction fails.
-	// 0 takes the default; negative disables degraded serving.
-	DegradedEntries int
 	// ReloadFailureThreshold is how many consecutive reload failures trip
 	// the reload circuit breaker (default 3).
 	ReloadFailureThreshold int
@@ -92,9 +90,6 @@ type Config struct {
 	// AccessLog receives one structured (logfmt) line per request,
 	// stamped with the request's trace id; nil disables.
 	AccessLog io.Writer
-	// TraceRing bounds the in-memory span ring served at /debug/traces
-	// (default obs.DefaultRingSize).
-	TraceRing int
 	// TraceSink, when non-nil, additionally receives every completed
 	// span as one JSON line (JSONL).
 	TraceSink io.Writer
@@ -121,9 +116,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second
-	}
-	if c.DegradedEntries == 0 {
-		c.DegradedEntries = 1024
 	}
 	if c.ReloadFailureThreshold <= 0 {
 		c.ReloadFailureThreshold = 3
@@ -174,9 +166,10 @@ type Server struct {
 	reloadBreaker *resilience.Breaker
 
 	// degraded holds last-good predictions keyed by model name and
-	// feature hash; consulted when the predict path fails so the service
-	// keeps answering (marked Degraded) through a reload failure storm.
-	// Nil when disabled.
+	// feature hash — not model version — so an answer computed under any
+	// generation of the same model can stand in when the predict path
+	// fails, and the service keeps answering (marked Degraded) through a
+	// reload failure storm.
 	degraded *cache.LRU[degradedKey, napel.Prediction]
 
 	// testHookPredict, when non-nil, runs at the start of every
@@ -197,9 +190,7 @@ func New(cfg Config) (*Server, error) {
 	for name, src := range cfg.ModelSources {
 		sources[name] = src
 	}
-	o := newServeObs(obs.NewTracer(cfg.TraceRing, cfg.TraceSink),
-		"predict", "suitability", "models", "reload", "healthz", "readyz", "metrics")
-	reg, err := newRegistrySources(sources, cfg.LazyLoad, o.loadFetch, o.loadHash, o.loadDecode)
+	reg, err := emptyRegistry(sources)
 	if err != nil {
 		return nil, err
 	}
@@ -207,16 +198,24 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		registry: reg,
 		cache:    cache.NewLRU[cacheKey, napel.Prediction](cfg.CacheEntries),
-		o:        o,
-		limiter:  resilience.NewBulkhead(cfg.MaxInFlight, cfg.QueueWait),
+		o: newServeObs(obs.NewTracer(0, cfg.TraceSink),
+			"predict", "suitability", "models", "reload", "healthz", "readyz", "metrics"),
+		limiter: resilience.NewBulkhead(cfg.MaxInFlight, cfg.QueueWait),
 		reloadBreaker: resilience.NewBreaker(resilience.BreakerConfig{
 			Name:             "serve.reload",
 			FailureThreshold: cfg.ReloadFailureThreshold,
 			OpenTimeout:      cfg.ReloadCooldown,
 		}),
+		degraded: cache.NewLRU[degradedKey, napel.Prediction](degradedEntries),
 	}
-	if cfg.DegradedEntries > 0 {
-		s.degraded = cache.NewLRU[degradedKey, napel.Prediction](cfg.DegradedEntries)
+	// The first install runs outside the reload breaker and the
+	// serve.reload fault point. Lazy mode tolerates its failure: the file
+	// may not exist yet, or the store may have no promoted lineage
+	// (napel-traind has not promoted a first model). Ready() stays false
+	// and /readyz answers 503 until a follow poll or explicit reload
+	// installs the first generation.
+	if _, err := s.install(true); err != nil && !cfg.LazyLoad {
+		return nil, err
 	}
 	// Store-backed sources trace their pulls on the server's tracer, so
 	// a model distribution shows up as one trace spanning serve and
@@ -244,8 +243,6 @@ func New(cfg Config) (*Server, error) {
 		"Models currently registered.", func() float64 { return float64(len(s.registry.List())) })
 	m.CounterFunc("napel_serve_model_reloads_total",
 		"Successful registry reloads.", func() float64 { return float64(s.registry.Reloads()) })
-	m.CounterFunc("napel_serve_follow_failures_total",
-		"Failed follow-mode reload attempts.", func() float64 { return float64(s.registry.FollowFailures()) })
 	m.GaugeFunc("napel_serve_uptime_seconds",
 		"Seconds since the server started.", func() float64 { return time.Since(s.o.start).Seconds() })
 	m.GaugeFunc("napel_serve_ready",
@@ -433,11 +430,52 @@ func (s *Server) serve(ctx context.Context, ln net.Listener) error {
 	})
 }
 
-// follow is the breaker-guarded polling loop behind -follow: while the
-// reload breaker is open, polls are skipped entirely (counted as
-// short-circuits), so a corrupt or mid-flip model file is not re-parsed
-// every tick; once the cool-down passes a probe poll decides whether to
-// resume.
+// install installs a model generation, with every source's current
+// bytes when force is set and otherwise only when a source's content
+// changed, and times the load stages of what it installs. It returns
+// the installed generation, or nil when nothing changed.
+func (s *Server) install(force bool) ([]*Model, error) {
+	models, took, err := s.registry.install(force)
+	if models != nil {
+		s.o.loadFetch.Observe(took.fetch.Seconds())
+		s.o.loadDecode.Observe(took.decode.Seconds())
+		if took.hashed {
+			s.o.loadHash.Observe(took.hash.Seconds())
+		}
+	}
+	return models, err
+}
+
+// reload is the one path every later generation takes: POST
+// /v1/models/reload (force) and each follow poll. The reload breaker
+// guards both, so a failure storm (publisher flapping, corrupt file)
+// backs off instead of re-parsing a broken model on every request or
+// tick: while it is open, reload returns resilience.ErrBreakerOpen
+// without touching a source, counted as a short-circuit; once the
+// cool-down passes a probe decides whether to resume. A failed follow
+// poll also counts in napel_serve_follow_failures_total.
+func (s *Server) reload(ctx context.Context, force bool) ([]*Model, error) {
+	if err := s.reloadBreaker.Allow(); err != nil {
+		return nil, err
+	}
+	err := faultpoint.Inject(ctx, fpReload)
+	var models []*Model
+	if err == nil {
+		models, err = s.install(force)
+	}
+	if err != nil {
+		if !force {
+			s.o.followFailures.Inc()
+		}
+		s.reloadBreaker.RecordFailure()
+		return nil, err
+	}
+	s.reloadBreaker.RecordSuccess()
+	return models, nil
+}
+
+// follow is the polling loop behind -follow: every tick is a reload
+// that installs only what changed.
 func (s *Server) follow(ctx context.Context, interval time.Duration) {
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
@@ -446,19 +484,9 @@ func (s *Server) follow(ctx context.Context, interval time.Duration) {
 		case <-ctx.Done():
 			return
 		case <-ticker.C:
-			if s.reloadBreaker.Allow() != nil {
-				continue
-			}
-			err := faultpoint.Inject(ctx, fpReload)
-			if err == nil {
-				_, err = s.registry.ReloadIfChanged()
-			}
-			if err != nil {
-				s.registry.followFailures.Add(1)
-				s.reloadBreaker.RecordFailure()
-				continue
-			}
-			s.reloadBreaker.RecordSuccess()
+			// reload counts a failed poll and trips the breaker itself;
+			// the next tick simply polls again.
+			_, _ = s.reload(ctx, false)
 		}
 	}
 }

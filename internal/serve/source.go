@@ -30,13 +30,12 @@ type ModelSource interface {
 	// Describe identifies the source in errors and the /v1/models
 	// listing: a file path or a store URL.
 	Describe() string
-	// Load fetches the current model bytes unconditionally, with their
-	// serving version, or with "" to leave hashing the bytes to the
-	// registry, which then does so beside the decode.
-	Load() (data []byte, version string, err error)
 	// Poll re-checks the source against the installed version,
 	// returning bytes only when the content changed. An unchanged poll
-	// must be cheap — it runs on every follow tick.
+	// must be cheap — it runs on every follow tick. Poll("") is the
+	// unconditional fetch: it always returns the current bytes, with
+	// their serving version or with "" to leave hashing them to the
+	// registry, which then does so beside the decode.
 	Poll(prevVersion string) (data []byte, version string, changed bool, err error)
 }
 
@@ -65,18 +64,15 @@ type FileSource struct {
 
 func (f *FileSource) Describe() string { return f.Path }
 
-// Load reads the file and leaves its version to the registry.
-func (f *FileSource) Load() ([]byte, string, error) {
-	data, err := os.ReadFile(f.Path)
-	return data, "", err
-}
-
 // Poll hashes the file before anything decodes it, so an unchanged file
-// costs a read and a hash.
+// costs a read and a hash. Poll("") leaves the version to the registry.
 func (f *FileSource) Poll(prev string) ([]byte, string, bool, error) {
 	data, err := os.ReadFile(f.Path)
 	if err != nil {
 		return nil, "", false, err
+	}
+	if prev == "" {
+		return data, "", true, nil
 	}
 	version := ContentVersion(data)
 	if version == prev {
@@ -122,14 +118,6 @@ func (s *StoreSource) client() *http.Client {
 		return s.Client
 	}
 	return &http.Client{Timeout: 30 * time.Second}
-}
-
-func (s *StoreSource) Load() ([]byte, string, error) {
-	hash, err := s.currentHash()
-	if err != nil {
-		return nil, "", err
-	}
-	return s.fetch(hash)
 }
 
 func (s *StoreSource) Poll(prev string) ([]byte, string, bool, error) {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"net/http/httptest"
 	"os"
@@ -67,7 +68,7 @@ func TestFileVersionHashedBesideDecode(t *testing.T) {
 	if m, _ := reg.Get(""); m.Version != want {
 		t.Fatalf("start-up version %s, want %s", m.Version, want)
 	}
-	models, err := reg.Reload()
+	models, _, err := reg.install(true)
 	if err != nil || len(models) != 1 || models[0].Version != want {
 		t.Fatalf("reload: %v, %v; want version %s", models, err, want)
 	}
@@ -83,13 +84,13 @@ func TestStoreSourceServingIdentity(t *testing.T) {
 	f := fixture(t)
 	_, srv, _ := storeFixture(t, f.modelA)
 
-	reg, err := NewRegistrySources(map[string]ModelSource{
+	s, err := New(Config{ModelSources: map[string]ModelSource{
 		DefaultModelName: &StoreSource{URL: srv.URL},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, ok := reg.Get("")
+	m, ok := s.Registry().Get("")
 	if !ok {
 		t.Fatal("no default model after store pull")
 	}
@@ -108,20 +109,21 @@ func TestStoreSourceFollowsPromotion(t *testing.T) {
 	f := fixture(t)
 	_, srv, promote := storeFixture(t, f.modelA)
 
-	reg, err := NewRegistrySources(map[string]ModelSource{
+	s, err := New(Config{ModelSources: map[string]ModelSource{
 		DefaultModelName: &StoreSource{URL: srv.URL},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := s.Registry()
 	before, _ := reg.Get("")
 	reloads := reg.Reloads()
 
-	changed, err := reg.ReloadIfChanged()
+	installed, err := s.reload(context.Background(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if changed {
+	if installed != nil {
 		t.Fatal("no-op poll reported a change")
 	}
 	after, _ := reg.Get("")
@@ -133,11 +135,11 @@ func TestStoreSourceFollowsPromotion(t *testing.T) {
 	}
 
 	promote(f.modelB)
-	changed, err = reg.ReloadIfChanged()
+	installed, err = s.reload(context.Background(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !changed {
+	if installed == nil {
 		t.Fatal("promotion not picked up")
 	}
 	cur, _ := reg.Get("")
@@ -153,12 +155,13 @@ func TestStoreSourceRejectsTornPull(t *testing.T) {
 	f := fixture(t)
 	_, srv, promote := storeFixture(t, f.modelA)
 
-	reg, err := NewRegistrySources(map[string]ModelSource{
+	s, err := New(Config{ModelSources: map[string]ModelSource{
 		DefaultModelName: &StoreSource{URL: srv.URL},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := s.Registry()
 	goodVersion := fileVersion(t, f.modelA)
 
 	// A new lineage is promoted, but every blob transfer tears.
@@ -168,7 +171,7 @@ func TestStoreSourceRejectsTornPull(t *testing.T) {
 	}
 	defer faultpoint.Disable()
 
-	_, err = reg.ReloadIfChanged()
+	_, err = s.reload(context.Background(), false)
 	if !errors.Is(err, ErrCorruptModelPull) {
 		t.Fatalf("torn pull error = %v, want ErrCorruptModelPull", err)
 	}
@@ -179,9 +182,9 @@ func TestStoreSourceRejectsTornPull(t *testing.T) {
 
 	// Once the wire heals, the same poll installs the promoted lineage.
 	faultpoint.Disable()
-	changed, err := reg.ReloadIfChanged()
-	if err != nil || !changed {
-		t.Fatalf("post-heal poll: changed=%v err=%v", changed, err)
+	installed, err := s.reload(context.Background(), false)
+	if err != nil || installed == nil {
+		t.Fatalf("post-heal poll: installed=%v err=%v", installed, err)
 	}
 	cur, _ = reg.Get("")
 	if want := fileVersion(t, f.modelB); cur.Version != want {
@@ -215,7 +218,7 @@ func TestStoreSourceLazyStart(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("never became ready after promotion")
 		}
-		if _, err := s.registry.ReloadIfChanged(); err != nil {
+		if _, err := s.reload(context.Background(), false); err != nil {
 			t.Fatalf("reload: %v", err)
 		}
 		time.Sleep(5 * time.Millisecond)

@@ -212,10 +212,10 @@ type PredictResponse struct {
 	EnergyJ      float64 `json:"energy_j"`
 	EDP          float64 `json:"edp"`
 	Cached       bool    `json:"cached"`
-	// Degraded marks a last-good answer served because the normal
-	// predict path could not run (no model loaded, or prediction
-	// failed). The value may have been computed under an older model
-	// generation.
+	// Degraded marks a last-good answer served because the model
+	// evaluation failed. The value may have been computed under an older
+	// generation of the same model. With no model loaded there is no
+	// last-good answer: the request gets 404.
 	Degraded bool   `json:"degraded,omitempty"`
 	Error    string `json:"error,omitempty"`
 }

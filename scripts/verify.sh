@@ -322,7 +322,8 @@ wait_up lazy "$rurl/readyz" 300
 cpredict=$(curl -sS -o "$tmp/resp3.json" -w '%{http_code}' -d @"$tmp/req.json" "$rurl/v1/predict")
 [ "$cpredict" = 200 ] || fail "predict after lazy load: status=$cpredict" resp3.json
 curl -sS -o "$tmp/chaos-metrics.txt" "$rurl/metrics"
-for series in napel_serve_ready napel_resilience_breaker_state napel_chaos_injected_total; do
+for series in napel_serve_ready napel_resilience_breaker_state napel_chaos_injected_total \
+    napel_serve_follow_failures_total napel_serve_model_reloads_total; do
     grep -q "$series" "$tmp/chaos-metrics.txt" || fail "lazy server /metrics missing $series" chaos-metrics.txt
 done
 stop lazy
