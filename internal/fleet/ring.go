@@ -17,6 +17,8 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
+
+	"napel/internal/xhash"
 )
 
 // DefaultVNodes is the per-replica virtual-node count. 128 tokens per
@@ -87,13 +89,14 @@ func NewRing(replicas []string, vnodes int) *Ring {
 }
 
 // routeKey is the gate's ring key for one request body, a batch too:
-// FNV-64a over its bytes, trimmed of surrounding whitespace, finalized
-// like the ring's tokens. No model version enters it: a promotion keeps
-// every key's owner, and each replica's cache tells versions apart.
+// xhash.Sum64 over its bytes, trimmed of surrounding whitespace. The
+// hash is seedless, so every gate, and a gate after its restart, routes
+// a body to the same replica, and it mixes well enough to need no
+// finalizer. No model version enters it: a promotion keeps every key's
+// owner, and each replica's cache tells versions apart. Keys are the
+// gate's alone; nothing stores one.
 func routeKey(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(bytes.TrimSpace(b))
-	return mix64(h.Sum64())
+	return xhash.Sum64(bytes.TrimSpace(b))
 }
 
 // Key folds a model version and a feature-vector hash into a ring key,

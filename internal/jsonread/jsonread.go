@@ -833,6 +833,10 @@ func stringEnd(d []byte, i int) int {
 	}
 }
 
+// Offset returns the offset just past the value last read, before any
+// whitespace that follows it.
+func (r *Reader) Offset() int { return r.pos }
+
 // End checks that only whitespace follows the value just read.
 func (r *Reader) End() error {
 	if r.peek() != 0 || r.pos < len(r.data) {

@@ -531,10 +531,10 @@ func (m *Manager) runPipeline(ctx context.Context, job *Job) (err error) {
 		return err
 	}
 
-	// Train on the full dataset. TrainTime is wall-clock noise; zeroing
-	// it keeps the serialized bytes a pure function of (data, spec), so
-	// a resumed job's model is byte-identical to an uninterrupted one
-	// and content-addresses to the same blob.
+	// Train on the full dataset. A saved model holds no wall-clock
+	// field, so its bytes are a pure function of (data, spec): a resumed
+	// job's model is byte-identical to an uninterrupted one and
+	// content-addresses to the same blob.
 	m.setState(job, StateTraining)
 	t0 = time.Now()
 	_, tspan := obs.StartSpan(ctx, "train")
@@ -550,7 +550,6 @@ func (m *Manager) runPipeline(ctx context.Context, job *Job) (err error) {
 	if err != nil {
 		return err
 	}
-	pred.TrainTime = 0
 
 	var modelBuf, dataBuf bytes.Buffer
 	if err := pred.Save(&modelBuf); err != nil {

@@ -90,6 +90,9 @@ type Forest struct {
 	params     Params
 	importance []float64 // SSE reduction attributed to each feature
 	oobMRE     float64   // out-of-bag mean relative error (-1 if unavailable)
+	// counts is each tree's node count in a forest read from a version
+	// 3 header, until ReadNodes builds its trees.
+	counts []int64
 }
 
 // OOBMRE returns the out-of-bag mean relative error estimated during

@@ -3,7 +3,6 @@ package rf
 import (
 	"encoding/base64"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -16,71 +15,79 @@ import (
 	"napel/internal/jsonread"
 )
 
-// forestJSON is the on-disk form of a Forest: one node image per tree,
-// which encoding/json writes as a standard base64 string.
-type forestJSON struct {
-	Params     Params    `json:"params"`
-	Importance []float64 `json:"importance"`
-	Nodes      [][]byte  `json:"nodes"`
-}
-
-// nodeSize is the length of one node in a node image: v as float64
-// bits, then feature and right as int32s, all little-endian. A leaf's
-// feature is -1 and its right 0; a split's left child is the next node.
-// This is the resident node layout, so an image is a tree's arena.
+// nodeSize is the length of one node image: v as float64 bits, then
+// feature and right as int32s, all little-endian. A leaf's feature is -1
+// and its right 0; a split's left child is the next node. This is the
+// resident node layout, so a tree's image is its arena.
 const nodeSize = 16
 
-// MarshalJSON implements json.Marshaler, writing each tree as its node
-// image. Like encoding/json, it refuses a NaN or infinite value, which
-// no reader accepts.
-func (f *Forest) MarshalJSON() ([]byte, error) {
-	out := forestJSON{
-		Params:     f.params,
-		Importance: f.importance,
-		Nodes:      make([][]byte, len(f.trees)),
-	}
+// Header is a forest as a model file of format version 3 holds it in
+// its JSON envelope: params, importance and each tree's node count. The
+// trees' node images (AppendNodes) follow the envelope.
+type Header struct {
+	Params     Params    `json:"params"`
+	Importance []float64 `json:"importance"`
+	NodeCounts []int     `json:"node_counts"`
+}
+
+// Header returns f's version 3 header.
+func (f *Forest) Header() Header {
+	h := Header{Params: f.params, Importance: f.importance, NodeCounts: make([]int, len(f.trees))}
 	for ti := range f.trees {
-		nodes := f.trees[ti].nodes
-		img := make([]byte, nodeSize*len(nodes))
-		for ni, n := range nodes {
+		h.NodeCounts[ti] = len(f.trees[ti].nodes)
+	}
+	return h
+}
+
+// AppendNodes appends the node images of f's trees to b, tree after
+// tree. Like encoding/json, it refuses a NaN or infinite value, which no
+// reader accepts.
+func (f *Forest) AppendNodes(b []byte) ([]byte, error) {
+	for ti := range f.trees {
+		for ni, n := range f.trees[ti].nodes {
 			if math.IsNaN(n.v) || math.IsInf(n.v, 0) {
 				return nil, fmt.Errorf("rf: tree %d node %d holds %v", ti, ni, n.v)
 			}
-			rec := img[nodeSize*ni:]
-			binary.LittleEndian.PutUint64(rec, math.Float64bits(n.v))
-			binary.LittleEndian.PutUint32(rec[8:], uint32(n.feature))
-			binary.LittleEndian.PutUint32(rec[12:], uint32(n.right))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(n.v))
+			b = binary.LittleEndian.AppendUint32(b, uint32(n.feature))
+			b = binary.LittleEndian.AppendUint32(b, uint32(n.right))
 		}
-		out.Nodes[ti] = img
 	}
-	return json.Marshal(out)
+	return b, nil
 }
 
-// Field names of the forms ReadForest reads: the JSON names of
-// forestJSON with version 1's "trees" beside "nodes", of Params, and of
-// a version 1 tree's five node arrays.
+// Field names of the forms ReadForest reads: those of Header, with
+// version 1's "trees" and version 2's "nodes" beside "node_counts", of
+// Params, and of a version 1 tree's five node arrays.
 var (
-	forestFields = []string{"params", "importance", "trees", "nodes"}
+	forestFields = []string{"params", "importance", "trees", "nodes", "node_counts"}
 	paramsFields = []string{"Trees", "MaxDepth", "MinLeaf", "MTry", "SampleFrac"}
 	treeFields   = []string{"feature", "thresh", "left", "right", "value"}
 )
 
-// ReadForest reads a forest over numFeatures features from r, in its
-// MarshalJSON form or in version 1's, whose "trees" hold five node
-// arrays per tree in place of "nodes"; a forest holding both is refused.
-// It builds each tree's node arena from its image or arrays, accepts
-// what jsonread accepts and checks what walking the trees relies on: at
+// ReadForest reads a forest over numFeatures features from r, in one of
+// three forms, each of which holds the trees under its own key:
+//
+//   - version 1's "trees": five node arrays per tree;
+//   - version 2's "nodes": one base64 node image per tree;
+//   - version 3's "node_counts" (Header): each tree's node count, with
+//     the nodes themselves outside the JSON. The forest returned then
+//     awaits its trees (AwaitsNodes) until ReadNodes builds them.
+//
+// A forest holding two of the keys is refused. ReadForest accepts what
+// jsonread accepts and checks what walking the trees relies on: at
 // least one tree, no empty tree, and every split on a feature below
 // numFeatures with its left child the next node and its right child
 // after it in its tree, as Train lays trees out, so a walk can neither
 // index out of range nor loop. An image must hold whole nodes and
-// finite values; a tree's arrays must be of equal length. Fields no
-// walk reads are dropped: a leaf's feature reads back as -1 and its
-// right child as 0, and in the five arrays a split's value and a leaf's
-// thresh, left and right are ignored.
+// finite values; a tree's arrays must be of equal length; a node count
+// must be positive. Fields no walk reads are dropped: a leaf's feature
+// reads back as -1 and its right child as 0, and in the five arrays a
+// split's value and a leaf's thresh, left and right are ignored.
 //
-// The trees are read on up to GOMAXPROCS goroutines (see readTrees), yet
-// ReadForest accepts, returns and fails exactly as a serial read would.
+// The trees of the first two forms are read on up to GOMAXPROCS
+// goroutines (see readTrees), yet ReadForest accepts, returns and fails
+// exactly as a serial read would.
 func ReadForest(r *jsonread.Reader, numFeatures int) (*Forest, error) {
 	f := &Forest{}
 	layout := ""
@@ -96,11 +103,14 @@ func ReadForest(r *jsonread.Reader, numFeatures int) (*Forest, error) {
 			f.importance, err = r.Floats(make([]float64, 0, r.ArrayLen()))
 			return err
 		}
-		// "trees" or "nodes"
+		// "trees", "nodes" or "node_counts"
 		if layout != "" {
 			return fmt.Errorf("rf: forest holds both %q and %q", layout, field)
 		}
 		layout = field
+		if field == "node_counts" {
+			return readCounts(r, f)
+		}
 		read := readTree
 		if field == "nodes" {
 			read = readImage
@@ -122,10 +132,75 @@ func ReadForest(r *jsonread.Reader, numFeatures int) (*Forest, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(f.trees) == 0 {
+	if len(f.trees) == 0 && len(f.counts) == 0 {
 		return nil, errors.New("rf: serialized forest has no trees")
 	}
 	return f, nil
+}
+
+// readCounts reads a version 3 forest's node counts into f.counts.
+func readCounts(r *jsonread.Reader, f *Forest) error {
+	counts, err := r.Ints(make([]int64, 0, r.ArrayLen()), 32)
+	if err != nil {
+		return err
+	}
+	for ti, n := range counts {
+		if n <= 0 {
+			return fmt.Errorf("rf: tree %d has a node count of %d", ti, n)
+		}
+	}
+	f.counts = counts
+	return nil
+}
+
+// AwaitsNodes reports whether f was read from a version 3 header and
+// ReadNodes has not yet built its trees.
+func (f *Forest) AwaitsNodes() bool { return f.counts != nil }
+
+// ReadNodes builds the trees of forests that ReadForest read from
+// version 3 headers out of data: the node images of every tree of every
+// forest, end to end in order, with nothing after them. data's length
+// must be exactly what the node counts call for, which is checked before
+// anything is allocated, so ReadNodes allocates in proportion to
+// len(data). It builds each forest in one serial pass into one node
+// arena, copying every node and checking it as a version 2 image's node
+// is checked, and keeps no reference to data. An error names a forest by
+// its index among forests.
+func ReadNodes(data []byte, numFeatures int, forests ...*Forest) error {
+	total := 0
+	for fi, f := range forests {
+		if !f.AwaitsNodes() {
+			return fmt.Errorf("rf: forest %d awaits no nodes", fi)
+		}
+		for _, n := range f.counts {
+			// Each count is below 2³¹, so the sum cannot overflow
+			// before it passes what data holds.
+			if total += int(n); total > len(data)/nodeSize {
+				return fmt.Errorf("rf: the node counts call for more than the %d bytes of nodes that follow", len(data))
+			}
+		}
+	}
+	if total*nodeSize != len(data) {
+		return fmt.Errorf("rf: %d bytes of nodes follow, want %d for %d nodes", len(data), total*nodeSize, total)
+	}
+	for fi, f := range forests {
+		size := 0
+		for _, n := range f.counts {
+			size += int(n)
+		}
+		arena := make([]node, size)
+		trees := make([]tree, len(f.counts))
+		for ti, n := range f.counts {
+			nodes := arena[:n:n]
+			if ni, err := decodeNodes(nodes, data, numFeatures); err != nil {
+				return fmt.Errorf("rf: forest %d tree %d node %d %v", fi, ti, ni, err)
+			}
+			trees[ti].nodes = nodes
+			arena, data = arena[n:], data[nodeSize*n:]
+		}
+		f.trees, f.counts = trees, nil
+	}
+	return nil
 }
 
 // treeReader reads tree ti from r into a new node arena, using s for
@@ -323,6 +398,20 @@ func readImage(r *jsonread.Reader, ti, numFeatures int, s *treeScratch) ([]node,
 		return nil, fmt.Errorf("rf: tree %d is empty", ti)
 	}
 	nodes := make([]node, n)
+	if ni, err := decodeNodes(nodes, img, numFeatures); err != nil {
+		return nil, fmt.Errorf("rf: tree %d node %d %v", ti, ni, err)
+	}
+	return nodes, nil
+}
+
+// decodeNodes fills the nodes of one tree from the first len(nodes) node
+// images of img, checking each: its value must be finite, and a split
+// must be on a feature below numFeatures with its right child after it
+// and inside the tree. A leaf keeps only its value. On a defect it
+// returns the node's index and what is wrong with it.
+func decodeNodes(nodes []node, img []byte, numFeatures int) (int, error) {
+	n := len(nodes)
+	img = img[:nodeSize*n]
 	for i := range nodes {
 		rec := img[nodeSize*i : nodeSize*(i+1)]
 		bits := binary.LittleEndian.Uint64(rec)
@@ -331,16 +420,16 @@ func readImage(r *jsonread.Reader, ti, numFeatures int, s *treeScratch) ([]node,
 		nd := &nodes[i]
 		switch {
 		case bits>>52&0x7ff == 0x7ff: // NaN or ±Inf
-			return nil, fmt.Errorf("rf: tree %d node %d holds %v", ti, i, math.Float64frombits(bits))
+			return i, fmt.Errorf("holds %v", math.Float64frombits(bits))
 		case int(feat) >= numFeatures:
-			return nil, fmt.Errorf("rf: tree %d node %d splits on feature %d of %d", ti, i, feat, numFeatures)
+			return i, fmt.Errorf("splits on feature %d of %d", feat, numFeatures)
 		case feat < 0:
 			nd.feature, nd.v = -1, math.Float64frombits(bits)
 		case int(right) <= i || int(right) >= n:
-			return nil, fmt.Errorf("rf: tree %d node %d has an out-of-range right child", ti, i)
+			return i, errors.New("has an out-of-range right child")
 		default:
 			nd.feature, nd.v, nd.right = feat, math.Float64frombits(bits), right
 		}
 	}
-	return nodes, nil
+	return 0, nil
 }

@@ -62,36 +62,88 @@ func v1JSON(t *testing.T, f *Forest) []byte {
 	return data
 }
 
-// img returns the JSON string of a node image holding nodes, each
-// {v, feature, right}.
-func img(nodes ...[3]float64) string {
+// v2JSON writes f in format version 2, one base64 node image per tree,
+// as builds before the nodes moved out of the JSON wrote it.
+func v2JSON(t *testing.T, f *Forest) []byte {
+	t.Helper()
+	out := struct {
+		Params     Params    `json:"params"`
+		Importance []float64 `json:"importance"`
+		Nodes      [][]byte  `json:"nodes"`
+	}{Params: f.params, Importance: f.importance}
+	for ti := range f.trees {
+		image, err := (&Forest{trees: f.trees[ti : ti+1]}).AppendNodes(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Nodes = append(out.Nodes, image)
+	}
+	data, err := json.Marshal(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// v3 writes f in format version 3: the JSON of its header and, apart,
+// its node images.
+func v3(t *testing.T, f *Forest) (header, nodes []byte) {
+	t.Helper()
+	header, err := json.Marshal(f.Header())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nodes, err = f.AppendNodes(nil); err != nil {
+		t.Fatal(err)
+	}
+	return header, nodes
+}
+
+// readV3 reads a forest from a version 3 header and its node images.
+func readV3(header, nodes []byte, numFeatures int) (*Forest, error) {
+	f, err := readForest(header, numFeatures)
+	if err != nil {
+		return nil, err
+	}
+	if err := ReadNodes(nodes, numFeatures, f); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// nodeImage returns a node image holding nodes, each {v, feature, right}.
+func nodeImage(nodes ...[3]float64) []byte {
 	var b []byte
 	for _, n := range nodes {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(n[0]))
 		b = binary.LittleEndian.AppendUint32(b, uint32(int32(n[1])))
 		b = binary.LittleEndian.AppendUint32(b, uint32(int32(n[2])))
 	}
-	return `"` + base64.StdEncoding.EncodeToString(b) + `"`
+	return b
 }
 
-// TestForestJSONRoundTrip: a forest marshals to one node image per
-// tree and reads back to the same predictions, importance, params and
-// bytes; the same forest in version 1's five arrays reads back to the
-// forest the images hold.
+// img returns the JSON string of a node image holding nodes, each
+// {v, feature, right}.
+func img(nodes ...[3]float64) string {
+	return `"` + base64.StdEncoding.EncodeToString(nodeImage(nodes...)) + `"`
+}
+
+// TestForestJSONRoundTrip: a forest writes to a version 3 header, which
+// counts each tree's nodes, and node images, which read back to the same
+// predictions, importance, params and bytes; the same forest in version
+// 1's five arrays and in version 2's base64 images reads back to the
+// forest the version 3 bytes hold.
 func TestForestJSONRoundTrip(t *testing.T) {
 	d := synth(150, func(x []float64) float64 { return x[0]*x[1] + x[2] }, 21)
 	f, err := Train(d, Params{Trees: 12}, 22)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.Marshal(f)
-	if err != nil {
-		t.Fatal(err)
+	header, nodes := v3(t, f)
+	if !bytes.Contains(header, []byte(`"node_counts":[`)) || bytes.Contains(header, []byte(`"trees"`)) || bytes.Contains(header, []byte(`"nodes"`)) {
+		t.Fatalf("forest header holds no node counts, or holds nodes: %.200s", header)
 	}
-	if !bytes.Contains(data, []byte(`"nodes":["`)) || bytes.Contains(data, []byte(`"trees"`)) {
-		t.Fatalf("marshaled forest holds no node images: %.200s", data)
-	}
-	g, err := readForest(data, 3)
+	g, err := readV3(header, nodes, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,19 +163,26 @@ func TestForestJSONRoundTrip(t *testing.T) {
 	if g.params != f.params {
 		t.Fatalf("params %+v, want %+v", g.params, f.params)
 	}
-	again, err := json.Marshal(g)
-	if err != nil {
-		t.Fatal(err)
+	if g.AwaitsNodes() {
+		t.Fatal("a forest ReadNodes built still awaits nodes")
 	}
-	if string(again) != string(data) {
-		t.Fatal("marshal -> read -> marshal changed the bytes")
+	sameBytes := func(name string, h *Forest) {
+		t.Helper()
+		gotHeader, gotNodes := v3(t, h)
+		if !bytes.Equal(gotHeader, header) || !bytes.Equal(gotNodes, nodes) {
+			t.Fatalf("%s writes different version 3 bytes", name)
+		}
 	}
-	v1, err := readForest(v1JSON(t, f), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resaved, err := json.Marshal(v1); err != nil || string(resaved) != string(data) {
-		t.Fatalf("the version 1 form re-marshals differently (%v)", err)
+	sameBytes("write -> read -> write", g)
+	for _, old := range []struct {
+		name string
+		data []byte
+	}{{"the version 1 form", v1JSON(t, f)}, {"the version 2 form", v2JSON(t, f)}} {
+		h, err := readForest(old.data, 3)
+		if err != nil {
+			t.Fatalf("%s: %v", old.name, err)
+		}
+		sameBytes(old.name, h)
 	}
 }
 
@@ -163,6 +222,16 @@ func TestForestUnmarshalRejectsMalformed(t *testing.T) {
 		`{"nodes":[` + img([3]float64{inf, 0, 2}, leaf, leaf) + `]}`,                                               // +Inf threshold
 		`{"nodes":[` + img(leaf) + `],"trees":[{"feature":[-1],"thresh":[0],"left":[0],"right":[0],"value":[1]}]}`, // both layouts
 		`{"trees":[{"feature":[-1],"thresh":[0],"left":[0],"right":[0],"value":[1]}],"Nodes":[` + img(leaf) + `]}`, // both, nodes second
+		`{"node_counts":[]}`,                              // no trees
+		`{"node_counts":null}`,                            // no trees
+		`{"node_counts":[1,0]}`,                           // empty tree
+		`{"node_counts":[-1]}`,                            // negative count
+		`{"node_counts":[2147483648]}`,                    // count overflows int32
+		`{"node_counts":[1.5]}`,                           // not an integer
+		`{"node_counts":[1],"nodes":[` + img(leaf) + `]}`, // node counts and images
+		`{"nodes":[` + img(leaf) + `],"NODE_COUNTS":[1]}`, // the same, counts second
+		`{"trees":[],"node_counts":[1]}`,                  // node counts and arrays
+		`{"node_counts":[1],"node_counts":[1]}`,           // duplicate key
 	}
 	for i, c := range cases {
 		if _, err := readForest([]byte(c), 1); err == nil {
@@ -174,8 +243,12 @@ func TestForestUnmarshalRejectsMalformed(t *testing.T) {
 	for _, ok := range []string{
 		`{"PARAMS":{"trees":1},"extra":[{"a":null}],"trees":[{"Feature":[-1],"thresh":[0],"left":[0],"right":[0],"value":[2.5]}]}`,
 		`{"PARAMS":{"trees":1},"extra":[{"a":null}],"NODES":[` + img([3]float64{2.5, -1, 0}) + `]}`,
+		`{"PARAMS":{"trees":1},"extra":[{"a":null}],"Node_Counts":[1]}`,
 	} {
 		f, err := readForest([]byte(ok), 1)
+		if err == nil && f.AwaitsNodes() {
+			err = ReadNodes(nodeImage([3]float64{2.5, -1, 0}), 1, f)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,44 +258,100 @@ func TestForestUnmarshalRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestReadNodesRejectsMalformed: ReadNodes refuses node bytes that are
+// not exactly the nodes the headers count, before it allocates, and every
+// node a version 2 image is refused for, naming the forest, the tree and
+// the node.
+func TestReadNodesRejectsMalformed(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	leaf, split := [3]float64{1, -1, 0}, [3]float64{0.5, 0, 2}
+	good := nodeImage(split, leaf, leaf)
+	for _, c := range []struct {
+		counts [2]string // the node counts of two forests
+		nodes  []byte
+		want   string
+	}{
+		{[2]string{"[3]", "[1]"}, good, "rf: the node counts call for more than the 48 bytes of nodes that follow"},
+		{[2]string{"[3]", "[1]"}, append(append([]byte(nil), good...), nodeImage(leaf)[:15]...), "rf: the node counts call for more than the 63 bytes of nodes that follow"},
+		{[2]string{"[3]", "[1]"}, append(nodeImage(split, leaf, leaf, leaf), 0), "rf: 65 bytes of nodes follow, want 64 for 4 nodes"},
+		{[2]string{"[3]", "[2147483647]"}, nodeImage(split, leaf, leaf, leaf), "rf: the node counts call for more than the 64 bytes of nodes that follow"},
+		{[2]string{"[3]", "[1]"}, nodeImage(split, leaf, leaf, [3]float64{nan, -1, 0}), "rf: forest 1 tree 0 node 0 holds NaN"},
+		{[2]string{"[1,3]", "[1]"}, nodeImage(leaf, split, leaf, [3]float64{-inf, -1, 0}, leaf), "rf: forest 0 tree 1 node 2 holds -Inf"},
+		{[2]string{"[3]", "[1]"}, nodeImage([3]float64{inf, 0, 2}, leaf, leaf, leaf), "rf: forest 0 tree 0 node 0 holds +Inf"},
+		{[2]string{"[3]", "[1]"}, nodeImage([3]float64{0.5, 1, 2}, leaf, leaf, leaf), "rf: forest 0 tree 0 node 0 splits on feature 1 of 1"},
+		{[2]string{"[3]", "[1]"}, nodeImage([3]float64{0.5, 0, 0}, leaf, leaf, leaf), "rf: forest 0 tree 0 node 0 has an out-of-range right child"},
+		{[2]string{"[3]", "[1]"}, nodeImage(leaf, [3]float64{0.5, 0, 0}, leaf, leaf), "rf: forest 0 tree 0 node 1 has an out-of-range right child"},
+		{[2]string{"[3]", "[1]"}, nodeImage([3]float64{0.5, 0, 3}, leaf, leaf, leaf), "rf: forest 0 tree 0 node 0 has an out-of-range right child"},
+	} {
+		var forests []*Forest
+		for _, counts := range c.counts {
+			f, err := readForest([]byte(`{"node_counts":`+counts+`}`), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			forests = append(forests, f)
+		}
+		if err := ReadNodes(c.nodes, 1, forests...); err == nil || err.Error() != c.want {
+			t.Errorf("counts %v, %d bytes: error %v, want %s", c.counts, len(c.nodes), err, c.want)
+		}
+	}
+	f, err := readForest([]byte(`{"node_counts":[3]}`), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ReadNodes(good, 1, f); err != nil {
+		t.Fatal(err)
+	}
+	if err := ReadNodes(good, 1, f); err == nil {
+		t.Fatal("ReadNodes built a forest's trees twice")
+	}
+}
+
 // TestForestReadArraysInAnyOrder: the node arrays may come in any key
 // order; ones read before "feature" are placed once it is known, and
-// fields no walk reads, in arrays or in an image, come back in
-// MarshalJSON's canonical form.
+// fields no walk reads, in arrays, in an image or in a version 3 node,
+// come back in the canonical form AppendNodes writes.
 func TestForestReadArraysInAnyOrder(t *testing.T) {
-	saveOrder := `{"params":{"Trees":0,"MaxDepth":0,"MinLeaf":0,"MTry":0,"SampleFrac":0},"importance":[1],` +
-		`"nodes":[` + img([3]float64{0.5, 0, 2}, [3]float64{1, -1, 0}, [3]float64{2, -1, 0}) + `]}`
-	for _, in := range []string{
-		`{"trees":[{"value":[9,1,2],"right":[2,0,0],"left":[1,0,0],"thresh":[0.5,0,0],"feature":[0,-1,-1]}],"importance":[1]}`,
-		`{"trees":[{"thresh":[0.5,7,7],"feature":[0,-3,-1],"value":[9,1,2],"left":[1,5,5],"right":[2,5,5]}],"importance":[1]}`,
-		`{"nodes":[` + img([3]float64{0.5, 0, 2}, [3]float64{1, -3, 7}, [3]float64{2, -1, -9}) + `],"importance":[1]}`,
-		saveOrder,
+	wantHeader := `{"params":{"Trees":0,"MaxDepth":0,"MinLeaf":0,"MTry":0,"SampleFrac":0},"importance":[1],"node_counts":[3]}`
+	wantNodes := nodeImage([3]float64{0.5, 0, 2}, [3]float64{1, -1, 0}, [3]float64{2, -1, 0})
+	for _, in := range []struct {
+		json  string
+		nodes []byte // the node images after a version 3 header
+	}{
+		{json: `{"trees":[{"value":[9,1,2],"right":[2,0,0],"left":[1,0,0],"thresh":[0.5,0,0],"feature":[0,-1,-1]}],"importance":[1]}`},
+		{json: `{"trees":[{"thresh":[0.5,7,7],"feature":[0,-3,-1],"value":[9,1,2],"left":[1,5,5],"right":[2,5,5]}],"importance":[1]}`},
+		{json: `{"nodes":[` + img([3]float64{0.5, 0, 2}, [3]float64{1, -3, 7}, [3]float64{2, -1, -9}) + `],"importance":[1]}`},
+		{json: `{"node_counts":[3],"importance":[1]}`, nodes: nodeImage([3]float64{0.5, 0, 2}, [3]float64{1, -3, 7}, [3]float64{2, -1, -9})},
+		{json: wantHeader, nodes: wantNodes},
 	} {
-		f, err := readForest([]byte(in), 1)
+		var f *Forest
+		var err error
+		if in.nodes != nil {
+			f, err = readV3([]byte(in.json), in.nodes, 1)
+		} else {
+			f, err = readForest([]byte(in.json), 1)
+		}
 		if err != nil {
-			t.Fatalf("%s: %v", in, err)
+			t.Fatalf("%s: %v", in.json, err)
 		}
 		if f.Predict([]float64{0.5}) != 1 || f.Predict([]float64{0.75}) != 2 {
-			t.Fatalf("%s: predicts %g, %g, want 1, 2", in, f.Predict([]float64{0.5}), f.Predict([]float64{0.75}))
+			t.Fatalf("%s: predicts %g, %g, want 1, 2", in.json, f.Predict([]float64{0.5}), f.Predict([]float64{0.75}))
 		}
-		out, err := json.Marshal(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(out) != saveOrder {
-			t.Fatalf("%s: marshals to\n%s, want\n%s", in, out, saveOrder)
+		header, nodes := v3(t, f)
+		if string(header) != wantHeader || !bytes.Equal(nodes, wantNodes) {
+			t.Fatalf("%s: writes\n%s\n%x, want\n%s\n%x", in.json, header, nodes, wantHeader, wantNodes)
 		}
 	}
 }
 
 // TestMarshalRefusesNonFinite: a forest holding a NaN or infinite
-// value does not marshal, as encoding/json refuses one, so no writer
-// makes a file ReadForest refuses.
+// value writes no node images, as encoding/json refuses such a value,
+// so no writer makes a file ReadNodes refuses.
 func TestMarshalRefusesNonFinite(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		f := &Forest{trees: []tree{{nodes: []node{{v: v, feature: -1}}}}}
-		if _, err := json.Marshal(f); err == nil {
-			t.Errorf("a leaf of %v marshaled", v)
+		f := &Forest{trees: []tree{{nodes: []node{{v: 1, feature: -1}}}, {nodes: []node{{v: v, feature: -1}}}}}
+		if _, err := f.AppendNodes(nil); err == nil || err.Error() != fmt.Sprintf("rf: tree 1 node 0 holds %v", v) {
+			t.Errorf("a leaf of %v: error %v", v, err)
 		}
 	}
 }
@@ -342,10 +471,7 @@ func TestForestErrorIsSerialReadsFirst(t *testing.T) {
 
 	// The same contract for node images. edit changes the image of tree
 	// ti; ReadForest must fail as the serial read does, on tree first.
-	images, err := json.Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	images := v2JSON(t, f)
 	type edit func(image string) string
 	badChar := func(im string) string { return im[:9] + "!" + im[10:] }
 	control := func(im string) string { return im[:5] + "\x01" + im[5:] }

@@ -18,32 +18,35 @@ import (
 	"napel/internal/workload"
 )
 
-// savedPredictor is the on-disk form of a trained Predictor: the two
+// savedPredictor is the JSON envelope of a trained Predictor: the two
 // random forests with their log-space clamp ranges, plus the feature
 // names for sanity checking at load time. Only the shipped NAPEL
 // configuration (log-target random forests) is serializable; the
-// Figure 5 baselines are evaluation-only.
+// Figure 5 baselines are evaluation-only. No wall-clock field is
+// written, so a model's bytes, and its content version, are a pure
+// function of its training data, settings and seed.
 type savedPredictor struct {
-	Version   int               `json:"version"`
-	Names     []string          `json:"feature_names"`
-	Chosen    map[string]string `json:"chosen,omitempty"`
-	TrainTime time.Duration     `json:"train_time_ns"`
-	IPC       savedModel        `json:"ipc"`
-	EPI       savedModel        `json:"epi"`
+	Version int               `json:"version"`
+	Names   []string          `json:"feature_names"`
+	Chosen  map[string]string `json:"chosen,omitempty"`
+	IPC     savedModel        `json:"ipc"`
+	EPI     savedModel        `json:"epi"`
 }
 
 type savedModel struct {
-	Lo     float64    `json:"log_lo"`
-	Hi     float64    `json:"log_hi"`
-	Forest *rf.Forest `json:"forest"`
+	Lo     float64   `json:"log_lo"`
+	Hi     float64   `json:"log_hi"`
+	Forest rf.Header `json:"forest"`
 }
 
 // Format versions, bumped on incompatible changes. A predictor file of
-// version 2 stores each tree as a node image (see rf.Forest.MarshalJSON);
-// version 1 stored five node arrays per tree and still loads. Training
-// data files are unchanged since version 1.
+// version 3 is a JSON envelope on one line whose forests count their
+// trees' nodes, then the node images themselves, raw (see Save).
+// Version 2 held each tree as a base64 node image inside the JSON, and
+// version 1 as five node arrays; both still load. Training data files
+// are unchanged since version 1.
 const (
-	predictorVersion    = 2
+	predictorVersion    = 3
 	oldPredictorVersion = 1 // the oldest LoadPredictor reads
 	trainingDataVersion = 1
 )
@@ -54,16 +57,22 @@ const (
 // corruption — napel-serve maps it to HTTP 422 instead of 500.
 var ErrBadModelVersion = errors.New("napel: unsupported predictor format version")
 
-// Save serializes the predictor as JSON, in format version 2: each tree
-// a base64 string of its nodes' resident 16-byte layout. It fails if the
-// models are not log-target random forests (the only configuration Train
-// produces).
+// Save serializes the predictor in format version 3. Its first line is
+// a JSON envelope, {"version":3,"feature_names":...,"chosen":...,
+// "ipc":{...},"epi":{...}}, in which each forest holds its params, its
+// importance and "node_counts", each tree's node count (rf.Header). The
+// '\n' that ends the line is followed by the nodes of the IPC forest's
+// trees, then of the EPI forest's, in node_counts order, each node the
+// 16 bytes of its resident layout: v as float64 bits, then feature and
+// right as int32s, all little-endian. The file ends at the last node.
+// Save fails if the models are not log-target random forests (the only
+// configuration Train produces).
 func (p *Predictor) Save(w io.Writer) error {
-	ipc, err := saveModel(p.IPC)
+	ipc, nodes, err := saveModel(p.IPC, nil)
 	if err != nil {
 		return fmt.Errorf("napel: saving IPC model: %w", err)
 	}
-	epi, err := saveModel(p.EPI)
+	epi, nodes, err := saveModel(p.EPI, nodes)
 	if err != nil {
 		return fmt.Errorf("napel: saving energy model: %w", err)
 	}
@@ -71,27 +80,33 @@ func (p *Predictor) Save(w io.Writer) error {
 	for t, name := range p.Chosen {
 		chosen[t.String()] = name
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(savedPredictor{
-		Version:   predictorVersion,
-		Names:     p.Names,
-		Chosen:    chosen,
-		TrainTime: p.TrainTime,
-		IPC:       ipc,
-		EPI:       epi,
+	err = json.NewEncoder(w).Encode(savedPredictor{
+		Version: predictorVersion,
+		Names:   p.Names,
+		Chosen:  chosen,
+		IPC:     ipc,
+		EPI:     epi,
 	})
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(nodes)
+	return err
 }
 
-func saveModel(m ml.Model) (savedModel, error) {
+// saveModel returns m's envelope and appends its forest's node images
+// to nodes.
+func saveModel(m ml.Model, nodes []byte) (savedModel, []byte, error) {
 	inner, lo, hi, ok := ml.UnwrapLogModel(m)
 	if !ok {
-		return savedModel{}, fmt.Errorf("model is not a log-target model")
+		return savedModel{}, nil, fmt.Errorf("model is not a log-target model")
 	}
 	forest, ok := inner.(*rf.Forest)
 	if !ok {
-		return savedModel{}, fmt.Errorf("inner model is %T, want *rf.Forest", inner)
+		return savedModel{}, nil, fmt.Errorf("inner model is %T, want *rf.Forest", inner)
 	}
-	return savedModel{Lo: lo, Hi: hi, Forest: forest}, nil
+	nodes, err := forest.AppendNodes(nodes)
+	return savedModel{Lo: lo, Hi: hi, Forest: forest.Header()}, nodes, err
 }
 
 // ErrFeatureLayout reports a predictor whose feature names are not this
@@ -122,23 +137,37 @@ func checkFeatureLayout(names []string) error {
 	return nil
 }
 
-// Field names of the Save form: the JSON names of savedPredictor and
-// savedModel.
+// Field names of the forms LoadPredictor reads: the JSON names of
+// savedPredictor, with the "train_time_ns" builds before version 3
+// wrote, and of savedModel.
 var (
 	predictorFields = []string{"version", "feature_names", "chosen", "train_time_ns", "ipc", "epi"}
 	modelFields     = []string{"log_lo", "log_hi", "forest"}
 )
 
-// LoadPredictor parses a predictor written by Save, in format version 2,
-// or by an older build in version 1, whose trees are five node arrays;
-// any other version fails with ErrBadModelVersion. It reads data in one
-// pass, the trees of each forest in parallel, and accepts a subset of
-// what encoding/json would (see internal/jsonread): in particular only
-// whitespace may follow the predictor object.
+// loadedModel is a savedModel as LoadPredictor reads it: the forest
+// itself in place of its header.
+type loadedModel struct {
+	lo, hi float64
+	forest *rf.Forest
+}
+
+// LoadPredictor parses a predictor written by Save, in format version 3,
+// or by an older build in version 2, whose trees are base64 node images
+// inside the JSON, or version 1, whose trees are five node arrays; any
+// other version fails with ErrBadModelVersion. It reads the JSON in one
+// pass (see internal/jsonread), which accepts a subset of what
+// encoding/json would, and then, for version 3, the node images after
+// it, whose length must be exactly what the node counts call for; only
+// whitespace may follow a version 1 or 2 predictor object. A version 3
+// forest must hold node counts and an older one must not. The trees of
+// a version 1 or 2 forest are read in parallel, and a version 3 forest
+// is built in one serial pass into one node arena. The TrainTime that
+// files older than version 3 hold is read back.
 func LoadPredictor(data []byte) (*Predictor, error) {
 	p := &Predictor{Chosen: map[Target]string{}}
 	version := 0
-	var ipc, epi savedModel
+	var ipc, epi loadedModel
 	r := jsonread.New(data)
 	err := r.Fields(predictorFields, func(field string) error {
 		var err error
@@ -162,24 +191,47 @@ func LoadPredictor(data []byte) (*Predictor, error) {
 		}
 		return err
 	})
-	if err == nil {
-		err = r.End()
-	}
 	if err != nil {
 		return nil, fmt.Errorf("napel: decoding predictor: %w", err)
 	}
-	if version != predictorVersion && version != oldPredictorVersion {
-		return nil, fmt.Errorf("%w: got %d, want %d or %d", ErrBadModelVersion, version, oldPredictorVersion, predictorVersion)
+	if version < oldPredictorVersion || version > predictorVersion {
+		return nil, fmt.Errorf("%w: got %d, want %d to %d", ErrBadModelVersion, version, oldPredictorVersion, predictorVersion)
 	}
-	if ipc.Forest == nil || epi.Forest == nil {
+	if ipc.forest == nil || epi.forest == nil {
 		return nil, fmt.Errorf("napel: predictor file is missing a model")
+	}
+	if err := readTail(r, data, version, ipc.forest, epi.forest); err != nil {
+		return nil, fmt.Errorf("napel: decoding predictor: %w", err)
 	}
 	if err := checkFeatureLayout(p.Names); err != nil {
 		return nil, err
 	}
-	p.IPC = ml.WrapLogModel(ipc.Forest, ipc.Lo, ipc.Hi)
-	p.EPI = ml.WrapLogModel(epi.Forest, epi.Lo, epi.Hi)
+	p.IPC = ml.WrapLogModel(ipc.forest, ipc.lo, ipc.hi)
+	p.EPI = ml.WrapLogModel(epi.forest, epi.lo, epi.hi)
 	return p, nil
+}
+
+// readTail reads what follows the predictor object r has read from
+// data: in version 3, exactly one '\n' and then the node images of the
+// IPC and EPI forests, whose headers r read; in an older version, only
+// whitespace.
+func readTail(r *jsonread.Reader, data []byte, version int, ipc, epi *rf.Forest) error {
+	for _, f := range []*rf.Forest{ipc, epi} {
+		if f.AwaitsNodes() != (version == predictorVersion) {
+			if version == predictorVersion {
+				return errors.New("a version 3 forest must hold node counts")
+			}
+			return fmt.Errorf("a version %d forest holds node counts", version)
+		}
+	}
+	if version != predictorVersion {
+		return r.End()
+	}
+	off := r.Offset()
+	if off == len(data) || data[off] != '\n' {
+		return fmt.Errorf("offset %d: want a newline after the version 3 header", off)
+	}
+	return rf.ReadNodes(data[off+1:], len(featureLayout()), ipc, epi)
 }
 
 // readNames reads the feature names. A name equal to the layout's name
@@ -226,16 +278,16 @@ func readChosen(r *jsonread.Reader, chosen map[Target]string) error {
 	})
 }
 
-func readModel(r *jsonread.Reader, m *savedModel) error {
+func readModel(r *jsonread.Reader, m *loadedModel) error {
 	return r.Fields(modelFields, func(field string) error {
 		var err error
 		switch field {
 		case "log_lo":
-			m.Lo, err = r.Float()
+			m.lo, err = r.Float()
 		case "log_hi":
-			m.Hi, err = r.Float()
+			m.hi, err = r.Float()
 		default: // "forest"
-			m.Forest, err = rf.ReadForest(r, len(featureLayout()))
+			m.forest, err = rf.ReadForest(r, len(featureLayout()))
 		}
 		return err
 	})

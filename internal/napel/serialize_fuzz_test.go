@@ -65,14 +65,15 @@ func savedBytes(tb testing.TB, p *Predictor) []byte {
 }
 
 // refPredictor and refForest are the model file as encoding/json
-// decoded it before LoadPredictor read it in one pass; refLoad applies
+// decoded it before LoadPredictor read it in one pass, with a version 3
+// file's node images read after it with encoding/binary; refLoad applies
 // that decoder's checks plus the feature layout check. They are the
 // differential reference FuzzLoadPredictor compares LoadPredictor with.
 type refPredictor struct {
 	Version   int               `json:"version"`
 	Names     []string          `json:"feature_names"`
 	Chosen    map[string]string `json:"chosen,omitempty"`
-	TrainTime time.Duration     `json:"train_time_ns"`
+	TrainTime time.Duration     `json:"train_time_ns,omitempty"`
 	IPC       refModel          `json:"ipc"`
 	EPI       refModel          `json:"epi"`
 }
@@ -83,15 +84,18 @@ type refModel struct {
 	Forest *refForest `json:"forest"`
 }
 
-// refForest has the field order of both forms of rf's forest: with
+// refForest has the field order of every form of rf's forest: with
 // Trees alone, marshaling its canonical form reproduces what a version 1
-// file held. A version 2 forest's Nodes, which encoding/json decodes
-// from base64 itself, are node images that expand turns into Trees.
+// file held, and with Nodes alone what a version 2 file held. A version
+// 2 forest's Nodes, which encoding/json decodes from base64 itself, and
+// the node images refLoad cuts from a version 3 file's tail along
+// NodeCounts, are what expand turns into Trees.
 type refForest struct {
 	Params     rf.Params `json:"params"`
 	Importance []float64 `json:"importance"`
 	Trees      []refTree `json:"trees,omitempty"`
 	Nodes      [][]byte  `json:"nodes,omitempty"`
+	NodeCounts []int     `json:"node_counts,omitempty"`
 }
 
 type refTree struct {
@@ -122,7 +126,7 @@ func (f *refForest) predict(x []float64) float64 {
 }
 
 // expand moves each node image of f into five node arrays, read as
-// rf's MarshalJSON writes a node: v as float64 bits, then feature and
+// rf's AppendNodes writes a node: v as float64 bits, then feature and
 // right as int32s, all little-endian, with a split's left child the next
 // node. It rejects a forest holding both layouts, an image of partial
 // nodes and a value no version 1 file can hold, NaN or ±Inf.
@@ -160,7 +164,7 @@ func (f *refForest) expand() error {
 }
 
 // canonical returns a copy of f with the fields no walk reads in the
-// form rf's MarshalJSON writes them: a leaf's feature -1 and its thresh,
+// form rf's AppendNodes writes them: a leaf's feature -1 and its thresh,
 // left and right 0, a split's value 0.
 func (f *refForest) canonical() *refForest {
 	c := *f
@@ -181,6 +185,30 @@ func (f *refForest) canonical() *refForest {
 			}
 		}
 		c.Trees[ti] = ct
+	}
+	return &c
+}
+
+// images returns a copy of f with its trees as version 2 node images, as
+// rf wrote them before version 3: the inverse of expand on a canonical
+// forest.
+func (f *refForest) images() *refForest {
+	c := *f
+	c.Trees, c.Nodes = nil, make([][]byte, len(f.Trees))
+	for ti, t := range f.Trees {
+		var im []byte
+		for ni, feat := range t.Feature {
+			v, right := t.Value[ni], int32(0)
+			if feat >= 0 {
+				v, right = t.Thresh[ni], t.Right[ni]
+			} else {
+				feat = -1
+			}
+			im = binary.LittleEndian.AppendUint64(im, math.Float64bits(v))
+			im = binary.LittleEndian.AppendUint32(im, uint32(int32(feat)))
+			im = binary.LittleEndian.AppendUint32(im, uint32(right))
+		}
+		c.Nodes[ti] = im
 	}
 	return &c
 }
@@ -221,16 +249,20 @@ func samePredictions(forest ml.Model, ref *refForest, rows [][]float64) error {
 
 func refLoad(data []byte) (*refPredictor, error) {
 	var in refPredictor
-	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&in); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if err := dec.Decode(&in); err != nil {
 		return nil, err
 	}
-	if in.Version != 1 && in.Version != 2 {
+	if in.Version < 1 || in.Version > 3 {
 		return nil, fmt.Errorf("version %d", in.Version)
 	}
 	if in.IPC.Forest == nil || in.EPI.Forest == nil {
 		return nil, fmt.Errorf("missing a model")
 	}
 	if err := checkFeatureLayout(in.Names); err != nil {
+		return nil, err
+	}
+	if err := refTail(&in, data[dec.InputOffset():]); err != nil {
 		return nil, err
 	}
 	for _, f := range []*refForest{in.IPC.Forest, in.EPI.Forest} {
@@ -257,6 +289,44 @@ func refLoad(data []byte) (*refPredictor, error) {
 		}
 	}
 	return &in, nil
+}
+
+// refTail checks what follows in's JSON. A version 1 or 2 file may hold
+// no node counts, and the reference ignores what follows its object.
+// A version 3 file holds node counts and nothing else in each forest,
+// and after its JSON one '\n' and the node images, exactly as many as the
+// counts call for, which refTail cuts into the forests' Nodes.
+func refTail(in *refPredictor, rest []byte) error {
+	forests := []*refForest{in.IPC.Forest, in.EPI.Forest}
+	if in.Version != 3 {
+		for _, f := range forests {
+			if f.NodeCounts != nil {
+				return fmt.Errorf("node counts in version %d", in.Version)
+			}
+		}
+		return nil
+	}
+	if len(rest) == 0 || rest[0] != '\n' {
+		return fmt.Errorf("no newline after the header")
+	}
+	tail := rest[1:]
+	for _, f := range forests {
+		if f.Trees != nil || f.Nodes != nil || f.NodeCounts == nil {
+			return fmt.Errorf("version 3 forest without node counts alone")
+		}
+		for ti, n := range f.NodeCounts {
+			if n <= 0 || n > len(tail)/16 {
+				return fmt.Errorf("tree %d: %d nodes, with %d bytes left", ti, n, len(tail))
+			}
+			f.Nodes = append(f.Nodes, tail[:16*n])
+			tail = tail[16*n:]
+		}
+		f.NodeCounts = nil
+	}
+	if len(tail) != 0 {
+		return fmt.Errorf("%d bytes after the last node", len(tail))
+	}
+	return nil
 }
 
 // sameAsRef reports how p differs from the reference decode of the same
@@ -312,34 +382,50 @@ func sameAsRef(p *Predictor, ref *refPredictor) error {
 }
 
 // canonicalJSON marshals a loaded forest in the reference's canonical
-// five-array form.
+// five-array form, read from what rf writes of it: its header and its
+// node images.
 func canonicalJSON(forest ml.Model) ([]byte, error) {
-	images, err := json.Marshal(forest)
+	f := forest.(*rf.Forest)
+	h := f.Header()
+	nodes, err := f.AppendNodes(nil)
 	if err != nil {
 		return nil, err
 	}
-	var f refForest
-	if err := json.Unmarshal(images, &f); err != nil {
+	ref := refForest{Params: h.Params, Importance: h.Importance}
+	for _, n := range h.NodeCounts {
+		ref.Nodes = append(ref.Nodes, nodes[:16*n])
+		nodes = nodes[16*n:]
+	}
+	if err := ref.expand(); err != nil {
 		return nil, err
 	}
-	if err := f.expand(); err != nil {
-		return nil, err
-	}
-	return json.Marshal(f.canonical())
+	return json.Marshal(ref.canonical())
 }
 
 // savedBytesV1 writes p in format version 1, five node arrays per tree,
 // byte for byte as Save wrote it before node images: the reference
-// decode of p's version 2 bytes, in canonical form, marshaled as Save
+// decode of p's version 3 bytes, in canonical form, marshaled as Save
 // encoded it.
 func savedBytesV1(tb testing.TB, p *Predictor) []byte {
+	tb.Helper()
+	return savedOld(tb, p, 1, (*refForest).canonical)
+}
+
+// savedBytesV2 writes p in format version 2, one base64 node image per
+// tree, as Save wrote it before version 3.
+func savedBytesV2(tb testing.TB, p *Predictor) []byte {
+	tb.Helper()
+	return savedOld(tb, p, 2, func(f *refForest) *refForest { return f.canonical().images() })
+}
+
+func savedOld(tb testing.TB, p *Predictor, version int, form func(*refForest) *refForest) []byte {
 	tb.Helper()
 	ref, err := refLoad(savedBytes(tb, p))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ref.Version = 1
-	ref.IPC.Forest, ref.EPI.Forest = ref.IPC.Forest.canonical(), ref.EPI.Forest.canonical()
+	ref.Version, ref.TrainTime = version, p.TrainTime
+	ref.IPC.Forest, ref.EPI.Forest = form(ref.IPC.Forest), form(ref.EPI.Forest)
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(ref); err != nil {
 		tb.Fatal(err)
@@ -456,22 +542,40 @@ func TestLoadPredictorTreeSpanSeeds(t *testing.T) {
 }
 
 // TestLoadPredictorImageSeeds pins the verdicts of the corpus seeds
-// aimed at node images: each defect fails with its own error, and an
-// image spelled with escapes, which both decoders unescape and whose
-// newlines base64 skips, loads as the reference decodes it.
+// aimed at node images, in version 2's base64 strings and in version
+// 3's tail: each defect fails with its own error, and a valid model, or
+// a version 2 image spelled with escapes, which both decoders unescape
+// and whose newlines base64 skips, loads as the reference decodes it.
 func TestLoadPredictorImageSeeds(t *testing.T) {
+	header := bytes.IndexByte(corpusSeed(t, "v3-model"), '\n')
 	for name, want := range map[string]string{
-		"v2-model":           "",
-		"v2-escaped-base64":  "",
-		"v2-bad-base64":      "rf: tree 0: node image: illegal base64 data at input byte 6",
-		"v2-partial-node":    "rf: tree 0: node image of 77 bytes is not whole 16-byte nodes",
-		"v2-empty-image":     "rf: tree 0 is empty",
-		"v2-feature-405":     "rf: tree 0 node 0 splits on feature 405 of 405",
-		"v2-right-not-after": "rf: tree 0 node 0 has an out-of-range right child",
-		"v2-right-past-tree": "rf: tree 0 node 0 has an out-of-range right child",
-		"v2-nan":             "rf: tree 0 node 4 holds NaN",
-		"v2-inf":             "rf: tree 0 node 4 holds -Inf",
-		"v2-trees-and-nodes": `rf: forest holds both "trees" and "nodes"`,
+		"v3-model":            "",
+		"v3-short-tail":       "rf: the node counts call for more than the 511 bytes of nodes that follow",
+		"v3-byte-past-tail":   "rf: 513 bytes of nodes follow, want 512 for 32 nodes",
+		"v3-no-newline":       fmt.Sprintf("offset %d: want a newline after the version 3 header", header),
+		"v3-crlf":             fmt.Sprintf("offset %d: want a newline after the version 3 header", header),
+		"v3-count-0":          "rf: tree 0 has a node count of 0",
+		"v3-count-minus-1":    "rf: tree 0 has a node count of -1",
+		"v3-count-2147483647": "rf: the node counts call for more than the 512 bytes of nodes that follow",
+		"v3-nan":              "rf: forest 0 tree 0 node 1 holds NaN",
+		"v3-inf":              "rf: forest 0 tree 0 node 0 holds +Inf",
+		"v3-minus-inf":        "rf: forest 0 tree 0 node 1 holds -Inf",
+		"v3-feature-405":      "rf: forest 0 tree 0 node 0 splits on feature 405 of 405",
+		"v3-right-not-after":  "rf: forest 0 tree 0 node 0 has an out-of-range right child",
+		"v3-right-past-tree":  "rf: forest 0 tree 0 node 0 has an out-of-range right child",
+		"v3-counts-and-nodes": `rf: forest holds both "nodes" and "node_counts"`,
+		"v2-with-tail":        "unexpected data after the top-level value",
+		"v2-model":            "",
+		"v2-escaped-base64":   "",
+		"v2-bad-base64":       "rf: tree 0: node image: illegal base64 data at input byte 6",
+		"v2-partial-node":     "rf: tree 0: node image of 77 bytes is not whole 16-byte nodes",
+		"v2-empty-image":      "rf: tree 0 is empty",
+		"v2-feature-405":      "rf: tree 0 node 0 splits on feature 405 of 405",
+		"v2-right-not-after":  "rf: tree 0 node 0 has an out-of-range right child",
+		"v2-right-past-tree":  "rf: tree 0 node 0 has an out-of-range right child",
+		"v2-nan":              "rf: tree 0 node 4 holds NaN",
+		"v2-inf":              "rf: tree 0 node 4 holds -Inf",
+		"v2-trees-and-nodes":  `rf: forest holds both "trees" and "nodes"`,
 	} {
 		data := corpusSeed(t, name)
 		p, err := LoadPredictor(data)
@@ -494,16 +598,17 @@ func TestLoadPredictorImageSeeds(t *testing.T) {
 	}
 }
 
-// TestVersion1SeedsResaveAsVersion2: every version 1 corpus seed that
-// loads saves as version 2, with node images and no node arrays, and
-// the re-saved model predicts bit for bit what the version 1 file's
-// reference walk predicts, on probeRows.
+// TestVersion1SeedsResaveAsVersion2: every version 1 and version 2
+// corpus seed that loads saves as version 3, with node counts and no
+// node arrays or images in its header, and the re-saved model predicts
+// bit for bit what the old file's reference walk predicts, on
+// probeRows.
 func TestVersion1SeedsResaveAsVersion2(t *testing.T) {
 	entries, err := os.ReadDir(filepath.Join("testdata", "fuzz", "FuzzLoadPredictor"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resaved := 0
+	resaved := map[int]int{}
 	for _, e := range entries {
 		data := corpusSeed(t, e.Name())
 		p, err := LoadPredictor(data)
@@ -514,14 +619,16 @@ func TestVersion1SeedsResaveAsVersion2(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reference: %v", e.Name(), err)
 		}
-		if ref.Version != 1 {
+		if ref.Version == 3 {
 			continue
 		}
-		v2 := savedBytes(t, p)
-		if !bytes.HasPrefix(v2, []byte(`{"version":2,`)) || !bytes.Contains(v2, []byte(`"nodes":["`)) || bytes.Contains(v2, []byte(`"trees"`)) {
-			t.Fatalf("%s: re-saved as %.60q..., not version 2 with node images", e.Name(), v2)
+		v3 := savedBytes(t, p)
+		header, _, _ := bytes.Cut(v3, []byte("\n"))
+		if !bytes.HasPrefix(header, []byte(`{"version":3,`)) || bytes.Count(header, []byte(`"node_counts":[`)) != 2 ||
+			bytes.Contains(header, []byte(`"trees"`)) || bytes.Contains(header, []byte(`"nodes"`)) {
+			t.Fatalf("%s: re-saved as %.60q..., not version 3 with node counts", e.Name(), v3)
 		}
-		again, err := LoadPredictor(v2)
+		again, err := LoadPredictor(v3)
 		if err != nil {
 			t.Fatalf("%s: re-saved model: %v", e.Name(), err)
 		}
@@ -534,38 +641,40 @@ func TestVersion1SeedsResaveAsVersion2(t *testing.T) {
 				t.Fatalf("%s: %v", e.Name(), err)
 			}
 		}
-		resaved++
+		resaved[ref.Version]++
 	}
-	if resaved < 5 {
-		t.Fatalf("only %d version 1 seeds load", resaved)
+	if resaved[1] < 5 || resaved[2] < 2 {
+		t.Fatalf("only %d version 1 and %d version 2 seeds load", resaved[1], resaved[2])
 	}
 }
 
 // TestLoadedForestMatchesReferenceWalk is the differential test of the
 // 16-byte node layout on a model shaped like a trained NAPEL predictor:
-// the trained forests and their Save→LoadPredictor copies predict, bit
-// for bit, what a walk over the saved five arrays predicts.
+// the trained forests and the LoadPredictor copies of their version 1, 2
+// and 3 files predict, bit for bit, what a walk over the five arrays the
+// reference decodes from each file predicts.
 func TestLoadedForestMatchesReferenceWalk(t *testing.T) {
 	p := synthPredictor(t, 80, 370)
-	data := savedBytes(t, p)
-	loaded, err := LoadPredictor(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := refLoad(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range []struct {
-		name          string
-		trained, load ml.Model
-		ref           *refForest
-	}{{"ipc", p.IPC, loaded.IPC, ref.IPC.Forest}, {"epi", p.EPI, loaded.EPI, ref.EPI.Forest}} {
-		rows := probeRows(m.ref, 1000, 2)
-		for _, model := range []ml.Model{m.trained, m.load} {
-			inner, _, _, _ := ml.UnwrapLogModel(model)
-			if err := samePredictions(inner, m.ref, rows); err != nil {
-				t.Fatalf("%s: %v", m.name, err)
+	for _, data := range [][]byte{savedBytesV1(t, p), savedBytesV2(t, p), savedBytes(t, p)} {
+		loaded, err := LoadPredictor(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := refLoad(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []struct {
+			name          string
+			trained, load ml.Model
+			ref           *refForest
+		}{{"ipc", p.IPC, loaded.IPC, ref.IPC.Forest}, {"epi", p.EPI, loaded.EPI, ref.EPI.Forest}} {
+			rows := probeRows(m.ref, 1000, 2)
+			for _, model := range []ml.Model{m.trained, m.load} {
+				inner, _, _, _ := ml.UnwrapLogModel(model)
+				if err := samePredictions(inner, m.ref, rows); err != nil {
+					t.Fatalf("version %d, %s: %v", ref.Version, m.name, err)
+				}
 			}
 		}
 	}
@@ -574,30 +683,38 @@ func TestLoadedForestMatchesReferenceWalk(t *testing.T) {
 // raceEnabled is set under -race (race_test.go).
 var raceEnabled bool
 
-// TestLoadPredictorAllocs pins the cost of a load, of either format
-// version, to one allocation per tree (its node arena) plus a constant,
-// so a return to reflective decoding, which allocates per node array and
-// per value, fails here. testing.AllocsPerRun counts at GOMAXPROCS 1,
-// where the caller reads every tree, so the load is also counted at
+// TestLoadPredictorAllocs pins the cost of a load. A version 1 or 2 file
+// costs one allocation per tree (its node arena) plus a constant, so a
+// return to reflective decoding, which allocates per node array and per
+// value, fails here. testing.AllocsPerRun counts at GOMAXPROCS 1, where
+// the caller reads every tree, so the load is also counted at
 // GOMAXPROCS 2 and 4, where rf.ReadForest reads on worker goroutines
 // too; each of those may add perWorker allocations (the goroutine and
-// its tree scratch), and nothing per tree.
+// its tree scratch), and nothing per tree. A version 3 file costs a
+// constant, one node arena per forest whatever its trees, at every
+// GOMAXPROCS.
 func TestLoadPredictorAllocs(t *testing.T) {
 	const treesPerTarget = 48
 	const perWorker = 2
+	const v3Limit = 40
 	p := synthPredictor(t, treesPerTarget, 40)
 	for _, v := range []struct {
-		name string
-		data []byte
-	}{{"v1", savedBytesV1(t, p)}, {"v2", savedBytes(t, p)}} {
+		name    string
+		data    []byte
+		limit   float64
+		workers bool // whether trees are read on worker goroutines
+	}{
+		{"v1", savedBytesV1(t, p), 2*treesPerTarget + 40, true},
+		{"v2", savedBytesV2(t, p), 2*treesPerTarget + 40, true},
+		{"v3", savedBytes(t, p), v3Limit, false},
+	} {
 		load := func() {
 			if _, err := LoadPredictor(v.data); err != nil {
 				t.Fatal(err)
 			}
 		}
-		limit := float64(2*treesPerTarget + 40)
-		if allocs := testing.AllocsPerRun(5, load); allocs > limit {
-			t.Fatalf("%s: LoadPredictor allocates %.0f/op for %d trees, want <= %.0f", v.name, allocs, 2*treesPerTarget, limit)
+		if allocs := testing.AllocsPerRun(5, load); allocs > v.limit {
+			t.Fatalf("%s: LoadPredictor allocates %.0f/op for %d trees, want <= %.0f", v.name, allocs, 2*treesPerTarget, v.limit)
 		}
 		if raceEnabled {
 			continue // the race detector changes allocation counts
@@ -614,8 +731,11 @@ func TestLoadPredictorAllocs(t *testing.T) {
 				}
 				runtime.ReadMemStats(&after)
 				allocs := float64(after.Mallocs-before.Mallocs) / runs
-				workers := 2 * (procs - 1) // per forest, beside the caller
-				if max := limit + float64(perWorker*workers); allocs > max {
+				max := v.limit
+				if v.workers {
+					max += float64(perWorker * 2 * (procs - 1)) // per forest, beside the caller
+				}
+				if allocs > max {
 					t.Errorf("%s: at GOMAXPROCS %d LoadPredictor allocates %.1f/op for %d trees, want <= %.0f", v.name, procs, allocs, 2*treesPerTarget, max)
 				}
 			}()
@@ -625,13 +745,14 @@ func TestLoadPredictorAllocs(t *testing.T) {
 
 // BenchmarkLoadPredictor loads a model shaped like a trained NAPEL
 // predictor, 80 trees per target of roughly 470 nodes each, in format
-// version 1 (five node arrays per tree) and version 2 (node images).
+// version 1 (five node arrays per tree), version 2 (base64 node images)
+// and version 3 (raw node images after the JSON).
 func BenchmarkLoadPredictor(b *testing.B) {
 	p := synthPredictor(b, 80, 370)
 	for _, v := range []struct {
 		name string
 		data []byte
-	}{{"v1", savedBytesV1(b, p)}, {"v2", savedBytes(b, p)}} {
+	}{{"v1", savedBytesV1(b, p)}, {"v2", savedBytesV2(b, p)}, {"v3", savedBytes(b, p)}} {
 		b.Run(v.name, func(b *testing.B) {
 			b.SetBytes(int64(len(v.data)))
 			b.ReportAllocs()

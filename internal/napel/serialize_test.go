@@ -60,6 +60,34 @@ func TestPredictorSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSaveIsDeterministic: two trainings on the same data with the same
+// seed save to the same bytes, so they serve under one content version.
+// No wall-clock field, such as the training time, enters the file.
+func TestSaveIsDeterministic(t *testing.T) {
+	td, err := Collect(quickKernels(t, "atax"), quickOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved [2][]byte
+	for i := range saved {
+		pred, err := Train(td, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := pred.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		saved[i] = buf.Bytes()
+	}
+	if !bytes.Equal(saved[0], saved[1]) {
+		t.Fatalf("two trainings with one seed saved different bytes:\n%.300s\n%.300s", saved[0], saved[1])
+	}
+	if bytes.Contains(saved[0], []byte("train_time")) {
+		t.Fatal("the saved model holds a training time")
+	}
+}
+
 func TestLoadPredictorRejectsGarbage(t *testing.T) {
 	if _, err := LoadPredictor([]byte("not json")); err == nil {
 		t.Fatal("garbage accepted")
@@ -70,28 +98,42 @@ func TestLoadPredictorRejectsGarbage(t *testing.T) {
 	if _, err := LoadPredictor([]byte(`{"version":1,"feature_names":[]}`)); err == nil {
 		t.Fatal("missing models accepted")
 	}
-	// Only whitespace may follow the predictor object: a model file
-	// with bytes appended, or two concatenated, must not load as the
-	// first model.
-	model := savedBytes(t, synthPredictor(t, 2, 8))
-	if _, err := LoadPredictor(append(append([]byte(nil), model...), " \n\t"...)); err != nil {
-		t.Fatalf("trailing whitespace rejected: %v", err)
-	}
-	for _, tail := range []string{"garbage", "{}", string(model)} {
-		if _, err := LoadPredictor(append(append([]byte(nil), model...), tail...)); err == nil {
-			t.Fatalf("model followed by %.20q accepted", tail)
+	// Only whitespace may follow a version 1 or 2 predictor object, and
+	// nothing may follow a version 3 file's last node: a model file with
+	// bytes appended, or two concatenated, must not load as the first
+	// model.
+	p := synthPredictor(t, 2, 8)
+	for _, v := range []struct {
+		name       string
+		model      []byte
+		whitespace bool // whether trailing whitespace loads
+	}{{"v1", savedBytesV1(t, p), true}, {"v2", savedBytesV2(t, p), true}, {"v3", savedBytes(t, p), false}} {
+		_, err := LoadPredictor(append(append([]byte(nil), v.model...), " \n\t"...))
+		if v.whitespace && err != nil {
+			t.Fatalf("%s: trailing whitespace rejected: %v", v.name, err)
+		}
+		tails := []string{"garbage", "{}", string(v.model)}
+		if !v.whitespace {
+			tails = append(tails, " \n\t", "\n", " ", "\x00")
+		}
+		for _, tail := range tails {
+			if _, err := LoadPredictor(append(append([]byte(nil), v.model...), tail...)); err == nil {
+				t.Fatalf("%s: model followed by %.20q accepted", v.name, tail)
+			}
 		}
 	}
 }
 
 // TestLoadPredictorTruncated: every strict prefix class of a saved
-// model — empty, cut mid-token, cut mid-tree, missing its last two
+// model — empty, cut mid-token, cut mid-forest in the header, at the
+// header's end, before the first node, mid-node, missing its last two
 // bytes — must fail without matching the version sentinel, because a
 // truncated model is corruption, not a format upgrade.
 func TestLoadPredictorTruncated(t *testing.T) {
 	full := savedBytes(t, synthPredictor(t, 2, 8))
-	midTree := bytes.Index(full, []byte(`"thresh":[`)) + 12
-	for _, cut := range []int{0, 1, 5, midTree, len(full) / 2, len(full) - 2} {
+	header := bytes.IndexByte(full, '\n')
+	midForest := bytes.Index(full, []byte(`"node_counts":[`)) + 16
+	for _, cut := range []int{0, 1, 5, midForest, header, header + 1, header + 9, len(full) / 2, len(full) - 2} {
 		_, err := LoadPredictor(full[:cut])
 		if err == nil {
 			t.Fatalf("truncation at %d/%d bytes accepted", cut, len(full))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -137,12 +138,14 @@ func mustCopy(t *testing.T, from, to string) {
 	}
 }
 
-// version1Model returns a model file in format version 1, five node
-// arrays per tree, as builds before node images wrote it: the model
-// seed of internal/napel's FuzzLoadPredictor corpus.
-func version1Model(t *testing.T) []byte {
+// corpusModel returns the model file of a seed of internal/napel's
+// FuzzLoadPredictor corpus, checking its format version. The "model"
+// seed holds a predictor in format version 1, five node arrays per tree,
+// and the "v2-model" seed the same predictor in version 2, a base64 node
+// image per tree, as builds before version 3 wrote them.
+func corpusModel(t *testing.T, name string, version int) []byte {
 	t.Helper()
-	raw, err := os.ReadFile(filepath.Join("..", "napel", "testdata", "fuzz", "FuzzLoadPredictor", "model"))
+	raw, err := os.ReadFile(filepath.Join("..", "napel", "testdata", "fuzz", "FuzzLoadPredictor", name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,31 +154,33 @@ func version1Model(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(data, `{"version":1,`) {
-		t.Fatalf("model seed is not version 1: %.40q", data)
+	if !strings.HasPrefix(data, fmt.Sprintf(`{"version":%d,`, version)) {
+		t.Fatalf("%s seed is not version %d: %.40q", name, version, data)
 	}
 	return []byte(data)
 }
 
-// TestVersion1AndItsResaveServeAlike: a version 1 model file and its
-// version 2 re-save, each installed through the registry, answer the
-// same /v1/predict with the same bytes but for model_version.
+// TestVersion1AndItsResaveServeAlike: one model in format versions 1 and
+// 2 and its version 3 re-save, each installed through the registry,
+// answer the same /v1/predict with the same bytes but for model_version,
+// which is each file's content version.
 func TestVersion1AndItsResaveServeAlike(t *testing.T) {
 	f := fixture(t)
-	v1 := version1Model(t)
+	v1 := corpusModel(t, "model", 1)
 	p, err := napel.LoadPredictor(v1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v2 bytes.Buffer
-	if err := p.Save(&v2); err != nil {
+	var v3 bytes.Buffer
+	if err := p.Save(&v3); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(v2.Bytes(), []byte(`{"version":2,`)) {
-		t.Fatalf("re-save is not version 2: %.40q", v2.Bytes())
+	if !bytes.HasPrefix(v3.Bytes(), []byte(`{"version":3,`)) {
+		t.Fatalf("re-save is not version 3: %.40q", v3.Bytes())
 	}
+	files := [][]byte{v1, corpusModel(t, "v2-model", 2), v3.Bytes()}
 	path := filepath.Join(t.TempDir(), "model.json")
-	if err := os.WriteFile(path, v1, 0o644); err != nil {
+	if err := os.WriteFile(path, files[0], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s, err := New(Config{ModelPaths: map[string]string{DefaultModelName: path}})
@@ -205,18 +210,26 @@ func TestVersion1AndItsResaveServeAlike(t *testing.T) {
 		}
 		return rest, version
 	}
-	fromV1, versionV1 := answer()
-	if err := os.WriteFile(path, v2.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if resp, body := postJSON(t, ts.URL+"/v1/models/reload", nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("reload: status %d: %s", resp.StatusCode, body)
-	}
-	fromV2, versionV2 := answer()
-	if versionV1 == versionV2 || versionV1 != ContentVersion(v1) || versionV2 != ContentVersion(v2.Bytes()) {
-		t.Fatalf("model versions %s and %s, want the two files' content versions", versionV1, versionV2)
-	}
-	if !bytes.Equal(fromV1, fromV2) {
-		t.Fatalf("answers differ:\nversion 1: %s\nversion 2: %s", fromV1, fromV2)
+	var first []byte
+	versions := map[string]bool{}
+	for i, data := range files {
+		if i > 0 {
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if resp, body := postJSON(t, ts.URL+"/v1/models/reload", nil); resp.StatusCode != http.StatusOK {
+				t.Fatalf("reload: status %d: %s", resp.StatusCode, body)
+			}
+		}
+		got, version := answer()
+		if version != ContentVersion(data) || versions[version] {
+			t.Fatalf("version %d file serves model version %s, want its own content version %s", i+1, version, ContentVersion(data))
+		}
+		versions[version] = true
+		if i == 0 {
+			first = got
+		} else if !bytes.Equal(got, first) {
+			t.Fatalf("answers differ:\nversion 1: %s\nversion %d: %s", first, i+1, got)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"napel/internal/atomicfile"
 	"napel/internal/resilience/faultpoint"
 )
 
@@ -82,6 +84,66 @@ func TestReadyzLifecycle(t *testing.T) {
 	}
 	if code, _ := getBody(t, ts.URL+"/healthz"); code != 200 {
 		t.Fatalf("/healthz while draining = %d, want 200", code)
+	}
+}
+
+// TestLazyFollowInstallsFirstModelWithinTwoPolls: a lazy follower whose
+// model file appears only after five follow polls found none installs it
+// within two follow intervals, with the reload breaker closed and no
+// follow failure counted: a poll that finds no model before the first
+// install is not a failure, so the polls before the file existed did not
+// trip the breaker into its cool-down.
+func TestLazyFollowInstallsFirstModelWithinTwoPolls(t *testing.T) {
+	f := fixture(t)
+	modelPath := filepath.Join(t.TempDir(), "model.json")
+	const interval = 200 * time.Millisecond
+	s, err := New(Config{
+		ModelPaths:     map[string]string{DefaultModelName: modelPath},
+		LazyLoad:       true,
+		FollowInterval: interval,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- s.serve(ctx, ln) }()
+	defer func() {
+		cancel()
+		<-done
+	}()
+	url := "http://" + ln.Addr().String()
+
+	time.Sleep(time.Second)
+	data, err := os.ReadFile(f.modelA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := atomicfile.WriteFileData(modelPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	written := time.Now()
+	for {
+		code, body := getBody(t, url+"/readyz")
+		if code == http.StatusOK {
+			var ready struct{ Degraded bool }
+			if err := json.Unmarshal([]byte(body), &ready); err != nil || ready.Degraded {
+				t.Fatalf("/readyz once ready: %s (%v)", body, err)
+			}
+			break
+		}
+		if time.Since(written) > 2*interval {
+			t.Fatalf("/readyz still %d %s after the file was written", code, time.Since(written).Round(time.Millisecond))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	_, metrics := getBody(t, url+"/metrics")
+	if v := metricValue(t, metrics, "napel_serve_follow_failures_total"); v != 0 {
+		t.Fatalf("napel_serve_follow_failures_total = %g, want 0", v)
 	}
 }
 

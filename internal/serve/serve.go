@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"log/slog"
 	"math"
 	"net"
@@ -453,7 +454,12 @@ func (s *Server) install(force bool) ([]*Model, error) {
 // tick: while it is open, reload returns resilience.ErrBreakerOpen
 // without touching a source, counted as a short-circuit; once the
 // cool-down passes a probe decides whether to resume. A failed follow
-// poll also counts in napel_serve_follow_failures_total.
+// poll also counts in napel_serve_follow_failures_total. Before the
+// first generation is installed, a follow poll that finds no model (a
+// missing file, or a store with nothing promoted) is a poll that found
+// nothing new, not a failure: a lazy follower then installs the first
+// model one poll after it appears. A model that is there but does not
+// load still fails.
 func (s *Server) reload(ctx context.Context, force bool) ([]*Model, error) {
 	if err := s.reloadBreaker.Allow(); err != nil {
 		return nil, err
@@ -462,6 +468,9 @@ func (s *Server) reload(ctx context.Context, force bool) ([]*Model, error) {
 	var models []*Model
 	if err == nil {
 		models, err = s.install(force)
+		if !force && errors.Is(err, fs.ErrNotExist) && !s.registry.Ready() {
+			err = nil
+		}
 	}
 	if err != nil {
 		if !force {

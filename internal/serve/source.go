@@ -7,8 +7,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
+	"io/fs"
 	"net/http"
 	"os"
 	"strings"
@@ -16,16 +16,18 @@ import (
 	"time"
 
 	"napel/internal/obs"
+	"napel/internal/xhash"
 )
 
 // ModelSource supplies one model's serialized bytes plus a serving
 // version. The registry is source-agnostic: a local file written by
 // `napel train` and a blob pulled from napel-traind's model store over
 // HTTP install identically, and -follow polls whichever kind is
-// configured. The serving version is always the FNV-64a content hash of
-// the bytes — the same identity a filesystem registry computes — so a
-// prediction carries the same model_version no matter which transport
-// delivered the weights (loadgen's prober depends on this).
+// configured. The serving version is always the content version of the
+// bytes (ContentVersion) — the same identity a filesystem registry
+// computes — so a prediction carries the same model_version no matter
+// which transport delivered the weights (loadgen's prober depends on
+// this).
 type ModelSource interface {
 	// Describe identifies the source in errors and the /v1/models
 	// listing: a file path or a store URL.
@@ -46,13 +48,15 @@ type ModelSource interface {
 // generation.
 var ErrCorruptModelPull = errors.New("serve: pulled model blob corrupt")
 
-// ContentVersion is the serving identity of a model: FNV-64a over the
-// serialized bytes, formatted as 16 hex digits. Responses carry it as
-// model_version.
+// ContentVersion is the serving identity of a model: xhash.Sum64 over
+// the serialized bytes, formatted as 16 hex digits. Responses carry it
+// as model_version. Every process computes it from the bytes alone, and
+// nothing stores it, so replicas, the gate's consensus and the prober
+// agree on it as long as they run builds with the same hash: builds
+// before format version 3 hashed with FNV-64a, and gave every file
+// another version.
 func ContentVersion(data []byte) string {
-	h := fnv.New64a()
-	h.Write(data)
-	return fmt.Sprintf("%016x", h.Sum64())
+	return fmt.Sprintf("%016x", xhash.Sum64(data))
 }
 
 // FileSource reads a model from a local file — the original registry
@@ -170,6 +174,11 @@ func (s *StoreSource) currentHash() (string, error) {
 	}
 	defer span.End()
 	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNotFound {
+		// Nothing is promoted yet: the store's analogue of a model file
+		// that does not exist.
+		return "", notFound{storeHTTPError(resp, "current lineage")}
+	}
 	if resp.StatusCode != http.StatusOK {
 		return "", storeHTTPError(resp, "current lineage")
 	}
@@ -224,3 +233,8 @@ func storeHTTPError(resp *http.Response, what string) error {
 	}
 	return fmt.Errorf("serve: store %s: HTTP %d: %s", what, resp.StatusCode, msg)
 }
+
+// notFound is an error that errors.Is matches to fs.ErrNotExist.
+type notFound struct{ error }
+
+func (notFound) Is(target error) bool { return target == fs.ErrNotExist }

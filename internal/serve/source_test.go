@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"io/fs"
 	"net/http/httptest"
 	"os"
 	"testing"
@@ -211,6 +212,15 @@ func TestStoreSourceLazyStart(t *testing.T) {
 	}
 	if s.Ready() {
 		t.Fatal("ready before any promotion")
+	}
+	// An empty store answers 404 on its current lineage, which reads as
+	// a model that does not exist yet, and a follow poll that finds it
+	// so is no failure.
+	if _, _, _, err := (&StoreSource{URL: srv.URL}).Poll(""); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("poll of an empty store: %v, want an error matching fs.ErrNotExist", err)
+	}
+	if _, err := s.reload(context.Background(), false); err != nil || s.Ready() {
+		t.Fatalf("follow poll of an empty store: %v, ready %v", err, s.Ready())
 	}
 	promote(f.modelA)
 	deadline := time.Now().Add(5 * time.Second)

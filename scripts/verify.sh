@@ -237,10 +237,17 @@ go build -o "$tmp/" ./cmd/napel ./cmd/napel-serve ./cmd/napel-traind \
 "$tmp/napel" train -kernels atax -train-scale 32 \
     -train-sim-budget 20000 -train-profile-budget 20000 \
     -out "$tmp/model.json" >/dev/null
-# Saved models are format version 2, each tree a base64 node image, so
-# every later stage runs on that layout.
-jq -e '.version == 2 and ([.ipc.forest, .epi.forest]
-    | all(has("nodes") and (has("trees") | not)))' "$tmp/model.json" >/dev/null     || fail "model.json is not version 2 with node images: $(head -c 200 "$tmp/model.json")"
+# Saved models are format version 3: a one-line JSON header whose
+# forests count their trees' nodes, then the nodes themselves, 16 raw
+# bytes each, and nothing else. Every later stage runs on that layout.
+head -n1 "$tmp/model.json" | jq -e '.version == 3 and ([.ipc.forest, .epi.forest]
+    | all(has("node_counts") and (has("nodes") | not) and (has("trees") | not)))' >/dev/null \
+    || fail "model.json header is not version 3 with node counts: $(head -c 200 "$tmp/model.json")"
+header_bytes=$(head -n1 "$tmp/model.json" | wc -c)
+nodes=$(head -n1 "$tmp/model.json" | jq '[.ipc.forest, .epi.forest | .node_counts[]] | add')
+model_bytes=$(wc -c <"$tmp/model.json")
+[ "$model_bytes" -eq $((header_bytes + 16 * nodes)) ] \
+    || fail "model.json is $model_bytes bytes, want a $header_bytes-byte header line and $nodes 16-byte nodes"
 "$tmp/napel" export-profile -kernel atax -scale 32 -max-iters 1 \
     -budget 20000 -out "$tmp/req.json"
 
