@@ -15,8 +15,7 @@
 // or divide (Clinger's fast path) or in 128-bit integer arithmetic
 // (exponents within ±27), it is rounded there; longer mantissas, larger
 // exponents and every malformed literal go through strconv.ParseFloat
-// and strconv.ParseInt as before. Span lets several goroutines read the
-// elements of one array at once. The reader accepts a subset of what
+// and strconv.ParseInt as before. The reader accepts a subset of what
 // encoding/json accepts, and for a document both accept it yields the
 // same values:
 //
@@ -724,80 +723,10 @@ func (r *Reader) Skip() error {
 	}
 }
 
-// Span consumes the next value without checking it and returns a
-// Reader over just its bytes, positioned to read it back. An object or
-// array ends where its brackets balance, counted outside strings; a
-// string ends at its closing quote; anything else ends at the next
-// whitespace, ',', ':', ']' or '}'. A value that never ends runs to the
-// end of the data.
-//
-// Nothing in the span is checked until it is read back. The span reader
-// starts at the value's absolute offset and at r's nesting depth, and
-// no byte past the span can change how the value reads, so reading one
-// value from it yields what reading in place yields: the same value, or
-// the same error at the same offset. End then fails unless the span
-// held only that value. Spans of one document share its bytes read-only,
-// so each can be read on its own goroutine.
-func (r *Reader) Span() Reader {
-	r.ws()
-	start := r.pos
-	r.pos = spanEnd(r.data, start)
-	return Reader{data: r.data[:r.pos], pos: start, depth: r.depth}
-}
-
-// spanEnd returns the end of the value starting at d[i] as Span
-// delimits it.
-func spanEnd(d []byte, i int) int {
-	if i == len(d) {
-		return i
-	}
-	switch d[i] {
-	case '"':
-		return stringEnd(d, i)
-	case '{', '[':
-		depth := 0
-		for ; i < len(d); i++ {
-			if i+8 <= len(d) && plainWord(binary.LittleEndian.Uint64(d[i:])) {
-				i += 7
-				continue
-			}
-			switch d[i] {
-			case '"':
-				i = stringEnd(d, i) - 1
-			case '{', '[':
-				depth++
-			case '}', ']':
-				if depth--; depth == 0 {
-					return i + 1
-				}
-			}
-		}
-		return len(d)
-	}
-	for i++; i < len(d); i++ {
-		switch d[i] {
-		case ' ', '\t', '\n', '\r', ',', ':', ']', '}':
-			return i
-		}
-	}
-	return i
-}
-
-// plainWord reports whether all 8 bytes of x lie in 0x23..0x3f: digits,
-// signs, '.', ',' and ':', none of which opens or closes a value. Most
-// of a model file is such runs, and testing 8 bytes at once makes Span
-// over them about four times faster than testing each.
-func plainWord(x uint64) bool {
-	const ones, highs = 0x0101010101010101, 0x8080808080808080
-	below := (x - ones*0x23) &^ x       // a high bit set iff some byte < 0x23
-	above := (x + ones*(0x7f-0x3f)) | x // a high bit set iff some byte > 0x3f
-	return (below|above)&highs == 0
-}
-
 // plainString reports whether none of x's 8 bytes ends a run of string
 // bytes str copies as they are: no '"', '\\', control byte or non-ASCII
-// byte. A model file is mostly base64 strings, and testing 8 bytes at
-// once keeps reading them off its critical path.
+// byte. A version 2 model file is mostly base64 strings, and testing 8
+// bytes at once keeps reading them off its load's critical path.
 func plainString(x uint64) bool {
 	const ones, highs = 0x0101010101010101, 0x8080808080808080
 	// (v - ones) &^ v has a high bit set iff some byte of v is 0, and
@@ -806,31 +735,6 @@ func plainString(x uint64) bool {
 	quote, backslash := x^ones*'"', x^ones*'\\'
 	stop := (quote-ones)&^quote | (backslash-ones)&^backslash | (x-ones*' ')&^x | x
 	return stop&highs == 0
-}
-
-// stringEnd returns the index just past the closing quote of the string
-// starting at d[i] (a '"'), or len(d) if it is unterminated. It jumps to
-// each candidate quote, then past the escapes before it, so it reads
-// every byte at most twice, each time through bytes.IndexByte.
-func stringEnd(d []byte, i int) int {
-	i++
-	for {
-		q := bytes.IndexByte(d[i:], '"')
-		if q < 0 {
-			return len(d)
-		}
-		q += i
-		for {
-			b := bytes.IndexByte(d[i:q], '\\')
-			if b < 0 {
-				return q + 1
-			}
-			i += b + 2 // past the backslash and the byte it escapes
-			if i > q {
-				break // the escaped byte was the quote at q
-			}
-		}
-	}
 }
 
 // Offset returns the offset just past the value last read, before any

@@ -90,27 +90,10 @@ func TestArrayLen(t *testing.T) {
 	}
 }
 
-// TestPlainWord checks Span's 8-byte test against testing each byte,
-// for every pair of byte values at several pairs of positions in a word
-// of digits, so that a borrow or carry out of one byte cannot hide the
-// other.
-func TestPlainWord(t *testing.T) {
-	plain := func(c byte) bool { return 0x23 <= c && c <= 0x3f }
-	for _, at := range [][2]int{{0, 1}, {3, 4}, {6, 7}, {0, 7}} {
-		for a := range 256 {
-			for b := range 256 {
-				w := []byte("01234567")
-				w[at[0]], w[at[1]] = byte(a), byte(b)
-				if got, want := plainWord(binary.LittleEndian.Uint64(w)), plain(byte(a)) && plain(byte(b)); got != want {
-					t.Fatalf("plainWord(%q) = %v, want %v", w, got, want)
-				}
-			}
-		}
-	}
-}
-
 // TestPlainString checks str's 8-byte test against testing each byte,
-// as TestPlainWord checks Span's.
+// for every pair of byte values at several pairs of positions in a word
+// of letters, so that a borrow or carry out of one byte cannot hide the
+// other.
 func TestPlainString(t *testing.T) {
 	plain := func(c byte) bool { return c >= ' ' && c < 0x80 && c != '"' && c != '\\' }
 	for _, at := range [][2]int{{0, 1}, {3, 4}, {6, 7}, {0, 7}} {
@@ -127,8 +110,8 @@ func TestPlainString(t *testing.T) {
 }
 
 // stringSeeds returns strings with a byte that ends str's plain run, or
-// an escape Span must step over, at every offset mod 8 from the opening
-// quote, alone and as an array element.
+// an escape, at every offset mod 8 from the opening quote, alone and as
+// an array element.
 func stringSeeds() []string {
 	var seeds []string
 	for _, special := range []string{`"`, `\"`, `\\`, `\u0041`, "\x1f", "é", "\xff"} {
@@ -145,10 +128,7 @@ func stringSeeds() []string {
 // number the reader accepts decodes to what encoding/json decodes, and
 // Int accepts and rejects what encoding/json does for int64 and int32.
 // On a number literal, Float accepts and rejects what strconv.ParseFloat
-// does, and agrees with it bit for bit. It also checks Span against
-// Skip: a value Skip accepts whole is exactly its span and reads back
-// from it, and on any bytes, skipping from the span gives the error, or
-// the end, that skipping in place gives.
+// does, and agrees with it bit for bit.
 func FuzzReader(f *testing.F) {
 	for _, s := range []string{
 		`{"a":[1,2.5e-3,-0,true,false,null,"x"]}`, `"😀\ud800A\/\b\f\n\r\t\"\\"`,
@@ -169,7 +149,6 @@ func FuzzReader(f *testing.F) {
 		if ok := whole(string(data), (*Reader).Skip) == nil; ok != json.Valid(data) {
 			t.Fatalf("Skip accepted=%v, json.Valid=%v", ok, !ok)
 		}
-		checkSpan(t, data)
 		checkInt[int64](t, data, 64)
 		checkInt[int32](t, data, 32)
 		var s string
@@ -192,29 +171,6 @@ func FuzzReader(f *testing.F) {
 			}
 		}
 	})
-}
-
-// checkSpan compares reading data's first value from its span with
-// reading it in place.
-func checkSpan(t *testing.T, data []byte) {
-	in := New(data)
-	inErr := in.Skip()
-	sr := New(data)
-	span := sr.Span()
-	start := span.pos
-	spanErr := span.Skip()
-	if fmt.Sprint(spanErr) != fmt.Sprint(inErr) || (inErr == nil && span.pos != in.pos) {
-		t.Fatalf("Skip from the span: %v, end %d; in place: %v, end %d", spanErr, span.pos, inErr, in.pos)
-	}
-	if whole(string(data), (*Reader).Skip) != nil {
-		return
-	}
-	if value := bytes.TrimSpace(data); !bytes.Equal(span.data[start:], value) {
-		t.Fatalf("span %q, want the whole value %q", span.data[start:], value)
-	}
-	if err := span.End(); err != nil {
-		t.Fatalf("span of a whole value: %v after reading it back", err)
-	}
 }
 
 // checkInt compares Int(bitSize) on data with encoding/json decoding

@@ -6,11 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"napel/internal/jsonread"
 )
@@ -76,21 +73,21 @@ var (
 //
 // A forest holding two of the keys is refused. ReadForest accepts what
 // jsonread accepts and checks what walking the trees relies on: at
-// least one tree, no empty tree, and every split on a feature below
-// numFeatures with its left child the next node and its right child
-// after it in its tree, as Train lays trees out, so a walk can neither
-// index out of range nor loop. An image must hold whole nodes and
-// finite values; a tree's arrays must be of equal length; a node count
+// least one tree, no empty tree, and every node as setNode checks it, so
+// a walk can neither index out of range nor loop. An image must hold
+// whole nodes; a tree's arrays must be of equal length; a node count
 // must be positive. Fields no walk reads are dropped: a leaf's feature
 // reads back as -1 and its right child as 0, and in the five arrays a
-// split's value and a leaf's thresh, left and right are ignored.
+// split's value and a leaf's thresh, left and right are ignored. The
+// forest reports an OOBMRE of -1, since no form stores it.
 //
-// The trees of the first two forms are read on up to GOMAXPROCS
-// goroutines (see readTrees), yet ReadForest accepts, returns and fails
-// exactly as a serial read would.
+// The trees of the first two forms are read in place, one after another,
+// so ReadForest fails with the error of the first defective tree; a
+// syntax error also names its tree.
 func ReadForest(r *jsonread.Reader, numFeatures int) (*Forest, error) {
-	f := &Forest{}
+	f := &Forest{oobMRE: -1}
 	layout := ""
+	var s treeScratch
 	err := r.Fields(forestFields, func(field string) error {
 		switch field {
 		case "params":
@@ -111,22 +108,31 @@ func ReadForest(r *jsonread.Reader, numFeatures int) (*Forest, error) {
 		if field == "node_counts" {
 			return readCounts(r, f)
 		}
-		read := readTree
-		if field == "nodes" {
-			read = readImage
-		}
-		var spans []jsonread.Reader
+		inTree := false
 		err := r.Array(func() error {
-			spans = append(spans, r.Span())
+			ti := len(f.trees)
+			var nodes []node
+			var err error
+			switch field {
+			case "trees":
+				nodes, err = readTree(r, ti, numFeatures, &s)
+			default: // "nodes"
+				nodes, err = readImage(r, ti, numFeatures, &s)
+			}
+			if err == nil && len(nodes) == 0 {
+				err = fmt.Errorf("rf: tree %d is empty", ti)
+			}
+			if err != nil {
+				inTree = true
+				return err
+			}
+			f.trees = append(f.trees, tree{nodes: nodes})
 			return nil
 		})
-		// A defective tree lies before anything Array rejects, so a
-		// serial read would have failed on the tree first.
-		trees, terr := readTrees(spans, numFeatures, read)
-		if terr != nil {
-			return terr
+		// The failed tree was not appended, so its index is len(f.trees).
+		if inTree && errors.As(err, new(*jsonread.SyntaxError)) {
+			return fmt.Errorf("rf: tree %d: %w", len(f.trees), err)
 		}
-		f.trees = trees
 		return err
 	})
 	if err != nil {
@@ -163,9 +169,8 @@ func (f *Forest) AwaitsNodes() bool { return f.counts != nil }
 // must be exactly what the node counts call for, which is checked before
 // anything is allocated, so ReadNodes allocates in proportion to
 // len(data). It builds each forest in one serial pass into one node
-// arena, copying every node and checking it as a version 2 image's node
-// is checked, and keeps no reference to data. An error names a forest by
-// its index among forests.
+// arena, copying every node and checking it with setNode, and keeps no
+// reference to data. An error names a forest by its index among forests.
 func ReadNodes(data []byte, numFeatures int, forests ...*Forest) error {
 	total := 0
 	for fi, f := range forests {
@@ -203,59 +208,6 @@ func ReadNodes(data []byte, numFeatures int, forests ...*Forest) error {
 	return nil
 }
 
-// treeReader reads tree ti from r into a new node arena, using s for
-// scratch.
-type treeReader func(r *jsonread.Reader, ti, numFeatures int, s *treeScratch) ([]node, error)
-
-// readTrees reads one tree from each span with read, and nothing after
-// it, on min(GOMAXPROCS, len(spans)) goroutines that each keep their
-// own scratch. Spans give every tree the offsets and depths of a serial
-// read, so the error returned, that of the lowest-index tree that
-// fails, is the error a serial read stops at; a syntax error, which
-// carries only its offset, gains the tree's index.
-func readTrees(spans []jsonread.Reader, numFeatures int, read treeReader) ([]tree, error) {
-	trees := make([]tree, len(spans))
-	errs := make([]error, len(spans))
-	var next atomic.Int64
-	work := func() {
-		s := scratchPool.Get().(*treeScratch)
-		defer scratchPool.Put(s)
-		for {
-			ti := int(next.Add(1) - 1)
-			if ti >= len(spans) {
-				return
-			}
-			r := &spans[ti]
-			nodes, err := read(r, ti, numFeatures, s)
-			if err == nil {
-				err = r.End()
-			}
-			trees[ti].nodes, errs[ti] = nodes, err
-		}
-	}
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), len(spans)) - 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	for ti, err := range errs {
-		if err == nil {
-			continue
-		}
-		var syntax *jsonread.SyntaxError
-		if errors.As(err, &syntax) {
-			return nil, fmt.Errorf("rf: tree %d: %w", ti, err)
-		}
-		return nil, err
-	}
-	return trees, nil
-}
-
 func readParams(r *jsonread.Reader, p *Params) error {
 	return r.Fields(paramsFields, func(field string) error {
 		if field == "SampleFrac" {
@@ -279,8 +231,8 @@ func readParams(r *jsonread.Reader, p *Params) error {
 }
 
 // treeScratch holds a tree's decoded node image, or its five node
-// arrays, while it is read. One scratch serves every tree one goroutine
-// reads. The image, and the arrays, which are carved from two blocks,
+// arrays, while it is read. One scratch serves every tree of a forest.
+// The image, and the arrays, which are carved from two blocks,
 // one per element type, are sized to twice the tree that outgrows them,
 // so the trees of one forest, which differ in size far less than
 // twofold, seldom allocate.
@@ -290,10 +242,6 @@ type treeScratch struct {
 	thresh, value        []float64
 	size                 int // capacity each array was given
 }
-
-// scratchPool hands the scratch of one forest's read to the next, such
-// as a model file's second forest.
-var scratchPool = sync.Pool{New: func() any { return new(treeScratch) }}
 
 // reserve gives each array room for at least n nodes.
 func (s *treeScratch) reserve(n int) {
@@ -318,7 +266,8 @@ const (
 )
 
 // readTree reads tree ti: its five node arrays, in any key order, into
-// s, then the nodes from them in one pass that checks each.
+// s, then the nodes from them in one pass that checks each. An empty
+// tree reads as no nodes.
 func readTree(r *jsonread.Reader, ti, numFeatures int, s *treeScratch) ([]node, error) {
 	var read uint8
 	err := r.Fields(treeFields, func(field string) error {
@@ -346,37 +295,24 @@ func readTree(r *jsonread.Reader, ti, numFeatures int, s *treeScratch) ([]node, 
 	}
 	n := len(s.feature)
 	if read != allTreeFields || len(s.thresh) != n || len(s.left) != n || len(s.right) != n || len(s.value) != n {
-		return nil, inconsistentTree(ti)
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("rf: tree %d is empty", ti)
+		return nil, fmt.Errorf("rf: tree %d has inconsistent node arrays", ti)
 	}
 	nodes := make([]node, n)
 	for i := range nodes {
-		nd, feat := &nodes[i], s.feature[i]
-		switch {
-		case feat >= int64(numFeatures):
-			return nil, fmt.Errorf("rf: tree %d node %d splits on feature %d of %d", ti, i, feat, numFeatures)
-		case feat < 0:
-			nd.feature, nd.v = -1, s.value[i]
-		case s.left[i] != int64(i+1):
-			return nil, fmt.Errorf("rf: tree %d node %d: left child is not the next node", ti, i)
-		case s.right[i] <= int64(i) || s.right[i] >= int64(n):
-			return nil, fmt.Errorf("rf: tree %d node %d has an out-of-range right child", ti, i)
-		default:
-			nd.feature, nd.v, nd.right = int32(feat), s.thresh[i], int32(s.right[i])
+		v := s.thresh[i]
+		if s.feature[i] < 0 {
+			v = s.value[i]
+		}
+		if d := setNode(&nodes[i], i, n, numFeatures, v, s.feature[i], s.left[i], s.right[i]); d != nodeSound {
+			return nil, fmt.Errorf("rf: tree %d node %d %v", ti, i, d.err(v, s.feature[i], numFeatures))
 		}
 	}
 	return nodes, nil
 }
 
-func inconsistentTree(ti int) error {
-	return fmt.Errorf("rf: tree %d has inconsistent node arrays", ti)
-}
-
 // readImage reads tree ti as a node image: a base64 string, decoded as
 // encoding/json decodes a []byte, into s, then the nodes from it in one
-// pass that checks each.
+// pass that checks each. An empty image reads as no nodes.
 func readImage(r *jsonread.Reader, ti, numFeatures int, s *treeScratch) ([]node, error) {
 	b, err := r.StringBytes()
 	if err != nil {
@@ -393,11 +329,7 @@ func readImage(r *jsonread.Reader, ti, numFeatures int, s *treeScratch) ([]node,
 	if len(img)%nodeSize != 0 {
 		return nil, fmt.Errorf("rf: tree %d: node image of %d bytes is not whole %d-byte nodes", ti, len(img), nodeSize)
 	}
-	n := len(img) / nodeSize
-	if n == 0 {
-		return nil, fmt.Errorf("rf: tree %d is empty", ti)
-	}
-	nodes := make([]node, n)
+	nodes := make([]node, len(img)/nodeSize)
 	if ni, err := decodeNodes(nodes, img, numFeatures); err != nil {
 		return nil, fmt.Errorf("rf: tree %d node %d %v", ti, ni, err)
 	}
@@ -405,31 +337,71 @@ func readImage(r *jsonread.Reader, ti, numFeatures int, s *treeScratch) ([]node,
 }
 
 // decodeNodes fills the nodes of one tree from the first len(nodes) node
-// images of img, checking each: its value must be finite, and a split
-// must be on a feature below numFeatures with its right child after it
-// and inside the tree. A leaf keeps only its value. On a defect it
-// returns the node's index and what is wrong with it.
+// images of img, checking each with setNode; an image's split has the
+// next node as its left child. On a defect it returns the node's index
+// and what is wrong with it.
 func decodeNodes(nodes []node, img []byte, numFeatures int) (int, error) {
 	n := len(nodes)
-	img = img[:nodeSize*n]
 	for i := range nodes {
-		rec := img[nodeSize*i : nodeSize*(i+1)]
-		bits := binary.LittleEndian.Uint64(rec)
+		// A fixed-size record leaves the reads below no bounds to check.
+		rec := (*[nodeSize]byte)(img[nodeSize*i:])
+		v := math.Float64frombits(binary.LittleEndian.Uint64(rec[:]))
 		feat := int32(binary.LittleEndian.Uint32(rec[8:]))
 		right := int32(binary.LittleEndian.Uint32(rec[12:]))
-		nd := &nodes[i]
-		switch {
-		case bits>>52&0x7ff == 0x7ff: // NaN or ±Inf
-			return i, fmt.Errorf("holds %v", math.Float64frombits(bits))
-		case int(feat) >= numFeatures:
-			return i, fmt.Errorf("splits on feature %d of %d", feat, numFeatures)
-		case feat < 0:
-			nd.feature, nd.v = -1, math.Float64frombits(bits)
-		case int(right) <= i || int(right) >= n:
-			return i, errors.New("has an out-of-range right child")
-		default:
-			nd.feature, nd.v, nd.right = feat, math.Float64frombits(bits), right
+		if d := setNode(&nodes[i], i, n, numFeatures, v, int64(feat), int64(i+1), int64(right)); d != nodeSound {
+			return i, d.err(v, int64(feat), numFeatures)
 		}
 	}
 	return 0, nil
+}
+
+// A nodeDefect is what setNode finds wrong with a node, if anything.
+type nodeDefect uint8
+
+const (
+	nodeSound nodeDefect = iota
+	nodeNotFinite
+	nodeFeatureOutOfRange
+	nodeLeftNotNext
+	nodeRightOutOfRange
+)
+
+// setNode checks node i of a tree of n nodes and, if it is sound, stores
+// it in nd. The node holds v and splits on feature feat, or is a leaf if
+// feat is negative, with children left and right. Its value must be
+// finite, and a split must be on a feature below numFeatures, with its
+// left child the next node and its right child after it and inside the
+// tree, as Train lays trees out. A leaf keeps only its value. setNode is
+// small enough to inline, so checking every node of a model costs no
+// call per node.
+func setNode(nd *node, i, n, numFeatures int, v float64, feat, left, right int64) nodeDefect {
+	switch {
+	case math.Float64bits(v)>>52&0x7ff == 0x7ff: // NaN or ±Inf
+		return nodeNotFinite
+	case feat >= int64(numFeatures):
+		return nodeFeatureOutOfRange
+	case feat < 0:
+		*nd = node{v: v, feature: -1}
+	case left != int64(i+1):
+		return nodeLeftNotNext
+	case right <= int64(i) || right >= int64(n):
+		return nodeRightOutOfRange
+	default:
+		*nd = node{v: v, feature: int32(feat), right: int32(right)}
+	}
+	return nodeSound
+}
+
+// err says what d is in a node that holds v and splits on feat.
+func (d nodeDefect) err(v float64, feat int64, numFeatures int) error {
+	switch d {
+	case nodeNotFinite:
+		return fmt.Errorf("holds %v", v)
+	case nodeFeatureOutOfRange:
+		return fmt.Errorf("splits on feature %d of %d", feat, numFeatures)
+	case nodeLeftNotNext:
+		return errors.New("has a left child that is not the next node")
+	default:
+		return errors.New("has an out-of-range right child")
+	}
 }

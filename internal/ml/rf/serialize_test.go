@@ -364,39 +364,11 @@ func TestNodeIs16Bytes(t *testing.T) {
 	}
 }
 
-// readForestSerial reads the trees of a forest, images or five arrays,
-// one after another in place, skipping every other field: the serial
-// read whose errors ReadForest must report.
-func readForestSerial(data []byte, numFeatures int) error {
-	r := jsonread.New(data)
-	err := r.Fields(forestFields, func(field string) error {
-		read := readTree
-		switch field {
-		case "nodes":
-			read = readImage
-		case "trees":
-		default:
-			return r.Skip()
-		}
-		var s treeScratch
-		ti := 0
-		return r.Array(func() error {
-			_, err := read(r, ti, numFeatures, &s)
-			ti++
-			return err
-		})
-	})
-	if err == nil {
-		err = r.End()
-	}
-	return err
-}
-
 // TestForestErrorIsSerialReadsFirst pins the error contract of reading
-// trees in parallel. With several trees defective, ReadForest fails with
-// the error a serial read stops at, the lowest-index tree's, at the same
-// absolute offset; a syntax error also names its tree. Nesting inside a
-// tree counts from the document's top, as in a serial read.
+// trees. With several trees defective, ReadForest fails with the error a
+// read in document order stops at: the lowest-index tree's, a syntax
+// error at its absolute offset and naming its tree. Nesting inside a
+// tree counts from the document's top.
 func TestForestErrorIsSerialReadsFirst(t *testing.T) {
 	d := synth(150, func(x []float64) float64 { return x[0]*x[1] + x[2] }, 21)
 	f, err := Train(d, Params{Trees: 8}, 22)
@@ -445,23 +417,18 @@ func TestForestErrorIsSerialReadsFirst(t *testing.T) {
 			data, _ = put(data, c.later, c.laterBad)
 		}
 		data, at := put(data, c.first, c.firstBad)
-		want := readForestSerial(data, 3)
+		_, err := readForest(data, 3)
 		var syntax *jsonread.SyntaxError
-		isSyntax := errors.As(want, &syntax)
+		isSyntax := errors.As(err, &syntax)
 		switch {
-		case want == nil:
-			t.Fatalf("%s: the serial read accepted the forest", c.name)
-		case isSyntax != (c.firstBad.errAt >= 0) || isSyntax && syntax.Offset != at+c.firstBad.errAt:
-			t.Fatalf("%s: serial read fails with %v, not at offset %d of tree %d", c.name, want, at+c.firstBad.errAt, c.first)
-		case !isSyntax && !strings.Contains(want.Error(), fmt.Sprintf("tree %d ", c.first)):
-			t.Fatalf("%s: serial read fails with %v, not on tree %d", c.name, want, c.first)
-		}
-		wantMsg := want.Error()
-		if isSyntax {
-			wantMsg = fmt.Sprintf("rf: tree %d: %v", c.first, want)
-		}
-		if _, got := readForest(data, 3); got == nil || got.Error() != wantMsg {
-			t.Errorf("%s: ReadForest fails with %v, want %s", c.name, got, wantMsg)
+		case err == nil:
+			t.Errorf("%s: ReadForest accepted the forest", c.name)
+		case isSyntax != (c.firstBad.errAt >= 0):
+			t.Errorf("%s: ReadForest fails with %v, want a syntax error: %v", c.name, err, !isSyntax)
+		case isSyntax && (syntax.Offset != at+c.firstBad.errAt || err.Error() != fmt.Sprintf("rf: tree %d: %v", c.first, syntax)):
+			t.Errorf("%s: ReadForest fails with %v, want one naming tree %d at offset %d", c.name, err, c.first, at+c.firstBad.errAt)
+		case !isSyntax && !strings.HasPrefix(err.Error(), fmt.Sprintf("rf: tree %d ", c.first)):
+			t.Errorf("%s: ReadForest fails with %v, not on tree %d", c.name, err, c.first)
 		}
 	}
 	atLimit, _ := put(clean, 1, defect{"{", deep(maxDepthInTree), 0})
@@ -470,7 +437,8 @@ func TestForestErrorIsSerialReadsFirst(t *testing.T) {
 	}
 
 	// The same contract for node images. edit changes the image of tree
-	// ti; ReadForest must fail as the serial read does, on tree first.
+	// ti; ReadForest must fail on tree first, with the error want names
+	// given the tree and the edited image, which starts at offset start.
 	images := v2JSON(t, f)
 	type edit func(image string) string
 	badChar := func(im string) string { return im[:9] + "!" + im[10:] }
@@ -497,24 +465,28 @@ func TestForestErrorIsSerialReadsFirst(t *testing.T) {
 		first, later int
 		firstBad     edit
 		laterBad     edit
+		want         func(ti, start int, image string) string
 	}{
-		{"bad base64, then control byte", 2, 5, badChar, control},
-		{"control byte, then bad base64", 2, 5, control, badChar},
-		{"short image, then bad base64", 1, 6, cut, badChar},
-		{"feature out of range, then short image", 3, 4, outOfRange, cut},
+		{"bad base64, then control byte", 2, 5, badChar, control, func(ti, _ int, _ string) string {
+			return fmt.Sprintf("rf: tree %d: node image: illegal base64 data at input byte 8", ti)
+		}},
+		{"control byte, then bad base64", 2, 5, control, badChar, func(ti, start int, _ string) string {
+			return fmt.Sprintf("rf: tree %d: offset %d: control character 0x1 in string", ti, start+5)
+		}},
+		{"short image, then bad base64", 1, 6, cut, badChar, func(ti, _ int, image string) string {
+			b, _ := base64.StdEncoding.DecodeString(image[1 : len(image)-1])
+			return fmt.Sprintf("rf: tree %d: node image of %d bytes is not whole 16-byte nodes", ti, len(b))
+		}},
+		{"feature out of range, then short image", 3, 4, outOfRange, cut, func(ti, _ int, _ string) string {
+			return fmt.Sprintf("rf: tree %d node 0 splits on feature 1000 of 3", ti)
+		}},
 	} {
 		data := put2(images, c.later, c.laterBad)
 		data = put2(data, c.first, c.firstBad)
-		want := readForestSerial(data, 3)
-		if want == nil || !strings.Contains(want.Error(), fmt.Sprintf("tree %d", c.first)) && !errors.As(want, new(*jsonread.SyntaxError)) {
-			t.Fatalf("%s: serial read fails with %v, not on tree %d", c.name, want, c.first)
-		}
-		wantMsg := want.Error()
-		if errors.As(want, new(*jsonread.SyntaxError)) {
-			wantMsg = fmt.Sprintf("rf: tree %d: %v", c.first, want)
-		}
-		if _, got := readForest(data, 3); got == nil || got.Error() != wantMsg {
-			t.Errorf("%s: ReadForest fails with %v, want %s", c.name, got, wantMsg)
+		start, end := quoteAt(data, c.first)
+		want := c.want(c.first, start, string(data[start:end]))
+		if _, err := readForest(data, 3); err == nil || err.Error() != want {
+			t.Errorf("%s: ReadForest fails with %v, want %s", c.name, err, want)
 		}
 	}
 }

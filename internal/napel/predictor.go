@@ -261,8 +261,8 @@ func predictSpread(m ml.Model, feat []float64) (value, factor float64) {
 // OOB returns the out-of-bag mean relative errors of the two underlying
 // forests (in log-target space), the training-time validation signal a
 // user checks before trusting a freshly trained model. Either value is
-// -1 when unavailable (e.g. a loaded model trained elsewhere reports
-// them normally, but non-forest models cannot).
+// -1 when unavailable: for a model that is not a forest, and for one
+// read by LoadPredictor, since a model file does not store it.
 func (p *Predictor) OOB() (ipc, epi float64) {
 	return modelOOB(p.IPC), modelOOB(p.EPI)
 }

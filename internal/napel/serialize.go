@@ -160,10 +160,12 @@ type loadedModel struct {
 // encoding/json would, and then, for version 3, the node images after
 // it, whose length must be exactly what the node counts call for; only
 // whitespace may follow a version 1 or 2 predictor object. A version 3
-// forest must hold node counts and an older one must not. The trees of
-// a version 1 or 2 forest are read in parallel, and a version 3 forest
-// is built in one serial pass into one node arena. The TrainTime that
-// files older than version 3 hold is read back.
+// forest must hold node counts and an older one must not. Every load
+// reads on the caller's goroutine alone: a version 1 or 2 forest's trees
+// in document order as the JSON is read, and a version 3 forest in one
+// pass over its node images into one node arena. The TrainTime that
+// files older than version 3 hold is read back; the out-of-bag errors,
+// which no version holds, read back as -1 (Predictor.OOB).
 func LoadPredictor(data []byte) (*Predictor, error) {
 	p := &Predictor{Chosen: map[Target]string{}}
 	version := 0

@@ -480,17 +480,37 @@ func corpusSeed(t *testing.T, name string) []byte {
 	return []byte(data)
 }
 
-// TestLoadPredictorLayoutSeeds pins the verdicts of two corpus seeds: a
-// split whose left child is not the next node is rejected, though the
-// reference accepts it, and node arrays listed value first load to the
+// TestLoadPredictorLayoutSeeds pins the verdicts of the corpus seeds
+// aimed at version 1's node arrays. A split whose left child is not the
+// next node is rejected, though the reference accepts it. A feature is
+// checked before it narrows to a node's int32: 2³²+3 at a split is
+// rejected, not read as feature 3, and −2³¹−1 at a leaf loads as the
+// reference decodes it. Node arrays listed value first load to the
 // predictor the reference decodes and Save's key order loads to.
 func TestLoadPredictorLayoutSeeds(t *testing.T) {
-	bad := corpusSeed(t, "left-not-next")
-	if _, err := refLoad(bad); err != nil {
-		t.Fatalf("reference rejects left-not-next: %v", err)
-	}
-	if _, err := LoadPredictor(bad); err == nil || !strings.Contains(err.Error(), "not the next node") {
-		t.Fatalf("left-not-next: error %v, want a left-child error", err)
+	for name, want := range map[string]string{
+		"left-not-next":            "rf: tree 0 node 0 has a left child that is not the next node",
+		"feature-4294967299":       "rf: tree 0 node 0 splits on feature 4294967299 of 405",
+		"feature-minus-2147483649": "",
+	} {
+		data := corpusSeed(t, name)
+		ref, err := refLoad(data)
+		if err != nil {
+			t.Fatalf("reference rejects %s: %v", name, err)
+		}
+		p, err := LoadPredictor(data)
+		if want != "" {
+			if err == nil || !strings.HasSuffix(err.Error(), want) {
+				t.Errorf("%s: error %v, want one ending %q", name, err, want)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := sameAsRef(p, ref); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 
 	reordered := corpusSeed(t, "arrays-reordered")
@@ -514,12 +534,13 @@ func TestLoadPredictorLayoutSeeds(t *testing.T) {
 	}
 }
 
-// TestLoadPredictorTreeSpanSeeds pins the verdicts of the two corpus
-// seeds aimed at reading trees in parallel: an unknown key inside a tree
-// whose name holds an escaped quote and closing brackets loads as the
-// reference decodes it, and of two defective trees, a malformed number
-// in IPC tree 2 and an unbalanced bracket in tree 5, tree 2 is reported.
-func TestLoadPredictorTreeSpanSeeds(t *testing.T) {
+// TestLoadPredictorTreeSeeds pins the verdicts of the two corpus seeds
+// aimed at where one tree ends and which tree an error names: an
+// unknown key inside a tree whose name holds an escaped quote and
+// closing brackets loads as the reference decodes it, and of two
+// defective trees, a malformed number in IPC tree 2 and an unbalanced
+// bracket in tree 5, tree 2 is reported.
+func TestLoadPredictorTreeSeeds(t *testing.T) {
 	odd := corpusSeed(t, "tree-key-escaped-brackets")
 	p, err := LoadPredictor(odd)
 	if err != nil {
@@ -686,27 +707,22 @@ var raceEnabled bool
 // TestLoadPredictorAllocs pins the cost of a load. A version 1 or 2 file
 // costs one allocation per tree (its node arena) plus a constant, so a
 // return to reflective decoding, which allocates per node array and per
-// value, fails here. testing.AllocsPerRun counts at GOMAXPROCS 1, where
-// the caller reads every tree, so the load is also counted at
-// GOMAXPROCS 2 and 4, where rf.ReadForest reads on worker goroutines
-// too; each of those may add perWorker allocations (the goroutine and
-// its tree scratch), and nothing per tree. A version 3 file costs a
-// constant, one node arena per forest whatever its trees, at every
-// GOMAXPROCS.
+// value, fails here. A version 3 file costs a constant, one node arena
+// per forest whatever its trees. Every load reads on the caller's
+// goroutine alone, so each limit holds at every GOMAXPROCS: the count is
+// taken at 1 with testing.AllocsPerRun, and at 2 and 4 with
+// runtime.ReadMemStats.
 func TestLoadPredictorAllocs(t *testing.T) {
 	const treesPerTarget = 48
-	const perWorker = 2
-	const v3Limit = 40
 	p := synthPredictor(t, treesPerTarget, 40)
 	for _, v := range []struct {
-		name    string
-		data    []byte
-		limit   float64
-		workers bool // whether trees are read on worker goroutines
+		name  string
+		data  []byte
+		limit float64
 	}{
-		{"v1", savedBytesV1(t, p), 2*treesPerTarget + 40, true},
-		{"v2", savedBytesV2(t, p), 2*treesPerTarget + 40, true},
-		{"v3", savedBytes(t, p), v3Limit, false},
+		{"v1", savedBytesV1(t, p), 2*treesPerTarget + 36}, // reads 128
+		{"v2", savedBytesV2(t, p), 2*treesPerTarget + 34}, // reads 126
+		{"v3", savedBytes(t, p), 40},                      // reads 20
 	} {
 		load := func() {
 			if _, err := LoadPredictor(v.data); err != nil {
@@ -730,13 +746,8 @@ func TestLoadPredictorAllocs(t *testing.T) {
 					load()
 				}
 				runtime.ReadMemStats(&after)
-				allocs := float64(after.Mallocs-before.Mallocs) / runs
-				max := v.limit
-				if v.workers {
-					max += float64(perWorker * 2 * (procs - 1)) // per forest, beside the caller
-				}
-				if allocs > max {
-					t.Errorf("%s: at GOMAXPROCS %d LoadPredictor allocates %.1f/op for %d trees, want <= %.0f", v.name, procs, allocs, 2*treesPerTarget, max)
+				if allocs := float64(after.Mallocs-before.Mallocs) / runs; allocs > v.limit {
+					t.Errorf("%s: at GOMAXPROCS %d LoadPredictor allocates %.1f/op for %d trees, want <= %.0f", v.name, procs, allocs, 2*treesPerTarget, v.limit)
 				}
 			}()
 		}

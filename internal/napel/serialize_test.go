@@ -88,6 +88,26 @@ func TestSaveIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestLoadedPredictorReportsNoOOB: a model file stores no out-of-bag
+// error, so a predictor loaded from any version reports -1 for both
+// targets, as for a model without one, not the perfect 0 of an unset
+// field.
+func TestLoadedPredictorReportsNoOOB(t *testing.T) {
+	p := synthPredictor(t, 8, 40)
+	if ipc, epi := p.OOB(); ipc < 0 || epi < 0 {
+		t.Fatalf("the trained predictor reports OOB %v, %v", ipc, epi)
+	}
+	for version, data := range [][]byte{savedBytesV1(t, p), savedBytesV2(t, p), savedBytes(t, p)} {
+		loaded, err := LoadPredictor(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ipc, epi := loaded.OOB(); ipc != -1 || epi != -1 {
+			t.Errorf("version %d: the loaded predictor reports OOB %v, %v, want -1, -1", version+1, ipc, epi)
+		}
+	}
+}
+
 func TestLoadPredictorRejectsGarbage(t *testing.T) {
 	if _, err := LoadPredictor([]byte("not json")); err == nil {
 		t.Fatal("garbage accepted")

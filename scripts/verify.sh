@@ -171,8 +171,9 @@ echo "== go test -race (concurrent packages) =="
 # the per-package test timeout, so the race pass targets the packages
 # that actually share state across goroutines: the HTTP shell and
 # service, the LRU response cache, the predictor it serves concurrently,
-# the model file decoder that reads a forest's trees in parallel, the
-# trace fan-out layer, and the parallel collection engine. internal/exp
+# the forest trainer and the model file and request decoders that
+# reloads and requests run at once, the trace fan-out layer, and the
+# parallel collection engine. internal/exp
 # joins with its dedicated micro-settings parallel-pipeline tests.
 go test -race -count=1 ./internal/httpd/... ./internal/serve/... ./internal/fleet/... ./internal/member/... ./internal/cache/... ./internal/napel/... ./internal/ml/rf/... ./internal/jsonread/... ./internal/trace/... ./internal/lifecycle/... ./internal/collectd/... ./internal/obs/... ./internal/obsd/... ./internal/resilience/...
 go test -race -count=1 -run 'Parallel' ./internal/exp/...
@@ -191,8 +192,10 @@ echo "== the benchmark module: go vet and go test =="
 echo "== fuzz the model file decoder (10 s) =="
 # A model can arrive as untrusted bytes over -model-store. The seed
 # corpus runs in every go test; this stage searches past it, checking
-# LoadPredictor against the encoding/json reference decode.
-go test -run '^$' -fuzz FuzzLoadPredictor -fuzztime 10s ./internal/napel
+# LoadPredictor against the encoding/json reference decode. Minimizing
+# an input as long as the ~12 KB seeds stalls a short run, hence the
+# minimize cap.
+go test -run '^$' -fuzz FuzzLoadPredictor -fuzztime 10s -fuzzminimizetime 2s ./internal/napel
 
 echo "== fuzz the scrape and traceparent parsers (10 s each) =="
 # napel-obsd and napel-loadgen parse other processes' /metrics, and every
@@ -202,8 +205,8 @@ go test -run '^$' -fuzz FuzzParseTraceParent -fuzztime 10s ./internal/obs
 
 echo "== fuzz the JSON reader (10 s) =="
 # Model files and every predict body are read with jsonread; FuzzReader
-# checks the reader against encoding/json, Span against reading in
-# place, and Float's conversion against strconv.
+# checks the reader against encoding/json, and Float's conversion
+# against strconv.
 go test -run '^$' -fuzz FuzzReader -fuzztime 10s ./internal/jsonread
 
 echo "== fuzz the fleet join body (10 s) =="
