@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"napel/internal/ml"
 	"napel/internal/ml/rf"
@@ -90,25 +91,27 @@ type ActiveReport struct {
 	Rounds         []RoundReport `json:"rounds"`
 }
 
-// candidate is one pool unit with its precomputed per-architecture
-// feature vectors.
+// candidate is one pool unit's key with its precomputed
+// per-architecture feature vectors.
 type candidate struct {
-	spec  napel.UnitSpec
+	key   string
 	feats [][]float64
 }
 
 // ActiveCollect runs the uncertainty-driven collection loop over the
 // kernels' full CCD pool and assembles everything simulated into a
-// TrainingData (deterministic plan order, as always). opts is honored
-// exactly as in napel.Collect — Workers, UnitRetries,
-// QuarantineFailures, and in particular Executor, so the rounds'
-// simulations can be leased out to a worker fleet while scoring stays
-// coordinator-side.
+// TrainingData (deterministic plan order, as always). Each round is a
+// napel.CollectResumeContext of the previous round's dataset that
+// executes only the round's selection, so opts is honored exactly as in
+// napel.Collect — Workers, UnitRetries, QuarantineFailures, and in
+// particular Executor, so the rounds' simulations can be leased out to
+// a worker fleet while scoring stays coordinator-side. The dataset's
+// Quarantined lists every unit quarantined in any round.
 func ActiveCollect(ctx context.Context, kernels []workload.Kernel, opts napel.Options, cfg ActiveConfig) (*napel.TrainingData, *ActiveReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	pool, err := napel.PlanUnits(kernels, opts, nil)
+	pool, err := napel.PlanUnits(kernels, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -143,13 +146,13 @@ func ActiveCollect(ctx context.Context, kernels []workload.Kernel, opts napel.Op
 	aspan.SetAttrInt("pool", int64(len(pool)))
 	defer aspan.End()
 
-	cands, err := profilePool(actx, pool, opts)
+	cands, err := profilePool(actx, kernels, pool, opts)
 	if err != nil {
 		return nil, nil, err
 	}
 
 	report := &ActiveReport{PoolSize: len(pool)}
-	collected := map[string]*napel.UnitPayload{}
+	var td *napel.TrainingData
 	remaining := make([]int, len(pool))
 	for i := range remaining {
 		remaining[i] = i
@@ -165,29 +168,22 @@ func ActiveCollect(ctx context.Context, kernels []workload.Kernel, opts napel.Op
 		rctx, rspan := obs.StartSpan(actx, "collectd.round")
 		rspan.SetAttrInt("round", int64(round))
 		rspan.SetAttrInt("selected", int64(len(sel)))
-		selSpecs := make([]napel.UnitSpec, len(sel))
 		selKeys := make([]string, len(sel))
+		selSet := make(map[string]bool, len(sel))
 		for i, idx := range sel {
-			selSpecs[i] = cands[idx].spec
-			selKeys[i] = cands[idx].spec.Key
+			selKeys[i] = cands[idx].key
+			selSet[selKeys[i]] = true
 		}
-		payloads, quarantined, err := napel.CollectUnits(rctx, selSpecs, opts)
+		td, err = napel.CollectResumeContext(rctx, kernels, opts, &napel.CollectCheckpoint{Prior: td, Select: selSet})
 		rspan.SetError(err)
 		rspan.End()
 		if err != nil {
 			return nil, nil, err
 		}
-		for k, p := range payloads {
-			collected[k] = p
-		}
-		report.Quarantined += len(quarantined)
+		report.Quarantined = len(td.Quarantined)
 		simulated += len(sel)
 		remaining = removeIndices(remaining, sel)
 
-		td, err := napel.AssemblePayloads(kernels, opts, collected)
-		if err != nil {
-			return nil, nil, err
-		}
 		mre := math.NaN()
 		if hm, herr := napel.EvaluateHoldout(td, cfg.Trainer, cfg.HoldoutFrac, cfg.Seed); herr == nil {
 			mre = hm.Combined()
@@ -261,59 +257,46 @@ func ActiveCollect(ctx context.Context, kernels []workload.Kernel, opts napel.Op
 		})
 		sel = order[:k]
 	}
-
-	td, err := napel.AssemblePayloads(kernels, opts, collected)
-	if err != nil {
-		return nil, nil, err
-	}
 	return td, report, nil
 }
 
 // profilePool profiles every candidate (coordinator-side, concurrent,
-// cheap relative to simulation) and precomputes its per-architecture
-// feature vectors via the same construction assembly uses.
-func profilePool(ctx context.Context, pool []napel.UnitSpec, opts napel.Options) ([]*candidate, error) {
+// cheap relative to simulation) on the given kernels and precomputes
+// its per-architecture feature vectors via the same construction
+// assembly uses. Once ctx ends no further profile starts, and the pool
+// returns only after the profiles in flight finish.
+func profilePool(ctx context.Context, kernels []workload.Kernel, pool []napel.UnitSpec, opts napel.Options) ([]*candidate, error) {
+	byName := make(map[string]workload.Kernel, len(kernels))
+	for _, k := range kernels {
+		if _, ok := byName[k.Name()]; !ok {
+			byName[k.Name()] = k
+		}
+	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	cands := make([]*candidate, len(pool))
 	errs := make([]error, len(pool))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i := range pool {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	for w := 0; w < min(workers, len(pool)); w++ {
 		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			spec := pool[i]
-			k, err := workload.ByName(spec.Kernel)
-			if err != nil {
-				errs[i] = err
-				return
+			for ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= len(pool) {
+					return
+				}
+				cands[i], errs[i] = profileCandidate(byName[pool[i].Kernel], pool[i])
 			}
-			prof, err := napel.ProfileKernel(k, spec.Input, spec.ProfileBudget)
-			if err != nil {
-				errs[i] = fmt.Errorf("collectd: profiling candidate %s: %w", spec.Key, err)
-				return
-			}
-			base := prof.Vector()
-			threads := spec.Input.Threads()
-			feats := make([][]float64, len(spec.TrainArchs))
-			for ai, arch := range spec.TrainArchs {
-				x := make([]float64, 0, len(base)+napel.NumArchFeatures)
-				x = append(x, base...)
-				x = append(x, napel.ArchVector(arch, prof, threads)...)
-				feats[ai] = x
-			}
-			cands[i] = &candidate{spec: spec, feats: feats}
-		}(i)
+		}()
 	}
 	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -322,24 +305,36 @@ func profilePool(ctx context.Context, pool []napel.UnitSpec, opts napel.Options)
 	return cands, nil
 }
 
+// profileCandidate profiles one pool unit with kernel k.
+func profileCandidate(k workload.Kernel, spec napel.UnitSpec) (*candidate, error) {
+	prof, err := napel.ProfileKernel(k, spec.Input, spec.ProfileBudget)
+	if err != nil {
+		return nil, fmt.Errorf("collectd: profiling candidate %s: %w", spec.Key, err)
+	}
+	base := prof.Vector()
+	threads := spec.Input.Threads()
+	feats := make([][]float64, len(spec.TrainArchs))
+	for ai, arch := range spec.TrainArchs {
+		x := make([]float64, 0, len(base)+napel.NumArchFeatures)
+		x = append(x, base...)
+		x = append(x, napel.ArchVector(arch, prof, threads)...)
+		feats[ai] = x
+	}
+	return &candidate{key: spec.Key, feats: feats}, nil
+}
+
 // trainScorers fits the two target models on everything collected so
 // far and unwraps them to raw forests for variance scoring.
 func trainScorers(td *napel.TrainingData, trainer ml.Trainer, seed uint64) (fIPC, fEPI *rf.Forest, err error) {
-	for _, target := range []napel.Target{napel.TargetIPC, napel.TargetEPI} {
-		d := td.Dataset(target)
-		model, terr := trainer.Train(d, seed)
-		if terr != nil {
-			return nil, nil, fmt.Errorf("collectd: training %s scorer: %w", target, terr)
-		}
-		f, ferr := scoreForest(model)
-		if ferr != nil {
-			return nil, nil, ferr
-		}
-		if target == napel.TargetIPC {
-			fIPC = f
-		} else {
-			fEPI = f
-		}
+	p, err := napel.TrainWith(td, trainer, seed)
+	if err != nil {
+		return nil, nil, fmt.Errorf("collectd: training scorers: %w", err)
+	}
+	if fIPC, err = scoreForest(p.IPC); err != nil {
+		return nil, nil, err
+	}
+	if fEPI, err = scoreForest(p.EPI); err != nil {
+		return nil, nil, err
 	}
 	return fIPC, fEPI, nil
 }

@@ -149,6 +149,37 @@ func TestActiveJobPromotes(t *testing.T) {
 	}
 }
 
+// TestActiveJobScoresRoundsOnDaemonHoldout: an active spec that sets no
+// holdout fraction scores its rounds on the daemon's -holdout-frac, the
+// fraction its gate uses. The last round then scored the collected
+// dataset exactly as the evaluate stage does, so its holdout MRE is the
+// job's recorded metric.
+func TestActiveJobScoresRoundsOnDaemonHoldout(t *testing.T) {
+	m := newTestManager(t, t.TempDir(), func(cfg *ManagerConfig) {
+		cfg.HoldoutFrac = 0.4
+	})
+	stop := runManager(m)
+	defer stop()
+
+	spec := quickSpec()
+	spec.Active = true
+	spec.ActiveSeedUnits = 3
+	spec.ActiveRoundUnits = 2
+	spec.ActiveMaxUnits = 5
+	job, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job = waitTerminal(t, m, job.ID, 2*time.Minute)
+	if job.State != StatePromoted {
+		t.Fatalf("active job finished %s (error %q)", job.State, job.Error)
+	}
+	last := m.o.reg.Gauge("napel_collectd_holdout_mre", "").Value()
+	if want := job.Metrics.Combined(); last != want {
+		t.Fatalf("last round scored holdout MRE %v, the gate %v: rounds and gate hold out different fractions", last, want)
+	}
+}
+
 // Misconfigured specs are rejected at the API boundary.
 func TestDistributedAndActiveSpecValidation(t *testing.T) {
 	m := newTestManager(t, t.TempDir(), nil)

@@ -17,7 +17,6 @@ import (
 
 	"napel/internal/atomicfile"
 	"napel/internal/collectd"
-	"napel/internal/ml"
 	"napel/internal/napel"
 	"napel/internal/obs"
 	"napel/internal/resilience"
@@ -520,7 +519,7 @@ func (m *Manager) runPipeline(ctx context.Context, job *Job) (err error) {
 	cctx, cspan := obs.StartSpan(ctx, "collect")
 	var td *napel.TrainingData
 	if spec.Active {
-		td, err = m.collectActive(cctx, job, kernels, opts)
+		td, err = m.collectActive(cctx, job, kernels, opts, frac)
 	} else {
 		td, err = m.collect(cctx, job, kernels, opts)
 	}
@@ -542,7 +541,7 @@ func (m *Manager) runPipeline(ctx context.Context, job *Job) (err error) {
 	if spec.Tune {
 		pred, err = napel.TrainTuned(td, seed)
 	} else {
-		pred, err = trainWith(td, spec.trainer(), seed)
+		pred, err = napel.TrainWith(td, spec.trainer(), seed)
 	}
 	tspan.SetError(err)
 	tspan.End()
@@ -729,8 +728,9 @@ func (m *Manager) collect(ctx context.Context, job *Job, kernels []workload.Kern
 // the per-unit checkpoints of exhaustive collection, but rounds are the
 // loop's natural unit of progress and a retried active job re-selects
 // the identical sequence anyway (selection is a pure function of the
-// seed).
-func (m *Manager) collectActive(ctx context.Context, job *Job, kernels []workload.Kernel, opts napel.Options) (*napel.TrainingData, error) {
+// seed). Rounds score on frac, the holdout fraction the gate uses, so
+// TargetMRE stopping and the gate measure the same thing.
+func (m *Manager) collectActive(ctx context.Context, job *Job, kernels []workload.Kernel, opts napel.Options, frac float64) (*napel.TrainingData, error) {
 	spec := job.Spec
 	acfg := collectd.ActiveConfig{
 		Seed:        spec.seed(),
@@ -738,7 +738,7 @@ func (m *Manager) collectActive(ctx context.Context, job *Job, kernels []workloa
 		RoundUnits:  spec.ActiveRoundUnits,
 		MaxUnits:    spec.ActiveMaxUnits,
 		TargetMRE:   spec.ActiveTargetMRE,
-		HoldoutFrac: spec.HoldoutFrac,
+		HoldoutFrac: frac,
 		Trainer:     spec.trainer(),
 		Registry:    m.o.reg,
 		Logf:        m.cfg.Logf,
@@ -809,27 +809,4 @@ func gateVerdict(promote bool) string {
 		return "promote"
 	}
 	return "reject"
-}
-
-// trainWith fits both targets with an explicit trainer — the manager's
-// path for spec-pinned forests (napel.Train hardwires the default).
-func trainWith(td *napel.TrainingData, trainer ml.Trainer, seed uint64) (*napel.Predictor, error) {
-	p := &napel.Predictor{
-		Names:  td.Names,
-		Chosen: map[napel.Target]string{},
-	}
-	for _, target := range []napel.Target{napel.TargetIPC, napel.TargetEPI} {
-		d := td.Dataset(target)
-		model, err := trainer.Train(d, seed)
-		if err != nil {
-			return nil, fmt.Errorf("lifecycle: training %s model: %w", target, err)
-		}
-		p.Chosen[target] = trainer.Name()
-		if target == napel.TargetEPI {
-			p.EPI = model
-		} else {
-			p.IPC = model
-		}
-	}
-	return p, nil
 }

@@ -66,10 +66,11 @@ type unitResult struct {
 	quarantined bool
 }
 
-// CollectCheckpoint wires crash-safe collection into the engine: Prior
-// seeds the run with units completed by an earlier (interrupted)
-// collection of the same kernels and options, and OnUnit lets the
-// caller persist progress as units finish. Both fields are optional.
+// CollectCheckpoint wires crash-safe and incremental collection into
+// the engine: Prior seeds the run with units completed by an earlier
+// collection of the same kernels and options, Select limits which of
+// the remaining units run, and OnUnit lets the caller persist progress
+// as units finish. Every field is optional.
 type CollectCheckpoint struct {
 	// Prior is a dataset saved from a previous partial collection
 	// (typically LoadTrainingData of a checkpoint file). Units whose
@@ -81,13 +82,22 @@ type CollectCheckpoint struct {
 	// predictor trained on them, are bit-identical to an uninterrupted
 	// run (JSON float64 round-trips are exact).
 	Prior *TrainingData
+	// Select, when non-nil, is the set of unit keys (UnitKey) to
+	// execute: a planned unit outside it runs nowhere and is absent from
+	// the result unless Prior restores it, and an empty set executes
+	// nothing. Nil executes every planned unit. A unit Prior lists as
+	// quarantined and Select leaves out stays listed, so a dataset grown
+	// one selection at a time (the active learner's rounds) keeps every
+	// quarantine verdict.
+	Select map[string]bool
 	// OnUnit, when non-nil, is invoked after every unit completes —
 	// serially, under the engine's bookkeeping lock — with the number of
-	// finished units (restored ones included), the total, and a snapshot
-	// function assembling everything collected so far into a fresh
-	// TrainingData. Assembly costs O(collected samples); callers that
-	// checkpoint on an interval should only invoke snapshot when they
-	// actually persist. snapshot must not be called after OnUnit returns.
+	// finished units (restored ones included), the total the run will
+	// hold, and a snapshot function assembling everything collected so
+	// far into a fresh TrainingData. Assembly costs O(collected samples);
+	// callers that checkpoint on an interval should only invoke snapshot
+	// when they actually persist. snapshot must not be called after
+	// OnUnit returns.
 	OnUnit func(done, total int, snapshot func() *TrainingData)
 }
 
@@ -99,20 +109,24 @@ func CollectContext(ctx context.Context, kernels []workload.Kernel, opts Options
 }
 
 // CollectResumeContext is CollectContext with checkpoint support: it
-// restores completed units from ck.Prior and reports per-unit progress
-// through ck.OnUnit. It is the entry point of `napel train -resume` and
-// the napel-traind job manager.
+// restores completed units from ck.Prior, executes only ck.Select when
+// set, and reports per-unit progress through ck.OnUnit. It is the entry
+// point of `napel train -resume`, the napel-traind job manager and each
+// round of collectd.ActiveCollect.
 func CollectResumeContext(ctx context.Context, kernels []workload.Kernel, opts Options, ck *CollectCheckpoint) (*TrainingData, error) {
 	return collectEngine(ctx, kernels, opts, CCDInputs, ck)
 }
 
 // CollectWithInputsContext is Collect with a custom input-selection
-// strategy and cancellation.
+// strategy and cancellation — the hook the DoE ablation uses to compare
+// CCD against other samplings of the same budget.
 func CollectWithInputsContext(ctx context.Context, kernels []workload.Kernel, opts Options, inputsFor func(workload.Kernel) []workload.Input) (*TrainingData, error) {
 	return collectEngine(ctx, kernels, opts, inputsFor, nil)
 }
 
-// collectEngine is the engine entry point backing every Collect variant.
+// collectEngine is the engine entry point backing every Collect variant:
+// exhaustive, resumed, distributed (through Options.Executor) and active
+// collection all execute their units in its one worker pool.
 func collectEngine(ctx context.Context, kernels []workload.Kernel, opts Options, inputsFor func(workload.Kernel) []workload.Input, ck *CollectCheckpoint) (*TrainingData, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -120,15 +134,19 @@ func collectEngine(ctx context.Context, kernels []workload.Kernel, opts Options,
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if ck == nil {
+		ck = &CollectCheckpoint{}
+	}
 
 	plans, units := planCollect(kernels, opts, inputsFor)
 
 	// Restore units completed by a previous run before scheduling any
-	// work: a restored slot is done from the start and the worker pool
-	// skips it.
+	// work: a restored slot is done from the start. todo then lists the
+	// units this call executes.
 	results := make([]unitResult, len(units))
 	done := 0
-	if ck != nil && ck.Prior != nil {
+	priorQ := map[string]string{}
+	if ck.Prior != nil {
 		restored, err := restoreUnits(ck.Prior, units, opts)
 		if err != nil {
 			return nil, err
@@ -137,29 +155,39 @@ func collectEngine(ctx context.Context, kernels []workload.Kernel, opts Options,
 			results[idx] = unitResult{samples: samples, done: true}
 			done++
 		}
+		for _, q := range ck.Prior.Quarantined {
+			priorQ[inputKey(q.App, q.Input)] = q.Error
+		}
+	}
+	var todo []int
+	for idx, u := range units {
+		switch {
+		case results[idx].done:
+		case ck.Select == nil || ck.Select[u.key]:
+			todo = append(todo, idx)
+		default: // left out by Select: Prior's quarantine verdict stands
+			if msg, ok := priorQ[u.key]; ok {
+				results[idx] = unitResult{err: errors.New(msg), quarantined: true}
+			}
+		}
 	}
 
-	// Execute: a worker pool over the unit list. Each unit computes
+	// Execute: a worker pool over the todo list. Each unit computes
 	// outside the bookkeeping lock and only publishes its result slot —
 	// and fires the checkpoint hook — under it, so OnUnit's snapshot can
 	// safely assemble the results collected so far.
 	var mu sync.Mutex
-	total := len(units)
-	workers := opts.workers()
-	if workers > total {
-		workers = total
-	}
+	total := done + len(todo)
+	workers := min(opts.workers(), len(todo))
 	eo := newEngineObs(opts.Metrics)
-	eo.startRun(workers, total-done, done)
+	eo.startRun(workers, len(todo), done)
 	defer eo.endRun()
 	ectx, espan := obs.StartSpan(ctx, "engine")
 	espan.SetAttrInt("units", int64(total))
 	espan.SetAttrInt("restored", int64(done))
 	espan.SetAttrInt("workers", int64(workers))
-	runPool(ctx, workers, len(units), func(idx int) {
-		if results[idx].done {
-			return // restored from the checkpoint
-		}
+	runPool(ctx, workers, len(todo), func(i int) {
+		idx := todo[i]
 		eo.unitStart()
 		t0 := time.Now()
 		r := collectOneUnit(ectx, units[idx], opts, eo)
@@ -169,7 +197,7 @@ func collectEngine(ctx context.Context, kernels []workload.Kernel, opts Options,
 		results[idx] = r
 		if r.done {
 			done++
-			if ck != nil && ck.OnUnit != nil {
+			if ck.OnUnit != nil {
 				tck := time.Now()
 				ck.OnUnit(done, total, func() *TrainingData {
 					return assembleTrainingData(plans, units, results, opts)
@@ -202,7 +230,7 @@ func collectEngine(ctx context.Context, kernels []workload.Kernel, opts Options,
 // planCollect runs the engine's planning pass: dedupe the scaled inputs
 // into units, remembering each kernel's occurrence order for
 // deterministic assembly. It is shared by every entry point that must
-// agree on unit identity — collection, PlanUnits, and AssemblePayloads.
+// agree on unit identity: collection and PlanUnits.
 func planCollect(kernels []workload.Kernel, opts Options, inputsFor func(workload.Kernel) []workload.Input) ([]kernelPlan, []collectUnit) {
 	var units []collectUnit
 	unitIdx := map[string]int{}

@@ -45,7 +45,7 @@ func newEngineObs(reg *obs.Registry) *engineObs {
 		busy: reg.Gauge("napel_engine_workers_busy",
 			"Workers currently executing a unit."),
 		queue: reg.Gauge("napel_engine_queue_depth",
-			"Units planned but not yet started."),
+			"Units the current collection call will execute but has not started."),
 		unitSec: reg.Histogram("napel_engine_unit_seconds",
 			"Wall-clock time of one executed (kernel, input) unit.", engineBuckets),
 		stage: make(map[string]*obs.Histogram, len(engineStages)),
@@ -54,7 +54,7 @@ func newEngineObs(reg *obs.Registry) *engineObs {
 		done: reg.Counter("napel_engine_units_done_total",
 			"Units executed to completion."),
 		restored: reg.Counter("napel_engine_units_restored_total",
-			"Units restored from a resume checkpoint instead of executed."),
+			"Units taken from a prior dataset (a resume checkpoint or an earlier active-learning round) instead of executed."),
 		failed: reg.Counter("napel_engine_units_failed_total",
 			"Units that returned a hard error."),
 		retries: reg.Counter("napel_engine_unit_retries_total",

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"napel/internal/obs"
 	"napel/internal/trace"
 	"napel/internal/workload"
 )
@@ -271,6 +272,120 @@ func TestCollectResumeSkipsRestoredUnits(t *testing.T) {
 	}
 	if lastDone != total || total != len(order) {
 		t.Fatalf("final progress %d/%d, want %d/%d", lastDone, total, len(order), len(order))
+	}
+}
+
+// TestCollectSelectExecutesOnlySelected pins the engine's selection
+// contract, the one the active learner's rounds stand on: a selection
+// executes exactly its units not already in Prior, the pool and queue
+// count only those, and the result holds only the selected units'
+// samples in plan order. An empty selection executes nothing, and
+// resuming with the remaining keys selected reproduces Collect's bytes.
+func TestCollectSelectExecutesOnlySelected(t *testing.T) {
+	kernels := quickKernels(t, "atax")
+	opts := quickOptions()
+	opts.Workers = 4
+	full, err := Collect(kernels, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []string
+	seen := map[string]bool{}
+	for _, s := range full.Samples {
+		if key := UnitKey(s.App, s.Input); !seen[key] {
+			seen[key] = true
+			order = append(order, key)
+		}
+	}
+	if len(order) < 6 {
+		t.Fatalf("need >= 6 distinct units, have %d", len(order))
+	}
+	// subset is full restricted to keys, in full's (plan) order.
+	subset := func(keys map[string]bool) *TrainingData {
+		td := &TrainingData{Names: full.Names, DoEConfigs: full.DoEConfigs}
+		for _, s := range full.Samples {
+			if keys[UnitKey(s.App, s.Input)] {
+				td.Samples = append(td.Samples, s)
+			}
+		}
+		return td
+	}
+	save := func(td *TrainingData) []byte {
+		var buf bytes.Buffer
+		if err := SaveTrainingData(&buf, td); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	var reg *obs.Registry
+	run := func(ck *CollectCheckpoint) *TrainingData {
+		t.Helper()
+		o := opts
+		reg = obs.NewRegistry()
+		o.Metrics = reg
+		td, err := CollectResumeContext(context.Background(), kernels, o, ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return td
+	}
+	counter := func(name string) uint64 { return reg.Counter(name, "").Value() }
+
+	// Prior holds order[0]; the selection names it and two more units,
+	// so exactly those two execute.
+	sel := map[string]bool{order[0]: true, order[2]: true, order[4]: true}
+	calls := 0
+	ck := &CollectCheckpoint{
+		Prior:  subset(map[string]bool{order[0]: true}),
+		Select: sel,
+		OnUnit: func(done, total int, _ func() *TrainingData) {
+			calls++
+			if total != 3 {
+				t.Errorf("OnUnit total %d, want 3 (1 restored + 2 selected)", total)
+			}
+			if w := reg.Gauge("napel_engine_workers", "").Value(); w != 2 {
+				t.Errorf("pool of %g workers, want 2 (the selected units)", w)
+			}
+			if q := reg.Gauge("napel_engine_queue_depth", "").Value(); q > 1 {
+				t.Errorf("queue depth %g counts units outside the selection", q)
+			}
+		},
+	}
+	td := run(ck)
+	if done, restored := counter("napel_engine_units_done_total"), counter("napel_engine_units_restored_total"); calls != 2 || done != 2 || restored != 1 {
+		t.Fatalf("%d OnUnit calls, %d units done, %d restored; want 2, 2 and 1", calls, done, restored)
+	}
+	if !bytes.Equal(save(td), save(subset(sel))) {
+		t.Fatal("selected run holds other samples than the selected units' in plan order")
+	}
+
+	// An empty selection executes nothing, with or without a Prior.
+	same := run(&CollectCheckpoint{Prior: td, Select: map[string]bool{}})
+	if n := counter("napel_engine_units_done_total"); n != 0 {
+		t.Fatalf("empty selection executed %d units", n)
+	}
+	if !bytes.Equal(save(same), save(td)) {
+		t.Fatal("empty selection changed the dataset")
+	}
+	none := run(&CollectCheckpoint{Select: map[string]bool{}})
+	if n := counter("napel_engine_units_done_total"); n != 0 || len(none.Samples) != 0 {
+		t.Fatalf("empty selection without Prior executed %d units, %d samples", n, len(none.Samples))
+	}
+
+	// The rest of the plan, selected over the partial result, completes
+	// it to exactly what Collect assembles.
+	rest := map[string]bool{}
+	for _, key := range order {
+		if !sel[key] {
+			rest[key] = true
+		}
+	}
+	whole := run(&CollectCheckpoint{Prior: td, Select: rest})
+	if n := counter("napel_engine_units_done_total"); n != uint64(len(rest)) {
+		t.Fatalf("completing run executed %d units, want %d", n, len(rest))
+	}
+	if !bytes.Equal(save(whole), save(full)) {
+		t.Fatal("selection resumed to completion differs from Collect")
 	}
 }
 

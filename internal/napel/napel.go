@@ -414,14 +414,7 @@ func hashName(name string) uint64 {
 // spread across Options.Workers goroutines. Use CollectContext when the
 // run should be cancellable.
 func Collect(kernels []workload.Kernel, opts Options) (*TrainingData, error) {
-	return CollectWithInputs(kernels, opts, CCDInputs)
-}
-
-// CollectWithInputs is Collect with a custom input-selection strategy —
-// the hook the DoE ablation uses to compare CCD against random sampling
-// of the same budget.
-func CollectWithInputs(kernels []workload.Kernel, opts Options, inputsFor func(workload.Kernel) []workload.Input) (*TrainingData, error) {
-	return CollectWithInputsContext(context.Background(), kernels, opts, inputsFor)
+	return CollectContext(context.Background(), kernels, opts)
 }
 
 // ArchCCDConfigs applies the paper's DoE machinery to the architecture

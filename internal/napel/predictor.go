@@ -128,16 +128,25 @@ type Predictor struct {
 // Train fits NAPEL's models on the collected data without
 // hyper-parameter search.
 func Train(td *TrainingData, seed uint64) (*Predictor, error) {
-	return train(td, seed, false)
+	return TrainWith(td, DefaultRFTrainer(), seed)
+}
+
+// TrainWith is Train with a caller-chosen trainer for both targets —
+// napel-traind's path for spec-pinned forests, and the active learner's
+// for its scoring models.
+func TrainWith(td *TrainingData, trainer ml.Trainer, seed uint64) (*Predictor, error) {
+	return train(td, seed, trainer)
 }
 
 // TrainTuned fits NAPEL's models with the grid hyper-parameter search of
 // Section 2.5.
 func TrainTuned(td *TrainingData, seed uint64) (*Predictor, error) {
-	return train(td, seed, true)
+	return train(td, seed, nil)
 }
 
-func train(td *TrainingData, seed uint64, tune bool) (*Predictor, error) {
+// train fits both targets with trainer, or with the Section 2.5 grid
+// search when trainer is nil.
+func train(td *TrainingData, seed uint64, trainer ml.Trainer) (*Predictor, error) {
 	if len(td.Samples) == 0 {
 		return nil, errors.New("napel: no training samples")
 	}
@@ -151,7 +160,7 @@ func train(td *TrainingData, seed uint64, tune bool) (*Predictor, error) {
 		d := td.Dataset(target)
 		var model ml.Model
 		var err error
-		if tune {
+		if trainer == nil {
 			var chosen ml.Trainer
 			var report []ml.TuneResult
 			model, chosen, report, err = ml.Tune(RFTuneGrid(d.NumFeatures()), d, 3, seed)
@@ -160,9 +169,8 @@ func train(td *TrainingData, seed uint64, tune bool) (*Predictor, error) {
 				p.TuneReport[target] = report
 			}
 		} else {
-			tr := DefaultRFTrainer()
-			model, err = tr.Train(d, seed)
-			p.Chosen[target] = tr.Name()
+			model, err = trainer.Train(d, seed)
+			p.Chosen[target] = trainer.Name()
 		}
 		if err != nil {
 			return nil, fmt.Errorf("napel: training %s model: %w", target, err)

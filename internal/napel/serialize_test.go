@@ -88,6 +88,32 @@ func TestSaveIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestTrainWithDefaultSavesTrainBytes: Train is TrainWith on the default
+// forest, so napel-traind's spec-pinned path and the CLI's train the
+// same model for the same data and seed.
+func TestTrainWithDefaultSavesTrainBytes(t *testing.T) {
+	td, err := Collect(quickKernels(t, "atax"), quickOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved [2]bytes.Buffer
+	for i, train := range []func() (*Predictor, error){
+		func() (*Predictor, error) { return Train(td, 42) },
+		func() (*Predictor, error) { return TrainWith(td, DefaultRFTrainer(), 42) },
+	} {
+		pred, err := train()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pred.Save(&saved[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(saved[0].Bytes(), saved[1].Bytes()) {
+		t.Fatal("Train and TrainWith(DefaultRFTrainer()) saved different bytes")
+	}
+}
+
 // TestLoadedPredictorReportsNoOOB: a model file stores no out-of-bag
 // error, so a predictor loaded from any version reports -1 for both
 // targets, as for a model without one, not the perfect 0 of an unset

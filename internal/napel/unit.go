@@ -3,7 +3,6 @@ package napel
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"napel/internal/nmcsim"
@@ -137,18 +136,16 @@ func unitSpec(u collectUnit, opts Options) UnitSpec {
 }
 
 // PlanUnits exposes the engine's planning pass: the distinct
-// (kernel, scaled input) units collection would execute, in
-// first-occurrence plan order, as self-contained specs. inputsFor nil
-// means the standard CCD design. The active-learning scheduler plans
-// its candidate pool with this.
-func PlanUnits(kernels []workload.Kernel, opts Options, inputsFor func(workload.Kernel) []workload.Input) ([]UnitSpec, error) {
+// (kernel, scaled input) units of the CCD design that Collect and
+// CollectResumeContext execute, in first-occurrence plan order, as
+// self-contained specs. The active-learning scheduler plans its
+// candidate pool with this, so every key it selects names a unit
+// CollectResumeContext plans.
+func PlanUnits(kernels []workload.Kernel, opts Options) ([]UnitSpec, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	if inputsFor == nil {
-		inputsFor = CCDInputs
-	}
-	_, units := planCollect(kernels, opts, inputsFor)
+	_, units := planCollect(kernels, opts, CCDInputs)
 	specs := make([]UnitSpec, len(units))
 	for i, u := range units {
 		specs[i] = unitSpec(u, opts)
@@ -195,123 +192,4 @@ func ExecuteUnit(ctx context.Context, spec UnitSpec, reg *obs.Registry) (*UnitPa
 		ProfileTime: r.profileTime,
 		SimTime:     simTime,
 	}, nil
-}
-
-// CollectUnits executes exactly the given units (typically a subset of
-// PlanUnits' pool selected by the active learner) through the engine's
-// worker pool, honoring Options.Executor, UnitRetries and
-// QuarantineFailures. It returns the payload per unit key; quarantined
-// units are absent from the map and reported separately, deduplicated
-// by key, in spec order.
-func CollectUnits(ctx context.Context, specs []UnitSpec, opts Options) (map[string]*UnitPayload, []QuarantinedUnit, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// Dedupe by key, as planning does: executing a spec twice could only
-	// produce the identical payload again.
-	var units []collectUnit
-	seen := map[string]bool{}
-	for _, spec := range specs {
-		if err := spec.Validate(); err != nil {
-			return nil, nil, err
-		}
-		k, err := workload.ByName(spec.Kernel)
-		if err != nil {
-			return nil, nil, err
-		}
-		key := inputKey(spec.Kernel, spec.Input)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		units = append(units, collectUnit{kernel: k, in: spec.Input, key: key})
-	}
-
-	results := make([]unitResult, len(units))
-	var mu sync.Mutex
-	workers := opts.workers()
-	if workers > len(units) {
-		workers = len(units)
-	}
-	eo := newEngineObs(opts.Metrics)
-	eo.startRun(workers, len(units), 0)
-	defer eo.endRun()
-	ectx, espan := obs.StartSpan(ctx, "engine")
-	espan.SetAttrInt("units", int64(len(units)))
-	espan.SetAttrInt("workers", int64(workers))
-	runPool(ctx, workers, len(units), func(idx int) {
-		eo.unitStart()
-		t0 := time.Now()
-		r := collectOneUnit(ectx, units[idx], opts, eo)
-		eo.unitEnd(time.Since(t0).Seconds(), r.done, r.err)
-		mu.Lock()
-		results[idx] = r
-		mu.Unlock()
-	})
-	espan.End()
-
-	for i := range results {
-		err := results[i].err
-		if err != nil && !results[i].quarantined && !isCanceled(err) {
-			return nil, nil, fmt.Errorf("napel: collecting %s: %w", units[i].kernel.Name(), err)
-		}
-	}
-
-	payloads := make(map[string]*UnitPayload, len(units))
-	var quarantined []QuarantinedUnit
-	for idx := range results {
-		r := &results[idx]
-		u := units[idx]
-		switch {
-		case r.quarantined:
-			quarantined = append(quarantined, QuarantinedUnit{App: u.kernel.Name(), Input: u.in, Error: r.err.Error()})
-		case !r.done:
-			// Skipped by cancellation; surfaced via ctx.Err below.
-		case r.samples != nil:
-			payloads[u.key] = &UnitPayload{Key: u.key, Samples: r.samples}
-		default:
-			simTime := r.recordTime
-			for _, d := range r.simTimes {
-				simTime += d
-			}
-			payloads[u.key] = &UnitPayload{
-				Key:         u.key,
-				Samples:     unitSamples(u, r.prof, r.sims, nil, opts.TrainArchs),
-				ProfileTime: r.profileTime,
-				SimTime:     simTime,
-			}
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return payloads, quarantined, err
-	}
-	return payloads, quarantined, nil
-}
-
-// AssemblePayloads injects collected unit payloads back into the full
-// plan for kernels and assembles them in deterministic plan order —
-// the final step of an active-learning collection, and byte-identical
-// (under SaveTrainingData) to a plain Collect when every planned unit's
-// payload is present. Units without a payload are simply absent from
-// Samples, exactly like units skipped by cancellation.
-func AssemblePayloads(kernels []workload.Kernel, opts Options, payloads map[string]*UnitPayload) (*TrainingData, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	plans, units := planCollect(kernels, opts, CCDInputs)
-	results := make([]unitResult, len(units))
-	for idx, u := range units {
-		p, ok := payloads[u.key]
-		if !ok {
-			continue
-		}
-		if err := p.Check(unitSpec(u, opts)); err != nil {
-			return nil, err
-		}
-		results[idx] = unitResult{samples: p.Samples, done: true}
-	}
-	return assembleTrainingData(plans, units, results, opts), nil
 }

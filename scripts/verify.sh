@@ -193,9 +193,11 @@ echo "== fuzz the model file decoder (10 s) =="
 # A model can arrive as untrusted bytes over -model-store. The seed
 # corpus runs in every go test; this stage searches past it, checking
 # LoadPredictor against the encoding/json reference decode. Minimizing
-# an input as long as the ~12 KB seeds stalls a short run, hence the
-# minimize cap.
-go test -run '^$' -fuzz FuzzLoadPredictor -fuzztime 10s -fuzzminimizetime 2s ./internal/napel
+# an input as long as the ~12 KB seeds can take seconds, so each
+# minimization is capped at 100 calls: from an empty fuzz cache a 2 s
+# time cap left 10 s runs at 5-9 k execs, mostly stalled at 0/s, and
+# 100 calls ran 61-69 k without a stall.
+go test -run '^$' -fuzz FuzzLoadPredictor -fuzztime 10s -fuzzminimizetime 100x ./internal/napel
 
 echo "== fuzz the scrape and traceparent parsers (10 s each) =="
 # napel-obsd and napel-loadgen parse other processes' /metrics, and every
@@ -217,9 +219,10 @@ go test -run '^$' -fuzz FuzzJoinBody -fuzztime 10s ./internal/fleet
 echo "== fuzz the request decoder (10 s) =="
 # napel-serve decodes every predict, batch and suitability body with its
 # own one-pass decoder; FuzzDecodeRequest checks it against encoding/json
-# plus the map-form assembly. Minimizing a ~13 KB seed can stall a short
-# run, hence the minimize cap.
-go test -run '^$' -fuzz FuzzDecodeRequest -fuzztime 10s -fuzzminimizetime 2s ./internal/serve
+# plus the map-form assembly. Minimizing a ~13 KB seed can take seconds,
+# so each minimization is capped at 100 calls, as for FuzzLoadPredictor
+# (1-2 k execs in 10 s with a 2 s time cap, 30-34 k with this one).
+go test -run '^$' -fuzz FuzzDecodeRequest -fuzztime 10s -fuzzminimizetime 100x ./internal/serve
 
 echo "== fuzz the collection journal replay (10 s) =="
 # A restarted napel-traind replays whatever bytes a crash or a damaged
