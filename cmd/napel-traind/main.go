@@ -94,7 +94,7 @@ func main() {
 		Logf:            logger.Printf,
 	}
 	if *leaseTTL > 0 {
-		ccfg := collectd.Config{
+		mcfg.Coordinator = &collectd.Config{
 			LeaseTTL:     *leaseTTL,
 			WorkerExpiry: *workerExpiry,
 			Logf:         logger.Printf,
@@ -105,9 +105,8 @@ func main() {
 				logger.Fatal(err)
 			}
 			defer j.Close()
-			ccfg.Journal = j
+			mcfg.Coordinator.Journal = j
 		}
-		mcfg.Coordinator = collectd.NewCoordinator(ccfg)
 	} else if *collectJournal != "" {
 		logger.Fatal("-collect-journal requires the worker coordinator (-lease-ttl > 0)")
 	}

@@ -51,9 +51,6 @@ type ActiveConfig struct {
 	// Trainer builds the scoring/evaluation models (default
 	// napel.DefaultRFTrainer). Its model must unwrap to an rf.Forest.
 	Trainer ml.Trainer
-	// Registry, when non-nil, receives the napel_collectd_* round and
-	// uncertainty series.
-	Registry *obs.Registry
 	// Logf, when non-nil, receives one line per round.
 	Logf func(format string, args ...any)
 	// OnRound, when non-nil, observes every completed round — the hook
@@ -105,8 +102,10 @@ type candidate struct {
 // executes only the round's selection, so opts is honored exactly as in
 // napel.Collect — Workers, UnitRetries, QuarantineFailures, and in
 // particular Executor, so the rounds' simulations can be leased out to
-// a worker fleet while scoring stays coordinator-side. The dataset's
-// Quarantined lists every unit quarantined in any round.
+// a worker fleet while scoring stays coordinator-side, and Metrics,
+// which receives the napel_collectd_* round and uncertainty series
+// beside the rounds' napel_engine_* ones. The dataset's Quarantined
+// lists every unit quarantined in any round.
 func ActiveCollect(ctx context.Context, kernels []workload.Kernel, opts napel.Options, cfg ActiveConfig) (*napel.TrainingData, *ActiveReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -136,7 +135,7 @@ func ActiveCollect(ctx context.Context, kernels []workload.Kernel, opts napel.Op
 	if cfg.Trainer == nil {
 		cfg.Trainer = napel.DefaultRFTrainer()
 	}
-	ao := newActiveObs(cfg.Registry)
+	ao := newActiveObs(opts.Metrics)
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}

@@ -70,9 +70,9 @@ func RegisterAPI(mux *http.ServeMux, c *Coordinator) {
 	// Each handler joins the caller's trace when the request carries a
 	// traceparent header (napel-worker injects one per unit), so a lease
 	// grant and its completion appear under the worker's "worker.unit"
-	// span in /debug/fleet. The spans go to the tracer SetTracer
-	// installed before mounting.
-	tracer := c.Tracer()
+	// span in /debug/fleet. The spans go to Config.Tracer, which is
+	// fixed at construction.
+	tracer := c.cfg.Tracer
 	mux.HandleFunc("POST /v1/lease", obs.Traced(tracer, "collectd.lease", func(w http.ResponseWriter, r *http.Request) {
 		var req leaseRequest
 		if !decodeBody(w, r, &req) {

@@ -36,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"napel/internal/member"
@@ -70,8 +69,16 @@ type Config struct {
 	Journal *Journal
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
-	// Registry, when non-nil, receives the napel_collectd_* series.
+	// Registry receives the napel_collectd_* series, which are also the
+	// counts Stats reports. When nil the coordinator keeps them on a
+	// private registry. Coordinators that share a registry share its
+	// counts.
 	Registry *obs.Registry
+	// Tracer, when non-nil, records the worker-protocol handler spans
+	// RegisterAPI mounts (lifecycle.NewManager passes the manager's
+	// tracer, so lease-grant and completion spans share the daemon's
+	// ring).
+	Tracer *obs.Tracer
 	// Now is the clock, injectable for deterministic expiry tests.
 	Now func() time.Time
 }
@@ -105,11 +112,6 @@ type Coordinator struct {
 	cfg Config
 	o   *coordObs
 
-	// tracer records the worker-protocol handler spans; napel-traind
-	// wires its manager's tracer in via SetTracer after construction, so
-	// lease-grant and completion spans share the daemon's ring.
-	tracer atomic.Pointer[obs.Tracer]
-
 	// members is the worker registry: workers auto-register (with
 	// capability tags) at lease time, heartbeats and completions renew
 	// them, and silence past WorkerExpiry deregisters them.
@@ -120,12 +122,6 @@ type Coordinator struct {
 	leases  map[string]*lease
 	seq     uint64
 
-	completed     uint64
-	requeued      uint64
-	expired       uint64
-	corrupt       uint64
-	remoteErr     uint64
-	replayed      uint64
 	lastUnmatched time.Time // rate-limits the no-compatible-worker log
 }
 
@@ -142,7 +138,6 @@ func NewCoordinator(cfg Config) *Coordinator {
 	}
 	c := &Coordinator{
 		cfg:    cfg,
-		o:      newCoordObs(cfg.Registry),
 		leases: map[string]*lease{},
 	}
 	c.members = member.NewSet(member.Config{
@@ -157,33 +152,8 @@ func NewCoordinator(cfg Config) *Coordinator {
 			c.logf("collectd: worker %s %s (membership epoch %d)", ev.Name, ev.Change, ev.Epoch)
 		},
 	})
-	c.o.bindQueues(c)
+	c.o = newCoordObs(cfg.Registry, c)
 	return c
-}
-
-// Register attaches the coordinator's napel_collectd_* series to reg
-// after construction — for embedders (napel-traind's manager) whose
-// registry only exists once the coordinator is already built. A no-op
-// when the coordinator was constructed with a registry or reg is nil.
-func (c *Coordinator) Register(reg *obs.Registry) {
-	if reg == nil || c.o != nil {
-		return
-	}
-	c.cfg.Registry = reg
-	c.o = newCoordObs(reg)
-	c.o.bindQueues(c)
-}
-
-// SetTracer wires the coordinator's HTTP handler spans into t's ring.
-// Safe to call after RegisterAPI — handlers load the pointer per
-// request — and with nil to disable.
-func (c *Coordinator) SetTracer(t *obs.Tracer) {
-	c.tracer.Store(t)
-}
-
-// Tracer returns the tracer installed by SetTracer, or nil.
-func (c *Coordinator) Tracer() *obs.Tracer {
-	return c.tracer.Load()
 }
 
 func (c *Coordinator) logf(format string, args ...any) {
@@ -218,23 +188,20 @@ func (c *Coordinator) Execute(ctx context.Context, spec napel.UnitSpec) (*napel.
 		if body, ok := c.cfg.Journal.replayable(spec.Key, sh); ok {
 			var p napel.UnitPayload
 			if json.Unmarshal(body, &p) == nil && p.Check(spec) == nil {
-				c.mu.Lock()
-				c.replayed++
-				c.mu.Unlock()
-				c.o.journalReplayed()
+				c.o.jReplays.Inc()
 				span.SetAttr("result", "replayed")
 				return &p, nil
 			}
 		}
 		c.cfg.Journal.record(journalRecord{T: "enqueue", Key: spec.Key, Spec: sh}, false)
-		c.o.journalRecorded()
+		c.o.jRecords.Inc()
 	}
 
 	u := &unit{spec: spec, done: make(chan unitOutcome, 1)}
 	c.mu.Lock()
 	c.pending = append(c.pending, u)
 	c.mu.Unlock()
-	c.o.enqueued()
+	c.o.enqueues.Inc()
 
 	// The periodic tick bounds how stale an un-heartbeated lease can get
 	// even when no worker traffic triggers the lazy expiry sweep.
@@ -249,8 +216,8 @@ func (c *Coordinator) Execute(ctx context.Context, spec napel.UnitSpec) (*napel.
 			c.abandon(u)
 			span.SetError(ctx.Err())
 			return nil, ctx.Err()
-		case now := <-ticker.C:
-			c.expire(now)
+		case <-ticker.C:
+			c.expire(c.cfg.Now())
 		}
 	}
 }
@@ -302,10 +269,10 @@ func (c *Coordinator) Lease(workerID string, tags []string) (Lease, bool) {
 			deadline: now.Add(c.cfg.LeaseTTL),
 		}
 		c.leases[l.id] = l
-		c.o.leased()
+		c.o.leases.Inc()
 		if c.cfg.Journal != nil {
 			c.cfg.Journal.record(journalRecord{T: "lease", Key: u.spec.Key, Lease: l.id, Worker: workerID}, false)
-			c.o.journalRecorded()
+			c.o.jRecords.Inc()
 		}
 		return Lease{ID: l.id, TTLMillis: c.cfg.LeaseTTL.Milliseconds(), Spec: u.spec}, true
 	}
@@ -313,7 +280,7 @@ func (c *Coordinator) Lease(workerID string, tags []string) (Lease, bool) {
 		// Every pending unit needs tags this worker lacks. Loud enough
 		// to diagnose a stalled fleet, quiet enough not to flood: once
 		// per 5s across all workers, plus a counter.
-		c.o.leaseUnmatched()
+		c.o.unmatched.Inc()
 		if now.Sub(c.lastUnmatched) >= 5*time.Second {
 			c.lastUnmatched = now
 			c.logf("collectd: worker %s (tags %v) matches none of %d pending unit(s); first needs %v",
@@ -368,7 +335,6 @@ func (c *Coordinator) Complete(workerID, leaseID string, payload []byte, sum str
 	}
 
 	if remoteErr != "" {
-		c.remoteErr++
 		c.o.completed("error")
 		c.deliverLocked(u, unitOutcome{err: fmt.Errorf("collectd: worker %s: %s", workerID, remoteErr)})
 		return nil
@@ -376,7 +342,6 @@ func (c *Coordinator) Complete(workerID, leaseID string, payload []byte, sum str
 
 	got := sha256.Sum256(payload)
 	if hex.EncodeToString(got[:]) != sum {
-		c.corrupt++
 		c.o.completed("corrupt")
 		c.requeueLocked(u)
 		c.logf("collectd: worker %s returned corrupt payload for %s (lease %s); requeued", workerID, u.spec.Key, leaseID)
@@ -394,9 +359,8 @@ func (c *Coordinator) Complete(workerID, leaseID string, payload []byte, sum str
 					T: "complete", Key: u.spec.Key, Spec: specHash(u.spec),
 					Worker: workerID, SHA256: sum, Payload: json.RawMessage(payload),
 				}, true)
-				c.o.journalRecorded()
+				c.o.jRecords.Inc()
 			}
-			c.completed++
 			c.o.completed("ok")
 			c.deliverLocked(u, unitOutcome{payload: &p})
 			return nil
@@ -429,11 +393,10 @@ func (c *Coordinator) deliverLocked(u *unit, out unitOutcome) {
 // stragglers recover with minimum latency.
 func (c *Coordinator) requeueLocked(u *unit) {
 	u.requeues++
-	c.requeued++
-	c.o.requeuedUnit()
+	c.o.requeues.Inc()
 	if c.cfg.Journal != nil {
 		c.cfg.Journal.record(journalRecord{T: "requeue", Key: u.spec.Key}, false)
-		c.o.journalRecorded()
+		c.o.jRecords.Inc()
 	}
 	c.pending = append([]*unit{u}, c.pending...)
 }
@@ -454,8 +417,7 @@ func (c *Coordinator) expireLocked(now time.Time) {
 			continue
 		}
 		delete(c.leases, id)
-		c.expired++
-		c.o.leaseExpired()
+		c.o.expired.Inc()
 		if l.u.abandoned {
 			continue
 		}
@@ -471,7 +433,12 @@ type WorkerInfo struct {
 }
 
 // Stats is a point-in-time snapshot of the coordinator, served by
-// GET /v1/collect.
+// GET /v1/collect. Its counts are the coordinator's napel_collectd_*
+// series: Completed, RemoteErrors and Corrupt are
+// napel_collectd_completes_total{result="ok"}, {result="error"} and
+// {result="corrupt"}; Requeued, Expired and Replayed are
+// napel_collectd_requeues_total, napel_collectd_lease_expired_total and
+// napel_collectd_journal_replayed_total.
 type Stats struct {
 	Pending      int                   `json:"pending"`
 	Leased       int                   `json:"leased"`
@@ -494,12 +461,12 @@ func (c *Coordinator) Stats() Stats {
 	s := Stats{
 		Pending:      len(c.pending),
 		Leased:       len(c.leases),
-		Completed:    c.completed,
-		Requeued:     c.requeued,
-		Expired:      c.expired,
-		Corrupt:      c.corrupt,
-		RemoteErrors: c.remoteErr,
-		Replayed:     c.replayed,
+		Completed:    c.o.completes["ok"].Value(),
+		Requeued:     c.o.requeues.Value(),
+		Expired:      c.o.expired.Value(),
+		Corrupt:      c.o.completes["corrupt"].Value(),
+		RemoteErrors: c.o.completes["error"].Value(),
+		Replayed:     c.o.jReplays.Value(),
 		WorkerEpoch:  epoch,
 		Workers:      make(map[string]WorkerInfo, len(members)),
 	}

@@ -2,9 +2,10 @@ package collectd
 
 import "napel/internal/obs"
 
-// coordObs is the coordinator's observability surface. A nil receiver —
-// no registry configured — makes every method a no-op, matching the
-// engine's instrumentation discipline.
+// coordObs is the coordinator's observability surface: the
+// napel_collectd_* handles on Config.Registry, or on a private registry
+// when none is configured, so they always exist. They are the
+// coordinator's only event counts; Stats reads them.
 type coordObs struct {
 	leases     *obs.Counter
 	expired    *obs.Counter
@@ -25,9 +26,11 @@ var workerChanges = [...]string{"join", "evict", "readmit", "expire", "leave"}
 // distinguishes.
 var completeResults = [...]string{"ok", "error", "corrupt", "invalid", "unknown", "abandoned"}
 
-func newCoordObs(reg *obs.Registry) *coordObs {
+// newCoordObs registers the coordinator's series, the live queue-depth
+// gauges over c among them, on reg (a private registry when nil).
+func newCoordObs(reg *obs.Registry, c *Coordinator) *coordObs {
 	if reg == nil {
-		return nil
+		reg = obs.NewRegistry()
 	}
 	o := &coordObs{
 		leases: reg.Counter("napel_collectd_leases_total",
@@ -57,95 +60,33 @@ func newCoordObs(reg *obs.Registry) *coordObs {
 	for _, ch := range workerChanges {
 		o.workerEvts[ch] = wv.With(ch)
 	}
-	return o
-}
-
-// bindQueues registers the live queue-depth gauges against c.
-func (o *coordObs) bindQueues(c *Coordinator) {
-	if o == nil {
-		return
-	}
-	c.cfg.Registry.GaugeFunc("napel_collectd_pending",
+	reg.GaugeFunc("napel_collectd_pending",
 		"Units waiting for a worker lease.",
 		func() float64 {
 			p, _ := c.queueDepths()
 			return float64(p)
 		})
-	c.cfg.Registry.GaugeFunc("napel_collectd_leased",
+	reg.GaugeFunc("napel_collectd_leased",
 		"Units currently leased to workers.",
 		func() float64 {
 			_, l := c.queueDepths()
 			return float64(l)
 		})
-	c.cfg.Registry.GaugeFunc("napel_collectd_workers",
+	reg.GaugeFunc("napel_collectd_workers",
 		"Workers currently registered (auto-registered at lease time, expired on silence).",
 		func() float64 {
 			return float64(len(c.members.Alive()))
 		})
-}
-
-func (o *coordObs) enqueued() {
-	if o == nil {
-		return
-	}
-	o.enqueues.Inc()
-}
-
-func (o *coordObs) leased() {
-	if o == nil {
-		return
-	}
-	o.leases.Inc()
-}
-
-func (o *coordObs) leaseExpired() {
-	if o == nil {
-		return
-	}
-	o.expired.Inc()
-}
-
-func (o *coordObs) requeuedUnit() {
-	if o == nil {
-		return
-	}
-	o.requeues.Inc()
+	return o
 }
 
 func (o *coordObs) completed(result string) {
-	if o == nil {
-		return
-	}
 	if ctr, ok := o.completes[result]; ok {
 		ctr.Inc()
 	}
 }
 
-func (o *coordObs) leaseUnmatched() {
-	if o == nil {
-		return
-	}
-	o.unmatched.Inc()
-}
-
-func (o *coordObs) journalRecorded() {
-	if o == nil {
-		return
-	}
-	o.jRecords.Inc()
-}
-
-func (o *coordObs) journalReplayed() {
-	if o == nil {
-		return
-	}
-	o.jReplays.Inc()
-}
-
 func (o *coordObs) workerChange(change string) {
-	if o == nil {
-		return
-	}
 	if ctr, ok := o.workerEvts[change]; ok {
 		ctr.Inc()
 	}
@@ -163,7 +104,7 @@ type workerObs struct {
 
 func newWorkerObs(reg *obs.Registry) *workerObs {
 	if reg == nil {
-		return nil
+		reg = obs.NewRegistry()
 	}
 	return &workerObs{
 		leases: reg.Counter("napel_worker_leases_total",
@@ -181,43 +122,12 @@ func newWorkerObs(reg *obs.Registry) *workerObs {
 	}
 }
 
-func (o *workerObs) leaseOK() {
-	if o == nil {
-		return
-	}
-	o.leases.Inc()
-}
-
 func (o *workerObs) unitDone(err error) {
-	if o == nil {
-		return
-	}
 	if err != nil {
 		o.failed.Inc()
 	} else {
 		o.executed.Inc()
 	}
-}
-
-func (o *workerObs) leaseLost() {
-	if o == nil {
-		return
-	}
-	o.lost.Inc()
-}
-
-func (o *workerObs) idlePoll() {
-	if o == nil {
-		return
-	}
-	o.idle.Inc()
-}
-
-func (o *workerObs) reconnectWait() {
-	if o == nil {
-		return
-	}
-	o.reconnect.Inc()
 }
 
 // activeObs instruments the active-learning scheduler.
@@ -232,7 +142,7 @@ type activeObs struct {
 
 func newActiveObs(reg *obs.Registry) *activeObs {
 	if reg == nil {
-		return nil
+		reg = obs.NewRegistry()
 	}
 	return &activeObs{
 		rounds: reg.Counter("napel_collectd_rounds_total",
@@ -251,9 +161,6 @@ func newActiveObs(reg *obs.Registry) *activeObs {
 }
 
 func (o *activeObs) round(selected int, meanU, maxU, mre float64, remaining int) {
-	if o == nil {
-		return
-	}
 	o.rounds.Inc()
 	o.selected.Add(uint64(selected))
 	o.meanUncert.Set(meanU)

@@ -21,9 +21,8 @@ func TestWorkerLeaseTraceJoinsCoordinator(t *testing.T) {
 	kernels := quickKernels(t, "atax")
 	opts := quickOptions()
 
-	c := NewCoordinator(Config{LeaseTTL: 500 * time.Millisecond, Logf: t.Logf})
 	coordTracer := obs.NewTracer(0, nil)
-	c.SetTracer(coordTracer)
+	c := NewCoordinator(Config{LeaseTTL: 500 * time.Millisecond, Tracer: coordTracer, Logf: t.Logf})
 	mux := http.NewServeMux()
 	RegisterAPI(mux, c)
 	srv := httptest.NewServer(mux)

@@ -169,7 +169,7 @@ func (w *Worker) Run(ctx context.Context) error {
 				w.logf("collectd: worker %s: coordinator unreachable (%v); backing off up to %s between polls",
 					w.cfg.ID, err, w.cfg.ReconnectMax)
 			}
-			w.o.reconnectWait()
+			w.o.reconnect.Inc()
 			// Exponential with ±20% jitter, capped at ReconnectMax.
 			d := backoff + time.Duration(float64(backoff)*0.2*(2*rng.Float64()-1))
 			sleep(ctx, d)
@@ -186,11 +186,11 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 		if !ok {
 			root.Discard()
-			w.o.idlePoll()
+			w.o.idle.Inc()
 			sleep(ctx, w.cfg.PollInterval)
 			continue
 		}
-		w.o.leaseOK()
+		w.o.leases.Inc()
 		root.SetAttr("lease", lease.ID)
 		root.SetAttr("key", lease.Spec.Key)
 		w.executeLease(uctx, lease)
@@ -246,7 +246,7 @@ func (w *Worker) executeLease(ctx context.Context, l Lease) {
 	if revoked.Load() {
 		// Lease revoked mid-unit: the coordinator already requeued it;
 		// reporting would only earn a 404.
-		w.o.leaseLost()
+		w.o.lost.Inc()
 		w.logf("collectd: worker %s lost lease %s (%s) after %s", w.cfg.ID, l.ID, l.Spec.Key, time.Since(t0).Round(time.Millisecond))
 		return
 	}

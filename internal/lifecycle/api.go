@@ -139,11 +139,10 @@ func NewAPIHandler(m *Manager) http.Handler {
 	RegisterStoreAPI(mux, m.store, m.o.tracer)
 
 	// The worker-facing collection protocol, when a coordinator runs.
-	// The manager's tracer is handed over so lease/complete handler
-	// spans land in the same ring the store-pull spans do.
-	if m.cfg.Coordinator != nil {
-		m.cfg.Coordinator.SetTracer(m.o.tracer)
-		collectd.RegisterAPI(mux, m.cfg.Coordinator)
+	// NewManager built it with the manager's tracer, so lease/complete
+	// handler spans land in the same ring the store-pull spans do.
+	if m.coord != nil {
+		collectd.RegisterAPI(mux, m.coord)
 	}
 
 	mux.HandleFunc("POST /v1/store/rollback", func(w http.ResponseWriter, r *http.Request) {

@@ -34,9 +34,8 @@ func TestDistributedJobMatchesSerialDataHash(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	coord := collectd.NewCoordinator(collectd.Config{LeaseTTL: 2 * time.Second, Logf: t.Logf})
 	distM := newTestManager(t, t.TempDir(), func(cfg *ManagerConfig) {
-		cfg.Coordinator = coord
+		cfg.Coordinator = &collectd.Config{LeaseTTL: 2 * time.Second, Logf: t.Logf}
 	})
 	srv := httptest.NewServer(NewAPIHandler(distM))
 	t.Cleanup(srv.Close)
@@ -87,7 +86,7 @@ func TestDistributedJobMatchesSerialDataHash(t *testing.T) {
 	if distCur.ModelHash != serialCur.ModelHash {
 		t.Fatalf("distributed model hash %s != serial %s", distCur.ModelHash, serialCur.ModelHash)
 	}
-	if s := coord.Stats(); s.Completed == 0 {
+	if s := distM.coord.Stats(); s.Completed == 0 {
 		t.Fatalf("coordinator saw no completions: %+v", s)
 	}
 }

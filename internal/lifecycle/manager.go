@@ -31,12 +31,13 @@ const fpPromote = "traind.promote"
 // ManagerConfig configures the training-job manager.
 type ManagerConfig struct {
 	Store *Store
-	// Coordinator, when non-nil, serves jobs submitted with
-	// distributed: true — their collection units are leased to
-	// napel-worker processes instead of executing in-process. The
-	// coordinator's worker protocol must be mounted on the same API
-	// listener (NewAPIHandler does this automatically).
-	Coordinator *collectd.Coordinator
+	// Coordinator, when non-nil, configures the worker coordinator that
+	// serves jobs submitted with distributed: true — their collection
+	// units are leased to napel-worker processes instead of executing
+	// in-process. NewManager builds it with the manager's registry and
+	// tracer in place of the config's own, and NewAPIHandler mounts its
+	// worker protocol on the same API listener.
+	Coordinator *collectd.Config
 	// JobsDir holds one directory per job (job.json + checkpoint.json).
 	JobsDir string
 	// Concurrency is the number of jobs running at once (default 1 —
@@ -126,6 +127,10 @@ type Manager struct {
 	queue chan string
 	o     *traindObs
 
+	// coord leases distributed jobs' units to workers; nil when
+	// ManagerConfig.Coordinator is.
+	coord *collectd.Coordinator
+
 	// promoteBreaker trips after a run of consecutive canary failures;
 	// while open, candidates skip the gate and are rejected fast.
 	promoteBreaker *resilience.Breaker
@@ -165,7 +170,9 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		"Faults fired by the installed chaos plan (0 when chaos is off).",
 		func() float64 { return float64(faultpoint.TotalInjected()) })
 	if cfg.Coordinator != nil {
-		cfg.Coordinator.Register(m.o.reg)
+		ccfg := *cfg.Coordinator
+		ccfg.Registry, ccfg.Tracer = m.o.reg, m.o.tracer
+		m.coord = collectd.NewCoordinator(ccfg)
 	}
 	requeue, err := m.recoverJobs()
 	if err != nil {
@@ -506,10 +513,10 @@ func (m *Manager) runPipeline(ctx context.Context, job *Job) (err error) {
 	// Distributed jobs delegate unit execution to the worker fleet; the
 	// engine machinery (and so the assembled bytes) is identical.
 	if spec.Distributed {
-		if m.cfg.Coordinator == nil {
+		if m.coord == nil {
 			return fmt.Errorf("%w: job requests distributed collection but the daemon has no coordinator", errPermanent)
 		}
-		opts.Executor = m.cfg.Coordinator.Executor()
+		opts.Executor = m.coord.Executor()
 	}
 
 	// Collect, resuming from the job's checkpoint when one exists.
@@ -740,7 +747,6 @@ func (m *Manager) collectActive(ctx context.Context, job *Job, kernels []workloa
 		TargetMRE:   spec.ActiveTargetMRE,
 		HoldoutFrac: frac,
 		Trainer:     spec.trainer(),
-		Registry:    m.o.reg,
 		Logf:        m.cfg.Logf,
 		OnRound: func(r collectd.RoundReport) {
 			m.mu.Lock()

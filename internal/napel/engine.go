@@ -202,7 +202,7 @@ func collectEngine(ctx context.Context, kernels []workload.Kernel, opts Options,
 				ck.OnUnit(done, total, func() *TrainingData {
 					return assembleTrainingData(plans, units, results, opts)
 				})
-				eo.observeCheckpoint(time.Since(tck).Seconds())
+				eo.ckpSec.ObserveSince(tck)
 			}
 		}
 	})
@@ -286,11 +286,11 @@ func collectOneUnit(ctx context.Context, u collectUnit, opts Options, eo *engine
 		if r.err == nil || attempt > opts.UnitRetries || uctx.Err() != nil || isCanceled(r.err) {
 			break
 		}
-		eo.unitRetry()
+		eo.retries.Inc()
 	}
 	if r.err != nil && opts.QuarantineFailures && uctx.Err() == nil && !isCanceled(r.err) {
 		r.quarantined = true
-		eo.unitQuarantined()
+		eo.quarantined.Inc()
 	}
 	uspan.SetError(r.err)
 	uspan.End()

@@ -11,12 +11,11 @@ var engineBuckets = []float64{
 }
 
 // engineObs is the collection engine's observability surface on a
-// caller-supplied registry (Options.Metrics). A nil engineObs — no
-// registry configured — makes every method a no-op, so the engine pays
-// nothing when uninstrumented. Gauges describe the in-flight run;
-// successive Collect calls on the same registry rebind the utilization
-// function to the newest run (Func re-registration replaces the
-// closure).
+// caller-supplied registry (Options.Metrics), or on a private one when
+// the caller supplies none, so its handles always exist. Gauges
+// describe the in-flight run; successive Collect calls on the same
+// registry rebind the utilization function to the newest run (Func
+// re-registration replaces the closure).
 type engineObs struct {
 	workers     *obs.Gauge
 	busy        *obs.Gauge
@@ -37,7 +36,7 @@ var engineStages = [...]string{"profile", "record", "simulate"}
 
 func newEngineObs(reg *obs.Registry) *engineObs {
 	if reg == nil {
-		return nil
+		reg = obs.NewRegistry()
 	}
 	o := &engineObs{
 		workers: reg.Gauge("napel_engine_workers",
@@ -81,9 +80,6 @@ func newEngineObs(reg *obs.Registry) *engineObs {
 }
 
 func (o *engineObs) startRun(workers, queued, restored int) {
-	if o == nil {
-		return
-	}
 	o.workers.Set(float64(workers))
 	o.busy.Set(0)
 	o.queue.Set(float64(queued))
@@ -91,18 +87,12 @@ func (o *engineObs) startRun(workers, queued, restored int) {
 }
 
 func (o *engineObs) endRun() {
-	if o == nil {
-		return
-	}
 	o.workers.Set(0)
 	o.busy.Set(0)
 	o.queue.Set(0)
 }
 
 func (o *engineObs) unitStart() {
-	if o == nil {
-		return
-	}
 	o.queue.Dec()
 	o.busy.Inc()
 }
@@ -110,9 +100,6 @@ func (o *engineObs) unitStart() {
 // unitEnd closes one executed unit. A unit that was cancelled mid-way
 // counts neither as done nor failed.
 func (o *engineObs) unitEnd(seconds float64, done bool, err error) {
-	if o == nil {
-		return
-	}
 	o.busy.Dec()
 	o.unitSec.Observe(seconds)
 	switch {
@@ -123,32 +110,8 @@ func (o *engineObs) unitEnd(seconds float64, done bool, err error) {
 	}
 }
 
-func (o *engineObs) unitRetry() {
-	if o == nil {
-		return
-	}
-	o.retries.Inc()
-}
-
-func (o *engineObs) unitQuarantined() {
-	if o == nil {
-		return
-	}
-	o.quarantined.Inc()
-}
-
 func (o *engineObs) observeStage(name string, seconds float64) {
-	if o == nil {
-		return
-	}
 	if h, ok := o.stage[name]; ok {
 		h.Observe(seconds)
 	}
-}
-
-func (o *engineObs) observeCheckpoint(seconds float64) {
-	if o == nil {
-		return
-	}
-	o.ckpSec.Observe(seconds)
 }

@@ -1,7 +1,9 @@
 package napel
 
 import (
+	"bytes"
 	"context"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -109,5 +111,52 @@ func TestEngineResumeRestoredMetrics(t *testing.T) {
 	}
 	if strings.Contains(text, "napel_engine_units_restored_total 0") {
 		t.Fatalf("restored counter not incremented:\n%s", text)
+	}
+}
+
+// TestMetricsNeverChangeCollectedData: whether the engine reports to a
+// caller's registry or to its private one, Collect saves the same bytes
+// and ExecuteUnit builds the same payload.
+func TestMetricsNeverChangeCollectedData(t *testing.T) {
+	opts := quickOptions()
+	opts.Workers = 2
+	kernels := quickKernels(t, "atax")
+	save := func(o Options) []byte {
+		t.Helper()
+		td, err := Collect(kernels, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := SaveTrainingData(&buf, td); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	instrumented := opts
+	instrumented.Metrics = obs.NewRegistry()
+	if !bytes.Equal(save(opts), save(instrumented)) {
+		t.Fatal("Collect with Options.Metrics saved different bytes than without")
+	}
+
+	specs, err := PlanUnits(kernels, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Wall-clock fields aside, a payload is a pure function of its spec.
+	execute := func(reg *obs.Registry) *UnitPayload {
+		t.Helper()
+		p, err := ExecuteUnit(context.Background(), specs[0], reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.ProfileTime, p.SimTime = 0, 0
+		for i := range p.Samples {
+			p.Samples[i].SimTime = 0
+		}
+		return p
+	}
+	if a, b := execute(nil), execute(obs.NewRegistry()); !reflect.DeepEqual(a, b) {
+		t.Fatalf("ExecuteUnit payload with a nil registry differs from one with a registry:\n%+v\n%+v", a, b)
 	}
 }

@@ -158,7 +158,8 @@ func PlanUnits(kernels []workload.Kernel, opts Options) ([]UnitSpec, error) {
 // architecture, building the exact samples local assembly would build.
 // It is what napel-worker runs for every lease, and the reference
 // implementation any UnitExecutor must be payload-equivalent to. reg
-// may be nil.
+// receives the engine's stage series; a nil reg records them on a
+// private registry. Either way the payload is the same.
 func ExecuteUnit(ctx context.Context, spec UnitSpec, reg *obs.Registry) (*UnitPayload, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err

@@ -159,10 +159,9 @@ type Aggregator struct {
 	scrapeMu sync.Mutex
 	scrapes  map[string]*scrape // keyed job+"\x1f"+instance
 
-	spanMu    sync.Mutex
-	spans     []procSpan // ring, oldest at spanNext once full
-	spanNext  int
-	spanTotal uint64
+	spanMu   sync.Mutex
+	spans    []procSpan // ring, oldest at spanNext once full
+	spanNext int
 
 	scrapesOK   *obs.Counter
 	scrapesFail *obs.Counter
@@ -420,7 +419,6 @@ func (a *Aggregator) ingest(batch obs.SpanBatch) {
 			a.evicted.Inc()
 		}
 		a.spanNext = (a.spanNext + 1) % a.cfg.SpanCap
-		a.spanTotal++
 	}
 	a.spanMu.Unlock()
 	a.batches.Inc()

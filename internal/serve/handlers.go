@@ -271,7 +271,6 @@ func (s *Server) predictOne(ctx context.Context, req *input) (PredictResponse, *
 	if err != nil {
 		return PredictResponse{}, &apiError{http.StatusUnprocessableEntity, err.Error()}
 	}
-	s.o.predictions.Inc()
 
 	// The feature vector already embeds the architecture point and
 	// thread count (ArchVector), so vector+totals identify the result.

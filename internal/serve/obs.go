@@ -21,9 +21,7 @@ type serveObs struct {
 	// quotes.
 	requests *httpd.RequestMetrics
 
-	inflight          *obs.Gauge
 	rejected          *obs.Counter
-	predictions       *obs.Counter
 	degradedServed    *obs.Counter
 	deadlineExhausted *obs.Counter
 	followFailures    *obs.Counter
@@ -51,12 +49,8 @@ func newServeObs(tracer *obs.Tracer, endpoints ...string) *serveObs {
 			"Completed requests by endpoint and status class.",
 			"Request latency histogram by endpoint.", endpoints...),
 	}
-	o.inflight = reg.Gauge("napel_serve_inflight_requests",
-		"Requests currently being served.")
 	o.rejected = reg.Counter("napel_serve_rejected_total",
 		"Requests rejected by the concurrency limiter.")
-	o.predictions = reg.Counter("napel_serve_predictions_total",
-		"Individual predictions served (batch items count separately).")
 	o.degradedServed = reg.Counter("napel_serve_degraded_total",
 		"Predictions answered from the last-good cache because the normal path failed.")
 	o.deadlineExhausted = reg.Counter("napel_serve_deadline_exhausted_total",

@@ -229,9 +229,19 @@ func New(cfg Config) (*Server, error) {
 	if cfg.AccessLog != nil {
 		s.logger = slog.New(obs.NewLogHandler(slog.NewTextHandler(cfg.AccessLog, nil)))
 	}
-	// Scrape-time views over state the server owns: the response cache,
-	// the model registry and the process clock.
+	// Scrape-time views over state the server owns: the concurrency
+	// limiter, the response cache, the model registry and the process
+	// clock. Every prediction that assembles goes on to exactly one
+	// cache lookup, so the cache's hits and misses count predictions.
 	m := s.o.reg
+	m.GaugeFunc("napel_serve_inflight_requests",
+		"Requests currently being served.", func() float64 { return float64(s.limiter.InUse()) })
+	m.CounterFunc("napel_serve_predictions_total",
+		"Individual predictions served (batch items count separately).",
+		func() float64 {
+			st := s.cache.Stats()
+			return float64(st.Hits + st.Misses)
+		})
 	m.CounterFunc("napel_serve_cache_hits_total",
 		"Response cache hits.", func() float64 { return float64(s.cache.Stats().Hits) })
 	m.CounterFunc("napel_serve_cache_misses_total",
@@ -366,7 +376,6 @@ func (s *Server) instrument(endpoint, method string, h http.HandlerFunc) http.Ha
 		default:
 			switch err := s.limiter.Acquire(ctx); {
 			case err == nil:
-				s.o.inflight.Inc()
 				if budget > 0 {
 					bctx, cancel := resilience.WithBudget(ctx, budget)
 					h(rec, r.WithContext(bctx))
@@ -374,7 +383,6 @@ func (s *Server) instrument(endpoint, method string, h http.HandlerFunc) http.Ha
 				} else {
 					h(rec, r)
 				}
-				s.o.inflight.Dec()
 				s.limiter.Release()
 			case errors.Is(err, resilience.ErrSaturated):
 				s.o.rejected.Inc()

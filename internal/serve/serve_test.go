@@ -434,6 +434,59 @@ func TestServerHealthzModelsMetrics(t *testing.T) {
 	}
 }
 
+// TestServerPredictionAndInflightViews: napel_serve_predictions_total
+// counts the predictions that reach the response cache, so it reads the
+// cache's hits plus misses (a 422 item reaches neither), and
+// napel_serve_inflight_requests, the limiter's held slots, is 0 once
+// every request has been answered.
+func TestServerPredictionAndInflightViews(t *testing.T) {
+	f := fixture(t)
+	s, _ := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	single := makeRequest(f, WireArch{}, f.threads)
+	bad := makeRequest(f, WireArch{}, 1)
+	bad.Profile.Features = map[string]float64{"mix_mem": 1}
+	for _, c := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/predict", single},
+		{"/v1/predict", []PredictRequest{makeRequest(f, WireArch{PEs: 8}, 2), bad}},
+		{"/v1/suitability", SuitabilityRequest{PredictRequest: makeRequest(f, WireArch{PEs: 16}, 1), Host: WireHost{EDP: 1}}},
+		{"/v1/predict", single},
+	} {
+		if resp, body := postJSON(t, ts.URL+c.path, c.body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.path, resp.StatusCode, body)
+		}
+	}
+
+	// Rendered directly: a GET /metrics holds a limiter slot itself.
+	var b strings.Builder
+	if err := s.o.reg.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	metrics := b.String()
+	preds := metricValue(t, metrics, "napel_serve_predictions_total")
+	hits := metricValue(t, metrics, "napel_serve_cache_hits_total")
+	misses := metricValue(t, metrics, "napel_serve_cache_misses_total")
+	if preds != 4 || hits != 1 || misses != 3 {
+		t.Fatalf("predictions %g, cache hits %g, misses %g; want 4 = 1 + 3", preds, hits, misses)
+	}
+	if n := metricValue(t, metrics, "napel_serve_inflight_requests"); n != 0 {
+		t.Fatalf("in-flight gauge reads %g with no request in flight", n)
+	}
+	for _, want := range []string{
+		"# TYPE napel_serve_predictions_total counter",
+		"# TYPE napel_serve_inflight_requests gauge",
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Fatalf("metrics missing %q", want)
+		}
+	}
+}
+
 // TestServerBackpressure verifies the 429 path: with MaxInFlight=1 and
 // a request parked inside the handler, the next request is rejected
 // immediately.
